@@ -11,8 +11,6 @@ Formula → Aggregator → Reporter actors over the event bus.
 from repro.core.aggregators import (FlushAggregates, PidAggregator,
                                     PidEnergyReport, TimestampAggregator)
 from repro.core.calibration import calibrate_idle_power
-from repro.core.capping import (CappedRunResult, CappingGovernor,
-                                run_capped, solar_budget)
 from repro.core.cgroup_monitor import (CgroupAggregator, CgroupPowerReport,
                                        InMemoryCgroupReporter)
 from repro.core.codelevel import (EnergyBudget, EnergyBudgetExceeded,
@@ -56,8 +54,7 @@ from repro.core.sensors import (HpcSensor, MachineHpcSensor,
 
 __all__ = [
     "AggregatedPowerReport", "BuildContext", "BuiltPipeline",
-    "CallbackReporter", "CappedRunResult", "CappingGovernor",
-    "CgroupAggregator", "CgroupPowerReport", "Component",
+    "CallbackReporter", "CgroupAggregator", "CgroupPowerReport", "Component",
     "ComponentRegistry", "ConsoleReporter", "CounterLogWriter",
     "CounterRanking", "CpuLoadFormula", "CrossValidationReport",
     "CsvReporter", "DegradationSpec", "EnergyBudget", "EnergyBudgetExceeded",
@@ -78,6 +75,5 @@ __all__ = [
     "fit_ridge", "learn_power_model", "machine_signature", "max_ape",
     "mean_ape", "measure_energy", "median_ape", "pool_available",
     "published_i3_2120_model", "r_squared", "rank_counters",
-    "resolve_workers", "rmse", "run_capped", "run_tasks", "select_counters",
-    "solar_budget",
+    "resolve_workers", "rmse", "run_tasks", "select_counters",
 ]

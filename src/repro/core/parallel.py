@@ -45,7 +45,14 @@ _FALLBACK_ERRORS = tuple(
 
 
 def default_worker_count() -> int:
-    """A sensible worker count for this host (its CPU count)."""
+    """A sensible worker count: the CPUs this process may run on.
+
+    ``os.cpu_count()`` counts every CPU on the host, which oversubscribes
+    a process pinned by affinity or a cgroup cpuset; it is only the
+    fallback where the affinity mask cannot be read.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 

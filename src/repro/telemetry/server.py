@@ -195,17 +195,6 @@ class BoundedFrameQueue:
         self._notify_ready()
         return True
 
-    def pop(self) -> Optional[Tuple[FrameKind, bytes]]:
-        """Dequeue the next frame, blocking; None once closed and empty."""
-        with self._cond:
-            while self._paused or not self._items:
-                if self._closed and not (self._items and not self._paused):
-                    return None
-                self._cond.wait()
-            item = self._items.popleft()
-            self._cond.notify_all()
-            return item
-
     def pop_many_nowait(self, max_frames: int, max_bytes: int
                         ) -> List[Tuple[FrameKind, bytes]]:
         """Dequeue up to *max_frames* frames without blocking.
@@ -246,7 +235,11 @@ class BoundedFrameQueue:
         self._notify_ready()
 
     def close(self) -> None:
-        """Wake every waiter; pop drains remaining frames then ends."""
+        """Refuse new frames and wake blocked producers.
+
+        Queued frames stay poppable: ``pop_many_nowait`` drains them,
+        then returns ``[]`` for good.
+        """
         with self._cond:
             self._closed = True
             self._paused = False

@@ -58,14 +58,14 @@ class TestKeyEntryPoints:
                                          intel_i3_2120, SpecJbbWorkload))
 
     def test_extension_entry_points(self):
-        from repro.core import (run_capped, measure_energy,
-                                assert_energy_within, cross_validate,
-                                ModelRegistry, estimate_from_csv)
+        from repro.core import (measure_energy, assert_energy_within,
+                                cross_validate, ModelRegistry,
+                                estimate_from_csv)
         from repro.os import VirtualMachine, CgroupTree, SysFs
         from repro.simcpu import TrueProcessPower
         from repro.analysis import bootstrap, rank_consumers
         assert all(callable(x) for x in (
-            run_capped, measure_energy, assert_energy_within,
+            measure_energy, assert_energy_within,
             cross_validate, ModelRegistry, estimate_from_csv,
             VirtualMachine, CgroupTree, SysFs, TrueProcessPower,
             bootstrap, rank_consumers))

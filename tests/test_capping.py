@@ -1,14 +1,30 @@
-"""Unit tests for estimate-driven power capping."""
+"""Estimate-driven power capping, checked on the `repro.control` loop.
+
+The cap controller is the PowerCapActor: it reads aggregated PowerAPI
+estimates (never the meter) and walks the DVFS ceiling through a
+FrequencyCapActuator.  The unit tests drive the actor directly with the
+hysteresis the controller is built for (a 5 W headroom band, two low
+readings before stepping up, no grace window); the run tests go through
+the fluent ``.cap()`` entry point on a four-thread CPU stress.
+"""
 
 import pytest
 
-from repro.core.capping import (CappingGovernor, run_capped, solar_budget)
+from repro.control.policy import DeadBandPolicy
+from repro.core.messages import AggregatedPowerReport
 from repro.core.model import FrequencyFormula, PowerModel
+from repro.core.monitor import PowerAPI
+from repro.core.reporters import InMemoryReporter
 from repro.errors import ConfigurationError
-from repro.simcpu.frequency import FrequencyDomain
+from repro.os.kernel import SimKernel
 from repro.simcpu.spec import intel_i3_2120
-from repro.simcpu.topology import Topology
 from repro.workloads.stress import CpuStress
+
+from tests.test_control import DirectCapActor
+
+pytestmark = pytest.mark.control
+
+IDLE_W = 31.48
 
 
 @pytest.fixture(scope="module")
@@ -28,131 +44,94 @@ def model(spec):
             "cache-references": 3.8e-8 * scale,
             "cache-misses": 3.5e-7 * scale,
         }))
-    return PowerModel(idle_w=31.48, formulas=formulas, name="cap-model")
+    return PowerModel(idle_w=IDLE_W, formulas=formulas, name="cap-model")
 
 
-def make_governor(spec, budget, **kwargs):
-    topology = Topology(spec)
-    domain = FrequencyDomain(spec)
-    return CappingGovernor(spec, topology, domain, budget, **kwargs), domain
+def make_controller(spec, budget, headroom_w=5.0, up_patience=2, **kwargs):
+    """An armed cap actor on a loaded kernel, driven report by report."""
+    kernel = SimKernel(spec)
+    kernel.spawn(CpuStress(utilization=1.0, threads=4, duration_s=60),
+                 name="w")
+    actor = DirectCapActor(
+        kernel, cap_w=budget, grace_periods=0,
+        policy=DeadBandPolicy(band_w=headroom_w, up_patience=up_patience),
+        **kwargs)
+    actor.actuator.arm()
+    return actor, kernel
+
+
+def feed(actor, kernel, active_w, time_s=1.0):
+    """Deliver one estimate and let the governor apply the ceiling."""
+    actor.handle(AggregatedPowerReport(
+        time_s=time_s, period_s=1.0, by_pid={1: active_w}, idle_w=IDLE_W,
+        formula="f"))
+    kernel.tick()
+    return kernel.machine.frequency.target(0, 0)
 
 
 class TestCappingGovernor:
     def test_starts_at_max_frequency(self, spec):
-        governor, domain = make_governor(spec, 45.0)
-        governor.update({})
-        assert domain.target(0, 0) == spec.max_frequency_hz
+        actor, kernel = make_controller(spec, 45.0)
+        kernel.tick()
+        assert actor.actuator.at_ceiling
+        assert kernel.machine.frequency.target(0, 0) == spec.max_frequency_hz
 
     def test_steps_down_when_over_budget(self, spec):
-        from repro.core.messages import AggregatedPowerReport
-        governor, domain = make_governor(spec, 40.0)
-        governor.observe_report(AggregatedPowerReport(
-            time_s=1.0, period_s=1.0, by_pid={1: 20.0}, idle_w=31.48,
-            formula="f"))
-        governor.update({})
-        assert domain.target(0, 0) < spec.max_frequency_hz
+        actor, kernel = make_controller(spec, 40.0)
+        assert feed(actor, kernel, 20.0) < spec.max_frequency_hz
 
     def test_steps_up_when_far_below_budget(self, spec):
-        from repro.core.messages import AggregatedPowerReport
-        governor, domain = make_governor(spec, 60.0, headroom_w=2.0)
+        actor, kernel = make_controller(spec, 60.0, headroom_w=2.0)
         # Push it down twice first.
         for _ in range(2):
-            governor.observe_report(AggregatedPowerReport(
-                time_s=1.0, period_s=1.0, by_pid={1: 40.0}, idle_w=31.48,
-                formula="f"))
-            governor.update({})
-        down = domain.target(0, 0)
+            down = feed(actor, kernel, 40.0)
         # Stepping back up takes `up_patience` consecutive low readings.
-        for step in range(governor.up_patience):
-            governor.observe_report(AggregatedPowerReport(
-                time_s=3.0 + step, period_s=1.0, by_pid={1: 2.0},
-                idle_w=31.48, formula="f"))
-            governor.update({})
-        assert domain.target(0, 0) > down
+        for step in range(actor.policy.up_patience):
+            up = feed(actor, kernel, 2.0, time_s=3.0 + step)
+        assert up > down
 
     def test_hysteresis_holds_frequency(self, spec):
-        from repro.core.messages import AggregatedPowerReport
-        governor, domain = make_governor(spec, 40.0, headroom_w=5.0)
-        governor.observe_report(AggregatedPowerReport(
-            time_s=1.0, period_s=1.0, by_pid={1: 20.0}, idle_w=31.48,
-            formula="f"))
-        governor.update({})
-        held = domain.target(0, 0)
+        actor, kernel = make_controller(spec, 40.0, headroom_w=5.0)
+        held = feed(actor, kernel, 20.0)
         # Estimate inside the [budget - headroom, budget] band: no change.
-        governor.observe_report(AggregatedPowerReport(
-            time_s=2.0, period_s=1.0, by_pid={1: 6.0}, idle_w=31.48,
-            formula="f"))
-        governor.update({})
-        assert domain.target(0, 0) == held
+        assert feed(actor, kernel, 6.0, time_s=2.0) == held
 
     def test_never_leaves_ladder(self, spec):
-        from repro.core.messages import AggregatedPowerReport
-        governor, domain = make_governor(spec, 10.0)
+        actor, kernel = make_controller(spec, 33.0, throttle=False)
         for step in range(30):
-            governor.observe_report(AggregatedPowerReport(
-                time_s=float(step), period_s=1.0, by_pid={1: 50.0},
-                idle_w=31.48, formula="f"))
-            governor.update({})
-        assert domain.target(0, 0) == spec.min_frequency_hz
+            target = feed(actor, kernel, 50.0, time_s=float(step))
+        assert actor.actuator.at_floor
+        assert target == spec.min_frequency_hz
 
     def test_rejects_negative_headroom(self, spec):
         with pytest.raises(ConfigurationError):
-            make_governor(spec, 40.0, headroom_w=-1.0)
+            make_controller(spec, 40.0, headroom_w=-1.0)
+
+
+def run_capped(spec, model, budget, duration_s):
+    """Run four busy threads under *budget*; return the handle and series."""
+    kernel = SimKernel(spec, quantum_s=0.02)
+    pid = kernel.spawn(CpuStress(utilization=1.0, threads=4,
+                                 duration_s=1000.0), name="w")
+    api = PowerAPI(kernel, model, period_s=0.5)
+    memory = InMemoryReporter()
+    handle = api.monitor(pid).every(0.5).cap(budget).to(memory)
+    api.run(duration_s)
+    final_hz = kernel.machine.frequency.target(0, 0)
+    api.shutdown()
+    return handle, memory, final_hz
 
 
 class TestRunCapped:
     def test_cap_respected(self, spec, model):
-        capped = run_capped(
-            spec, model, [CpuStress(utilization=1.0, threads=4,
-                                    duration_s=1000.0)],
-            budget=45.0, duration_s=20.0, period_s=0.5)
+        _handle, memory, _final = run_capped(spec, model, 45.0, 20.0)
+        totals = memory.total_series()
         # After convergence the estimates stay at/under the cap almost
         # always (the first seconds may overshoot while stepping down).
-        assert capped.overshoot_fraction(tolerance_w=1.0) < 0.25
-
-    def test_cap_costs_throughput(self, spec, model):
-        free = run_capped(
-            spec, model, [CpuStress(utilization=1.0, threads=4,
-                                    duration_s=1000.0)],
-            budget=1000.0, duration_s=15.0, period_s=0.5)
-        capped = run_capped(
-            spec, model, [CpuStress(utilization=1.0, threads=4,
-                                    duration_s=1000.0)],
-            budget=42.0, duration_s=15.0, period_s=0.5)
-        assert capped.instructions < free.instructions
-        assert capped.true_energy_j < free.true_energy_j
+        over = sum(1 for total in totals if total > 45.0 + 1.0)
+        assert over / len(totals) < 0.25
 
     def test_frequency_trace_descends_under_tight_cap(self, spec, model):
-        capped = run_capped(
-            spec, model, [CpuStress(utilization=1.0, threads=4,
-                                    duration_s=1000.0)],
-            budget=38.0, duration_s=10.0, period_s=0.5)
-        assert capped.frequency_trace_hz[-1] < spec.max_frequency_hz
-
-    def test_rejects_bad_duration(self, spec, model):
-        with pytest.raises(ConfigurationError):
-            run_capped(spec, model, [CpuStress()], budget=40.0,
-                       duration_s=0.0)
-
-
-class TestSolarBudget:
-    def test_oscillates_between_floor_and_peak(self):
-        budget = solar_budget(peak_w=60.0, floor_w=35.0, period_s=100.0)
-        values = [budget(t) for t in range(0, 100, 5)]
-        assert min(values) >= 34.9
-        assert max(values) <= 60.1
-        assert max(values) - min(values) > 20.0
-
-    def test_rejects_inverted_range(self):
-        with pytest.raises(ConfigurationError):
-            solar_budget(peak_w=30.0, floor_w=40.0)
-
-    def test_time_varying_cap_followed(self, spec, model):
-        budget = solar_budget(peak_w=55.0, floor_w=38.0, period_s=20.0)
-        result = run_capped(
-            spec, model, [CpuStress(utilization=1.0, threads=4,
-                                    duration_s=1000.0)],
-            budget=budget, duration_s=30.0, period_s=0.5)
-        # The frequency trace must actually move with the budget.
-        assert len(set(result.frequency_trace_hz)) >= 3
-        assert result.overshoot_fraction(tolerance_w=2.0) < 0.35
+        handle, _memory, final_hz = run_capped(spec, model, 38.0, 10.0)
+        assert any(e.action == "step-down" for e in handle.control.events)
+        assert final_hz < spec.max_frequency_hz

@@ -9,6 +9,7 @@ three workload scenarios.
 
 import io
 import json
+import math
 
 import pytest
 
@@ -583,6 +584,46 @@ class TestEndToEndAdherence:
         assert any(e.action == "cap-set" for e in handle.control.events)
         steady = memory.total_series()[-10:]
         assert sum(steady) / len(steady) <= 40.0 * 1.05
+
+    def test_cap_costs_throughput_and_energy(self, spec, model):
+        def run(cap_w):
+            handle, _memory = run_capped(
+                spec, model, CpuStress(utilization=1.0, threads=4,
+                                       duration_s=60), cap_w,
+                duration_s=15.0)
+            machine = handle.control.kernel.machine
+            return machine.counters.read("instructions"), machine.energy_j
+
+        free_work, free_energy = run(1000.0)
+        capped_work, capped_energy = run(42.0)
+        assert capped_work < free_work
+        assert capped_energy < free_energy
+
+    def test_solar_feed_followed_via_set_cap(self, spec, model):
+        def budget(time_s):  # a 38-55 W sinusoid, like a solar feed
+            return 46.5 + 8.5 * math.sin(2 * math.pi * time_s / 20.0)
+
+        kernel = SimKernel(spec, quantum_s=0.02)
+        pid = kernel.spawn(CpuStress(utilization=1.0, threads=4,
+                                     duration_s=60), name="w")
+        api = PowerAPI(kernel, model, period_s=0.5)
+        memory = InMemoryReporter()
+        handle = api.monitor(pid).every(0.5).cap(budget(0.0)).to(memory)
+        # Update every 2 s, not every period: each SetCap resets the
+        # dead-band up_patience streak, so it could never step back up.
+        for _slice in range(15):
+            api.run(2.0)
+            handle.set_cap(budget(kernel.time_s))
+        api.shutdown()
+        steps = [event for event in handle.control.events
+                 if event.action in ("step-down", "step-up")]
+        # The loop follows the feed back up, not just down to one cap.
+        assert {event.action for event in steps} == {"step-down",
+                                                     "step-up"}
+        assert len({event.frequency_hz for event in steps}) >= 3
+        over = sum(1 for r in memory.aggregated
+                   if r.total_w > budget(r.time_s) + 2.0)
+        assert over / len(memory.aggregated) < 0.35
 
     def test_stop_restores_governor(self, spec, model):
         kernel = SimKernel(spec, quantum_s=0.02)

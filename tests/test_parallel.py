@@ -3,9 +3,12 @@ hot-path satellite fixes that ride along with it."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.core.parallel import resolve_workers, run_tasks
+from repro.core.parallel import (default_worker_count, resolve_workers,
+                                 run_tasks)
 from repro.core.sampling import SamplingCampaign, learn_power_model
 from repro.errors import ConfigurationError
 from repro.simcpu import Machine, intel_i3_2120
@@ -49,6 +52,20 @@ class TestRunTasks:
         assert resolve_workers(0) >= 1
         with pytest.raises(ConfigurationError):
             resolve_workers(-2)
+
+    def test_default_worker_count_honours_affinity(self, monkeypatch):
+        # A process pinned to one CPU of an 8-CPU host gets one worker.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert default_worker_count() == 1
+        assert resolve_workers(0) == 1
+
+    def test_default_worker_count_falls_back_to_cpu_count(self,
+                                                          monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert default_worker_count() == 8
 
 
 def _small_campaign(spec) -> SamplingCampaign:

@@ -45,6 +45,11 @@ def make_client(server, **kwargs):
     return client
 
 
+def pop_one(queue):
+    """Dequeue at most one frame the way the server's event loop does."""
+    return queue.pop_many_nowait(1, 1 << 20)
+
+
 class TestBoundedFrameQueue:
     """The overflow policies, unit-tested without any I/O."""
 
@@ -58,7 +63,7 @@ class TestBoundedFrameQueue:
         queue = BoundedFrameQueue(4)
         for index in range(3):
             queue.offer(FrameKind.REPORT, b"%d" % index)
-        assert [queue.pop()[1] for _ in range(3)] == [b"0", b"1", b"2"]
+        assert [pop_one(queue)[0][1] for _ in range(3)] == [b"0", b"1", b"2"]
         assert queue.dropped == 0 and queue.high_water == 3
 
     def test_drop_oldest_evicts_head(self):
@@ -66,7 +71,7 @@ class TestBoundedFrameQueue:
         for index in range(5):
             queue.offer(FrameKind.REPORT, b"%d" % index)
         assert queue.dropped == 3
-        assert [queue.pop()[1] for _ in range(2)] == [b"3", b"4"]
+        assert [pop_one(queue)[0][1] for _ in range(2)] == [b"3", b"4"]
         assert queue.high_water == 2
 
     def test_coalesce_keeps_latest_report(self):
@@ -76,8 +81,8 @@ class TestBoundedFrameQueue:
             queue.offer(FrameKind.REPORT, b"r%d" % index)
         # Health frame survives; pending reports collapsed to the last.
         assert queue.dropped == 4
-        assert queue.pop() == (FrameKind.HEALTH, b"h")
-        assert queue.pop() == (FrameKind.REPORT, b"r4")
+        assert pop_one(queue) == [(FrameKind.HEALTH, b"h")]
+        assert pop_one(queue) == [(FrameKind.REPORT, b"r4")]
 
     def test_coalesce_full_of_non_reports_falls_back_to_drop_oldest(self):
         queue = BoundedFrameQueue(2, policy=OverflowPolicy.COALESCE)
@@ -85,7 +90,7 @@ class TestBoundedFrameQueue:
         queue.offer(FrameKind.HEALTH, b"h1")
         queue.offer(FrameKind.HEALTH, b"h2")
         assert queue.dropped == 1
-        assert queue.pop() == (FrameKind.HEALTH, b"h1")
+        assert pop_one(queue) == [(FrameKind.HEALTH, b"h1")]
 
     def test_block_waits_for_space(self):
         stalled = threading.Event()
@@ -102,9 +107,10 @@ class TestBoundedFrameQueue:
         producer.start()
         assert stalled.wait(timeout=5.0)  # producer is provably blocked
         assert not done.is_set()
-        assert queue.pop()[1] == b"0"  # frees space, unblocks producer
+        # Dequeuing frees space and unblocks the producer.
+        assert pop_one(queue) == [(FrameKind.REPORT, b"0")]
         assert done.wait(timeout=5.0)
-        assert queue.pop()[1] == b"1"
+        assert pop_one(queue) == [(FrameKind.REPORT, b"1")]
         assert queue.blocked == 1
 
     def test_close_unblocks_producer_and_consumer(self):
@@ -120,24 +126,17 @@ class TestBoundedFrameQueue:
         queue.close()
         producer.join(timeout=5.0)
         assert results == [False]
-        assert queue.pop() == (FrameKind.REPORT, b"0")  # drains
-        assert queue.pop() is None  # then ends
+        assert pop_one(queue) == [(FrameKind.REPORT, b"0")]  # drains
+        assert pop_one(queue) == []  # then ends
+        assert queue.closed
 
     def test_pause_holds_consumer(self):
         queue = BoundedFrameQueue(4)
         queue.pause()
         queue.offer(FrameKind.REPORT, b"0")
-        popped = []
-
-        def consume():
-            popped.append(queue.pop())
-
-        consumer = threading.Thread(target=consume, daemon=True)
-        consumer.start()
-        assert not popped
+        assert pop_one(queue) == []
         queue.resume()
-        consumer.join(timeout=5.0)
-        assert popped == [(FrameKind.REPORT, b"0")]
+        assert pop_one(queue) == [(FrameKind.REPORT, b"0")]
 
 
 class TestFanOut:
