@@ -28,13 +28,15 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis.report import ascii_chart, format_metrics, render_table
 from repro.analysis.traces import PowerTrace, compare
+from repro.core.components import default_registry
 from repro.core.model import PowerModel
 from repro.core.monitor import PowerAPI
-from repro.core.pipeline import PipelineSpec, TelemetrySpec
+from repro.core.pipeline import (ControlSpec, PipelineSpec, StageSpec,
+                                 TelemetrySpec, parse_uplink)
 from repro.core.reporters import ConsoleReporter, CsvReporter, InMemoryReporter
 from repro.core.sampling import SamplingCampaign, learn_power_model
 from repro.errors import ReproError
@@ -42,6 +44,7 @@ from repro.faults import FaultPlan
 from repro.os.kernel import SimKernel
 from repro.powermeter.powerspy import PowerSpy
 from repro.simcpu.spec import PRESETS, preset
+from repro.telemetry.server import OverflowPolicy
 from repro.workloads.specjbb import SpecJbbWorkload
 from repro.workloads.stress import CpuStress, MemoryStress, MixedStress
 
@@ -112,6 +115,40 @@ def _run_interruptible(api, duration_s: float, period_s: float,
             time.sleep(step * pace)
 
 
+def _add_run_flags(command: argparse.ArgumentParser) -> None:
+    """The workload-run flags ``monitor`` and ``serve`` share."""
+    command.add_argument("--model", type=Path, default=None,
+                         help="model JSON (learned on the fly if omitted)")
+    command.add_argument("--workload", default="cpu",
+                         choices=sorted(WORKLOADS))
+    command.add_argument("--duration", type=float, default=30.0)
+    command.add_argument("--period", type=float, default=1.0)
+
+
+def _add_server_flags(command: argparse.ArgumentParser) -> None:
+    """The telemetry-server flags ``serve`` and ``relay`` share."""
+    command.add_argument("--replay-window", type=int, default=256,
+                         help="frames of replay history kept so resuming "
+                              "subscribers can catch up without loss "
+                              "(0 = disable replay)")
+    command.add_argument("--max-subscribers", type=int, default=None,
+                         help="refuse connections beyond this many "
+                              "concurrent subscribers (0 = unlimited, "
+                              "the default)")
+    command.add_argument("--batch-frames", dest="batch_max_frames",
+                         type=int, default=None,
+                         help="max frames coalesced per wire batch "
+                              "(1 disables batching)")
+    command.add_argument("--batch-bytes", dest="batch_max_bytes",
+                         type=int, default=None,
+                         help="max payload bytes coalesced per wire batch")
+    command.add_argument("--batch-latency", dest="batch_max_latency_s",
+                         type=float, default=None, metavar="SECONDS",
+                         help="hold a partial batch up to this long "
+                              "waiting for more frames (0 = flush "
+                              "immediately)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -136,12 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     monitor = commands.add_parser("monitor",
                                   help="monitor a workload's power")
-    monitor.add_argument("--model", type=Path, default=None,
-                         help="model JSON (learned on the fly if omitted)")
-    monitor.add_argument("--workload", default="cpu",
-                         choices=sorted(WORKLOADS))
-    monitor.add_argument("--duration", type=float, default=30.0)
-    monitor.add_argument("--period", type=float, default=1.0)
+    _add_run_flags(monitor)
     monitor.add_argument("--csv", type=Path, default=None,
                          help="also write per-period CSV here")
     monitor.add_argument("--faults", default=None, metavar="SPEC",
@@ -163,32 +195,31 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(DVFS ceiling stepping, then process "
                               "throttling)")
     monitor.add_argument("--cap-policy", default="deadband",
-                         choices=("deadband", "pi"),
+                         choices=default_registry().names("policy"),
                          help="control policy driving the cap "
                               "(default: deadband)")
 
+    # The serve/relay server flags are named (dest) after the
+    # TelemetrySpec fields they set; see _telemetry_spec.
     serve = commands.add_parser(
         "serve", help="monitor a workload and stream the estimates to "
                       "TCP telemetry subscribers")
-    serve.add_argument("--model", type=Path, default=None,
-                       help="model JSON (learned on the fly if omitted)")
-    serve.add_argument("--workload", default="cpu",
-                       choices=sorted(WORKLOADS))
-    serve.add_argument("--duration", type=float, default=30.0)
-    serve.add_argument("--period", type=float, default=1.0)
+    _add_run_flags(serve)
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port to listen on (0 = ephemeral; the "
                             "chosen port is printed)")
-    serve.add_argument("--overflow", default="drop-oldest",
-                       choices=("block", "drop-oldest", "coalesce"),
+    serve.add_argument("--overflow", default=None,
+                       choices=OverflowPolicy.ALL,
                        help="what a full subscriber queue does with the "
-                            "next frame")
-    serve.add_argument("--queue-capacity", type=int, default=256,
-                       help="per-subscriber frame queue bound")
-    serve.add_argument("--heartbeat-every", type=int, default=0,
+                            "next frame (default: "
+                            f"{OverflowPolicy.DROP_OLDEST})")
+    serve.add_argument("--queue-capacity", type=int, default=None,
+                       help="per-subscriber frame queue bound "
+                            "(default: 256)")
+    serve.add_argument("--heartbeat-every", type=int, default=None,
                        help="emit a heartbeat frame every N reports "
-                            "(0 = off)")
-    serve.add_argument("--host-label", default="",
+                            "(0 = off, the default)")
+    serve.add_argument("--host-label", default=None,
                        help="host name stamped on every frame (for "
                             "fleet aggregation)")
     serve.add_argument("--await-subscribers", type=int, default=0,
@@ -201,10 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pace", type=float, default=0.0,
                        help="wall-clock seconds slept per virtual "
                             "second (0 = run as fast as possible)")
-    serve.add_argument("--replay-window", type=int, default=256,
-                       help="frames of replay history kept so resuming "
-                            "subscribers can catch up without loss "
-                            "(0 = disable replay)")
     serve.add_argument("--net-faults", default=None, metavar="SPEC",
                        help="inject network faults into accepted "
                             "subscriber connections; SPEC is "
@@ -212,32 +239,19 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(partition@T[:DUR], reset@T, corrupt@T[:N], "
                             "truncate@T, stall@T[:DUR[:DELAY]]) or "
                             "random:SEED[:DURATION] for a seeded plan")
-    serve.add_argument("--uplink", action="append", default=None,
-                       metavar="HOST:PORT",
+    serve.add_argument("--uplink", dest="uplinks", action="append",
+                       default=None, metavar="HOST:PORT",
                        help="also relay an upstream telemetry server "
                             "into this stream (repeatable; makes this "
                             "server a tree junction merging local and "
                             "upstream frames)")
-    serve.add_argument("--max-subscribers", type=int, default=0,
-                       help="refuse connections beyond this many "
-                            "concurrent subscribers (0 = unlimited)")
-    serve.add_argument("--batch-frames", type=int, default=None,
-                       help="max frames coalesced per wire batch "
-                            "(1 disables batching)")
-    serve.add_argument("--batch-bytes", type=int, default=None,
-                       help="max payload bytes coalesced per wire batch")
-    serve.add_argument("--batch-latency", type=float, default=None,
-                       metavar="SECONDS",
-                       help="hold a partial batch up to this long "
-                            "waiting for more frames (0 = flush "
-                            "immediately)")
+    _add_server_flags(serve)
     serve.add_argument("--pipeline", type=Path, default=None,
                        metavar="FILE",
                        help="assemble the pipeline from a declarative "
                             "JSON/TOML PipelineSpec file; its [telemetry] "
                             "section (when present) overrides the flags "
-                            "above, and the spec is advertised to "
-                            "subscribers")
+                            "above")
 
     subscribe = commands.add_parser(
         "subscribe", help="connect to a telemetry server and print its "
@@ -279,19 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     relay.add_argument("--host", default="127.0.0.1")
     relay.add_argument("--port", type=int, default=0,
                        help="downstream listen port (0 = ephemeral)")
-    relay.add_argument("--replay-window", type=int, default=256,
-                       help="frames of replay history for downstream "
-                            "RESUME (0 = disable)")
-    relay.add_argument("--max-subscribers", type=int, default=0,
-                       help="refuse connections beyond this many "
-                            "concurrent subscribers (0 = unlimited)")
-    relay.add_argument("--batch-frames", type=int, default=None,
-                       help="max frames coalesced per wire batch")
-    relay.add_argument("--batch-bytes", type=int, default=None,
-                       help="max payload bytes coalesced per wire batch")
-    relay.add_argument("--batch-latency", type=float, default=None,
-                       metavar="SECONDS",
-                       help="hold a partial batch up to this long")
+    _add_server_flags(relay)
     relay.add_argument("--reconnect", action="store_true",
                        help="re-dial upstreams with exponential backoff "
                             "when they go away")
@@ -398,64 +400,72 @@ def cmd_learn(args, out=sys.stdout) -> int:
     return 0
 
 
-def _load_pipeline_spec(path: Path, pid: int,
-                        out=sys.stdout) -> PipelineSpec:
-    """A config file's spec, re-targeted to the spawned workload pid."""
-    spec = PipelineSpec.from_file(path)
-    spec = dataclasses.replace(spec, pids=(pid,))
-    print(f"pipeline: {path} (sensor={spec.sensor.type}, "
-          f"formula={spec.formula.type}, "
-          f"reporters={[r.type for r in spec.reporters]})", file=out)
-    return spec
+def _prepare_run(args, out=sys.stdout
+                 ) -> Tuple[PowerAPI, int, PipelineSpec]:
+    """Spawn the workload and describe the pipeline ``monitor``/``serve``
+    start.
+
+    The description is ``--pipeline FILE`` re-targeted to the spawned
+    pid, or else the default wiring — what ``api.monitor(pid)
+    .every(period).spec()`` builds — with its period filled in either
+    way.  Returns ``(api, pid, spec)``; the caller adds its sections and
+    starts the spec.
+    """
+    machine = preset(args.cpu)
+    model = _load_or_learn_model(machine, args.model, out=out)
+    kernel = SimKernel(machine)
+    pid = kernel.spawn(WORKLOADS[args.workload](args.duration),
+                       name=args.workload)
+    if args.pipeline is None:
+        spec = PipelineSpec(pids=(pid,), period_s=args.period)
+    else:
+        spec = PipelineSpec.from_file(args.pipeline)
+        spec = dataclasses.replace(
+            spec, pids=(pid,),
+            period_s=(args.period if spec.period_s is None
+                      else spec.period_s))
+        print(f"pipeline: {args.pipeline} (sensor={spec.sensor.type}, "
+              f"formula={spec.formula.type}, "
+              f"reporters={[r.type for r in spec.reporters]})", file=out)
+    return PowerAPI(kernel, model, period_s=spec.period_s), pid, spec
+
+
+def _telemetry_spec(args) -> TelemetrySpec:
+    """The ``serve``/``relay`` server flags as a :class:`TelemetrySpec`.
+
+    Every such flag's dest is the spec field it sets; flags left unset
+    stay None, so the server's own defaults apply.
+    """
+    fields = {field.name: getattr(args, field.name)
+              for field in dataclasses.fields(TelemetrySpec)
+              if getattr(args, field.name, None) is not None}
+    return TelemetrySpec(**fields)
 
 
 def cmd_monitor(args, out=sys.stdout) -> int:
     """Run a workload under live monitoring, printing per-period rows."""
-    spec = preset(args.cpu)
-    model = _load_or_learn_model(spec, args.model, out=out)
-    kernel = SimKernel(spec)
-    workload = WORKLOADS[args.workload](args.duration)
-    pid = kernel.spawn(workload, name=args.workload)
-
+    api, pid, pipeline_spec = _prepare_run(args, out=out)
+    if args.cap is not None:
+        pipeline_spec = dataclasses.replace(
+            pipeline_spec, control=ControlSpec(
+                cap_w=args.cap, policy=StageSpec(args.cap_policy)))
+        print(f"power cap: {args.cap:.1f} W ({args.cap_policy} policy)",
+              file=out)
     memory = InMemoryReporter()
-    cap_w = getattr(args, "cap", None)
-    cap_policy = getattr(args, "cap_policy", "deadband")
-    pipeline_file = getattr(args, "pipeline", None)
-    if pipeline_file is not None:
-        pipeline_spec = _load_pipeline_spec(pipeline_file, pid, out=out)
-        if cap_w is not None:
-            from repro.core.pipeline import ControlSpec, StageSpec
-            pipeline_spec = dataclasses.replace(
-                pipeline_spec,
-                control=ControlSpec(cap_w=cap_w,
-                                    policy=StageSpec(cap_policy)))
-        period = (pipeline_spec.period_s if pipeline_spec.period_s
-                  is not None else args.period)
-        api = PowerAPI(kernel, model, period_s=period)
-        handle = api.start_pipeline(pipeline_spec, reporters=(memory,))
-    else:
-        period = args.period
-        api = PowerAPI(kernel, model, period_s=args.period)
-        builder = api.monitor(pid).every(args.period)
-        if cap_w is not None:
-            builder = builder.cap(cap_w, policy=cap_policy)
-        handle = builder.to(memory)
-    if cap_w is not None:
-        print(f"power cap: {cap_w:.1f} W ({cap_policy} policy)", file=out)
+    handle = api.start_pipeline(pipeline_spec, reporters=(memory,))
     api.system.spawn(ConsoleReporter(stream=out), name="console")
     if args.csv is not None:
         api.system.spawn(CsvReporter(args.csv, pids=[pid]), name="csv")
-    faults = getattr(args, "faults", None)
-    if faults:
-        plan = FaultPlan.parse(faults)
+    if args.faults:
+        plan = FaultPlan.parse(args.faults)
         api.install_faults(plan)
         print(f"fault plan: {plan.describe() or '(empty)'}", file=out)
     with _GracefulStop() as stop:
-        _run_interruptible(api, args.duration, period, stop)
+        _run_interruptible(api, args.duration, pipeline_spec.period_s, stop)
     api.flush()
     if stop.requested:
         print(f"\n{stop.signal_name}: stopping early at "
-              f"t={kernel.time_s:.1f}s; reporters flushed", file=out)
+              f"t={api.kernel.time_s:.1f}s; reporters flushed", file=out)
 
     if handle.pid_aggregator is not None:
         energy = handle.pid_aggregator.energy_by_pid_j.get(pid, 0.0)
@@ -472,7 +482,7 @@ def cmd_monitor(args, out=sys.stdout) -> int:
               f"({summary or 'none'}); final ceiling "
               f"{handle.control.actuator.frequency_hz / 1e9:.2f} GHz",
               file=out)
-    if faults:
+    if args.faults:
         gaps = memory.gap_count()
         print(f"gap periods: {gaps}; health log "
               f"({len(handle.health)} events):", file=out)
@@ -483,86 +493,25 @@ def cmd_monitor(args, out=sys.stdout) -> int:
     return 0
 
 
-def _batch_policy(args):
-    """A BatchPolicy from ``--batch-*`` flags, or None when unset."""
-    if (args.batch_frames is None and args.batch_bytes is None
-            and args.batch_latency is None):
-        return None
-    from repro.telemetry.server import BatchPolicy
-    base = BatchPolicy()
-    return BatchPolicy(
-        max_frames=(args.batch_frames if args.batch_frames is not None
-                    else base.max_frames),
-        max_bytes=(args.batch_bytes if args.batch_bytes is not None
-                   else base.max_bytes),
-        max_latency_s=(args.batch_latency if args.batch_latency is not None
-                       else base.max_latency_s))
-
-
 def cmd_serve(args, out=sys.stdout) -> int:
     """Monitor a workload while streaming estimates to subscribers."""
-    spec = preset(args.cpu)
-    model = _load_or_learn_model(spec, args.model, out=out)
-    kernel = SimKernel(spec)
-    workload = WORKLOADS[args.workload](args.duration)
-    pid = kernel.spawn(workload, name=args.workload)
-
+    api, _pid, pipeline_spec = _prepare_run(args, out=out)
+    telemetry = pipeline_spec.telemetry or _telemetry_spec(args)
+    pipeline_spec = dataclasses.replace(pipeline_spec, telemetry=telemetry)
     injector = None
-    net_faults = getattr(args, "net_faults", None)
-    if net_faults:
+    if args.net_faults:
         from repro.faults import NetworkFaultInjector, NetworkFaultPlan
-        net_plan = NetworkFaultPlan.parse(net_faults)
+        net_plan = NetworkFaultPlan.parse(args.net_faults)
         injector = NetworkFaultInjector(net_plan)
         print(f"net fault plan: {net_plan.describe() or '(empty)'}",
               file=out)
-
-    pipeline_file = getattr(args, "pipeline", None)
-    if pipeline_file is not None:
-        pipeline_spec = _load_pipeline_spec(pipeline_file, pid, out=out)
-        if pipeline_spec.telemetry is None:
-            pipeline_spec = dataclasses.replace(
-                pipeline_spec, telemetry=TelemetrySpec(
-                    port=args.port, overflow=args.overflow,
-                    queue_capacity=args.queue_capacity,
-                    heartbeat_every=args.heartbeat_every or None,
-                    host_label=args.host_label or None,
-                    replay_window=args.replay_window,
-                    batch_max_frames=args.batch_frames,
-                    batch_max_bytes=args.batch_bytes,
-                    batch_max_latency_s=args.batch_latency,
-                    max_subscribers=args.max_subscribers or None,
-                    uplinks=tuple(args.uplink or ())))
-        period = (pipeline_spec.period_s if pipeline_spec.period_s
-                  is not None else args.period)
-        api = PowerAPI(kernel, model, period_s=period)
-        handle = api.start_pipeline(pipeline_spec,
-                                    reporters=(InMemoryReporter(),))
-        server = api.telemetry_servers[-1]
-        if injector is not None:
-            server.set_transport(injector.wrap)
-    else:
-        period = args.period
-        api = PowerAPI(kernel, model, period_s=args.period)
-        handle = api.monitor(pid).every(args.period).to(InMemoryReporter())
-        from repro.core.pipeline import parse_uplink
-        extra = {}
-        batch = _batch_policy(args)
-        if batch is not None:
-            extra["batch"] = batch
-        if args.max_subscribers:
-            extra["max_subscribers"] = args.max_subscribers
-        uplinks = tuple(parse_uplink(u) for u in (args.uplink or ()))
-        server = api.serve_telemetry(
-            port=args.port, pids=handle.pids,
-            overflow=args.overflow, queue_capacity=args.queue_capacity,
-            heartbeat_every=args.heartbeat_every,
-            host_label=args.host_label, spec=handle.spec,
-            replay_window=args.replay_window,
-            transport=injector.wrap if injector is not None else None,
-            uplinks=uplinks or None, **extra)
-        if uplinks:
-            ups = ", ".join(f"{h}:{p}" for h, p in uplinks)
-            print(f"telemetry: relaying uplinks {ups}", file=out)
+    api.start_pipeline(pipeline_spec, reporters=(InMemoryReporter(),))
+    server = api.telemetry_servers[-1]
+    if injector is not None:
+        server.set_transport(injector.wrap)
+    if telemetry.uplinks:
+        print("telemetry: relaying uplinks "
+              f"{', '.join(telemetry.uplinks)}", file=out)
     print(f"telemetry: serving on {server.host}:{server.port} "
           f"(overflow={server.overflow}, "
           f"queue-capacity={server.queue_capacity})", file=out)
@@ -575,12 +524,12 @@ def cmd_serve(args, out=sys.stdout) -> int:
                   f"after {args.await_timeout:.0f}s; starting anyway",
                   file=out)
     with _GracefulStop() as stop:
-        _run_interruptible(api, args.duration, period, stop,
+        _run_interruptible(api, args.duration, pipeline_spec.period_s, stop,
                            pace=args.pace)
     api.flush()
     if stop.requested:
         print(f"\n{stop.signal_name}: stopping early at "
-              f"t={kernel.time_s:.1f}s; closing telemetry", file=out)
+              f"t={api.kernel.time_s:.1f}s; closing telemetry", file=out)
 
     stats = server.stats()
     print(f"published {stats['reports_published']} reports, "
@@ -680,22 +629,16 @@ def cmd_subscribe(args, out=sys.stdout) -> int:
 
 def cmd_relay(args, out=sys.stdout) -> int:
     """Run one relay-tree node until interrupted (or --duration)."""
-    from repro.core.pipeline import parse_uplink
     from repro.telemetry.client import ReconnectPolicy
     from repro.telemetry.relay import TelemetryRelay
     upstreams = [parse_uplink(u) for u in args.upstream]
-    server_kwargs = {"replay_window": args.replay_window}
-    batch = _batch_policy(args)
-    if batch is not None:
-        server_kwargs["batch"] = batch
-    if args.max_subscribers:
-        server_kwargs["max_subscribers"] = args.max_subscribers
+    server = _telemetry_spec(args)
     if args.spool is not None:
         args.spool.mkdir(parents=True, exist_ok=True)
     relay = TelemetryRelay(
-        upstreams, host=args.host, port=args.port,
+        upstreams, host=server.host, port=server.port,
         reconnect=ReconnectPolicy() if args.reconnect else None,
-        spool_dir=args.spool, **server_kwargs)
+        spool_dir=args.spool, **server.server_kwargs())
     relay.start()
     ups = ", ".join(f"{host}:{port}" for host, port in upstreams)
     print(f"relay: serving on {relay.server.host}:{relay.port}; "

@@ -316,7 +316,9 @@ class PowerAPI:
         are pre-built reporter actors appended after the spec's
         declarative ones (at least one of the two must be present).
         The spec's fault plan is armed and its telemetry export
-        started as part of pipeline start-up.
+        started as part of pipeline start-up; if either fails (a busy
+        telemetry port, say) the pipeline is torn down again before the
+        error propagates, so nothing is left half-started.
         """
         self._check_period(spec.period_s)
         built = PipelineBuilder(registry).build(
@@ -327,13 +329,20 @@ class PowerAPI:
             reporters=built.reporters, spec=spec, control=built.control)
         handle._attach(self.system)
         self._handles.append(handle)
-        if spec.faults is not None:
-            self.install_faults(FaultPlan.parse(spec.faults))
-        if spec.telemetry is not None:
-            self.serve_telemetry(
-                host=spec.telemetry.host, port=spec.telemetry.port,
-                pids=spec.pids, spec=spec,
-                **spec.telemetry.server_kwargs())
+        injector = self._injector
+        try:
+            if spec.faults is not None:
+                self.install_faults(FaultPlan.parse(spec.faults))
+            if spec.telemetry is not None:
+                self.serve_telemetry(
+                    host=spec.telemetry.host, port=spec.telemetry.port,
+                    pids=spec.pids, spec=spec,
+                    **spec.telemetry.server_kwargs())
+        except BaseException:
+            handle.stop()
+            self._handles.remove(handle)
+            self._injector = injector
+            raise
         return handle
 
     def _full_load_estimate(self) -> float:

@@ -131,13 +131,17 @@ def parse_uplink(spec: str) -> Tuple[str, int]:
 
 @dataclass(frozen=True)
 class TelemetrySpec:
-    """Export the pipeline's reports over the streaming service.
+    """The pipeline's telemetry server: where it listens and how it
+    fans out.
 
-    The delivery-guarantee knobs mirror the crash-recovery layer:
-    ``replay_window`` enables the server's RESUME replay ring,
-    ``spool_dir`` points subscribers at a durable on-disk journal, and
-    ``breaker_failures``/``breaker_reset_s`` configure the client-side
-    circuit breaker guarding re-dial storms.
+    Every field except ``host``/``port``/``uplinks`` is optional; None
+    means the :class:`~repro.telemetry.server.TelemetryServer` default.
+    ``replay_window`` sizes the server's RESUME replay ring, the
+    ``batch_*`` knobs form its BATCH flush policy for v2 subscribers,
+    ``max_subscribers`` caps connections, and ``uplinks`` lists
+    upstream ``"host:port"`` servers relayed into the same stream (the
+    tree-junction topology).  The server's own rules check the fields
+    when the spec is built.
     """
 
     host: str = "127.0.0.1"
@@ -147,44 +151,28 @@ class TelemetrySpec:
     heartbeat_every: Optional[int] = None
     host_label: Optional[str] = None
     replay_window: Optional[int] = None
-    spool_dir: Optional[str] = None
-    breaker_failures: Optional[int] = None
-    breaker_reset_s: Optional[float] = None
-    #: BATCH envelope flush policy for v2 subscribers (server-side).
     batch_max_frames: Optional[int] = None
     batch_max_bytes: Optional[int] = None
     batch_max_latency_s: Optional[float] = None
-    #: Connection cap; excess subscribers get an ERROR frame.
     max_subscribers: Optional[int] = None
-    #: Upstream servers whose streams this server relays downstream,
-    #: as ``"host:port"`` strings (the tree-junction topology).
     uplinks: Tuple[str, ...] = ()
 
     _OPTIONAL = ("overflow", "queue_capacity", "heartbeat_every",
-                 "host_label", "replay_window", "spool_dir",
-                 "breaker_failures", "breaker_reset_s",
+                 "host_label", "replay_window",
                  "batch_max_frames", "batch_max_bytes",
                  "batch_max_latency_s", "max_subscribers")
+    #: The fields ``check_server_config`` rules on.
+    _CHECKED = ("overflow", "queue_capacity", "heartbeat_every",
+                "replay_window", "max_subscribers")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "uplinks", tuple(self.uplinks))
-        if self.replay_window is not None and self.replay_window < 0:
-            raise ConfigurationError("replay_window must be >= 0")
-        if self.breaker_failures is not None and self.breaker_failures < 1:
-            raise ConfigurationError("breaker_failures must be >= 1")
-        if self.breaker_reset_s is not None and self.breaker_reset_s <= 0:
-            raise ConfigurationError("breaker_reset_s must be positive")
-        if self.batch_max_frames is not None and self.batch_max_frames < 1:
-            raise ConfigurationError("batch_max_frames must be >= 1")
-        if self.batch_max_bytes is not None and self.batch_max_bytes < 1:
-            raise ConfigurationError("batch_max_bytes must be >= 1")
-        if self.batch_max_latency_s is not None \
-                and self.batch_max_latency_s < 0:
-            raise ConfigurationError("batch_max_latency_s must be >= 0")
-        if self.max_subscribers is not None and self.max_subscribers < 0:
-            raise ConfigurationError("max_subscribers must be >= 0")
-        for uplink in self.uplinks:
-            parse_uplink(uplink)  # fail at description time
+        # Imported lazily: the socket layer stays optional for callers
+        # that never export telemetry.
+        from repro.telemetry.server import check_server_config
+        settings = self.server_kwargs()  # builds BatchPolicy, parses uplinks
+        check_server_config(**{key: settings[key] for key in self._CHECKED
+                               if key in settings})
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"host": self.host, "port": self.port}
@@ -207,16 +195,15 @@ class TelemetrySpec:
         return cls(**kwargs)
 
     def server_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for ``PowerAPI.serve_telemetry``.
+        """Keyword arguments for ``PowerAPI.serve_telemetry`` (or, with
+        no uplinks, for a ``TelemetryServer``/``TelemetryRelay``).
 
-        Spool/breaker knobs are client-side and excluded — consumers
-        read them off the spec directly (the CLI ``subscribe`` path).
-        The ``batch_*`` knobs collapse into one ``BatchPolicy``;
-        ``uplinks`` become dialable ``(host, port)`` pairs.
+        Unset fields are left out so the server defaults apply.  The
+        ``batch_*`` knobs collapse into one ``BatchPolicy``; ``uplinks``
+        become dialable ``(host, port)`` pairs.
         """
         kwargs: Dict[str, Any] = {}
-        for key in ("overflow", "queue_capacity", "heartbeat_every",
-                    "host_label", "replay_window", "max_subscribers"):
+        for key in self._CHECKED + ("host_label",):
             value = getattr(self, key)
             if value is not None:
                 kwargs[key] = value

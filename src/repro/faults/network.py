@@ -18,8 +18,8 @@ a real socket's ``sendall``/``recv`` and delegates everything else.  A
 plan spans many connections: a client that reconnects after a reset is
 wrapped again and keeps marching through the same schedule.  The
 wrapper is usable on either end — ``TelemetryClient(transport=...)``
-wraps its dial, ``TelemetryServer(transport=...)`` wraps every accepted
-connection.
+wraps its dial, ``TelemetryServer.set_transport(...)`` wraps every
+connection it accepts afterwards.
 
 Times are measured by an injectable ``clock`` relative to the
 injector's creation, so tests can drive the schedule with a fake clock
@@ -258,9 +258,10 @@ class NetworkFaultInjector:
     One injector spans every connection it wraps: one-shot events
     (reset, corrupt, truncate) fire exactly once plan-wide, window
     events (partition, stall) affect whichever transport operates
-    during the window.  ``injector.wrap`` is the ``transport=`` hook
-    both :class:`~repro.telemetry.client.TelemetryClient` and
-    :class:`~repro.telemetry.server.TelemetryServer` accept.
+    during the window.  ``injector.wrap`` is the transport hook for
+    both ends: :class:`~repro.telemetry.client.TelemetryClient`'s
+    ``transport=`` and
+    :meth:`~repro.telemetry.server.TelemetryServer.set_transport`.
     """
 
     def __init__(self, plan: NetworkFaultPlan,
@@ -300,7 +301,7 @@ class NetworkFaultInjector:
         return all(now >= w.at_s + w.duration_s for w in self._windows)
 
     def wrap(self, sock) -> "FaultyTransport":
-        """Wrap one socket; the ``transport=`` callable for either end."""
+        """Wrap one socket; the transport callable for either end."""
         return FaultyTransport(sock, self)
 
     # -- queries used by FaultyTransport -------------------------------

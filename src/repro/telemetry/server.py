@@ -91,6 +91,33 @@ class OverflowPolicy:
     ALL = (BLOCK, DROP_OLDEST, COALESCE)
 
 
+def check_server_config(overflow: str = OverflowPolicy.DROP_OLDEST,
+                        queue_capacity: int = 256,
+                        heartbeat_every: int = 0,
+                        replay_window: int = 0,
+                        max_subscribers: int = 0) -> None:
+    """Every rule a :class:`TelemetryServer`'s settings must obey.
+
+    The server checks its constructor arguments here, and
+    :class:`~repro.core.pipeline.TelemetrySpec` checks its fields here
+    when it is built, so a bad ``[telemetry]`` section fails at
+    description time rather than half-way through pipeline start-up.
+    (``BatchPolicy`` checks its own fields.)
+    """
+    if overflow not in OverflowPolicy.ALL:
+        raise ConfigurationError(
+            f"unknown overflow policy {overflow!r}; "
+            f"use one of {', '.join(OverflowPolicy.ALL)}")
+    if queue_capacity < 1:
+        raise ConfigurationError("queue_capacity must be >= 1")
+    if heartbeat_every < 0:
+        raise ConfigurationError("heartbeat_every must be >= 0")
+    if replay_window < 0:
+        raise ConfigurationError("replay_window must be >= 0")
+    if max_subscribers < 0:
+        raise ConfigurationError("max_subscribers must be >= 0")
+
+
 class BoundedFrameQueue:
     """A bounded frame queue implementing the three overflow policies.
 
@@ -308,20 +335,6 @@ class _Subscription:
     def wants_kind(self, kind: FrameKind) -> bool:
         return kind in self.kinds
 
-    def admit_report(self, report: AggregatedPowerReport) -> bool:
-        """Apply the pid filter and downsample ratio to one report."""
-        if self.pids is not None and not report.gap and self.pids.isdisjoint(
-                report.by_pid):
-            return False
-        index = self._report_index
-        self._report_index += 1
-        return index % self.downsample == 0
-
-    def admit_gap(self, marker: GapMarker) -> bool:
-        if self.pids is None or marker.pid == -1:
-            return True
-        return marker.pid in self.pids
-
     def admit_payload(self, kind: FrameKind,
                       payload: Mapping[str, object]) -> bool:
         """The live-path filter predicate, evaluated on a wire payload.
@@ -345,17 +358,6 @@ class _Subscription:
             pid = int(payload.get("pid", -1))
             return self.pids is None or pid == -1 or pid in self.pids
         return True
-
-    def restrict(self, report: AggregatedPowerReport
-                 ) -> AggregatedPowerReport:
-        """The report with ``by_pid`` narrowed to the subscribed pids."""
-        if self.pids is None:
-            return report
-        return AggregatedPowerReport(
-            time_s=report.time_s, period_s=report.period_s,
-            by_pid={pid: watts for pid, watts in report.by_pid.items()
-                    if pid in self.pids},
-            idle_w=report.idle_w, formula=report.formula, gap=report.gap)
 
     def restrict_payload(self, payload: Mapping[str, object]
                          ) -> Dict[str, object]:
@@ -429,11 +431,6 @@ class _Subscriber:
         self.outbuf.append((data, frames, counted))
         self.outbuf_bytes += len(data)
 
-    # -- publisher side -----------------------------------------------
-
-    def offer(self, kind: FrameKind, data: bytes) -> bool:
-        return self.queue.offer(kind, data)
-
     def close(self) -> None:
         if self.closed:
             return
@@ -506,21 +503,9 @@ class TelemetryServer:
                  agent: str = "repro-telemetry-server",
                  replay_window: int = 0,
                  batch: Optional[BatchPolicy] = None,
-                 max_subscribers: int = 0,
-                 transport: Optional[Callable[[socket.socket],
-                                              socket.socket]] = None) -> None:
-        if queue_capacity < 1:
-            raise ConfigurationError("queue_capacity must be >= 1")
-        if overflow not in OverflowPolicy.ALL:
-            raise ConfigurationError(
-                f"unknown overflow policy {overflow!r}; "
-                f"use one of {', '.join(OverflowPolicy.ALL)}")
-        if heartbeat_every < 0:
-            raise ConfigurationError("heartbeat_every must be >= 0")
-        if replay_window < 0:
-            raise ConfigurationError("replay_window must be >= 0")
-        if max_subscribers < 0:
-            raise ConfigurationError("max_subscribers must be >= 0")
+                 max_subscribers: int = 0) -> None:
+        check_server_config(overflow, queue_capacity, heartbeat_every,
+                            replay_window, max_subscribers)
         self.host = host
         self.overflow = overflow
         self.queue_capacity = queue_capacity
@@ -538,9 +523,9 @@ class TelemetryServer:
         #: it are refused with an ERROR frame instead of silently
         #: accumulating server state.
         self.max_subscribers = max_subscribers
-        #: Wraps every accepted connection (chaos tests inject faults
-        #: here via ``NetworkFaultInjector.wrap``).
-        self._transport = transport
+        #: Wraps every accepted connection (see :meth:`set_transport`).
+        self._transport: Optional[Callable[[socket.socket],
+                                           socket.socket]] = None
         #: Pipeline description included in handshake replies, if any.
         self.advertised_spec: Optional[Dict[str, object]] = None
         self._requested_port = port
@@ -592,8 +577,8 @@ class TelemetryServer:
         """Install/replace the wrapper applied to newly accepted sockets.
 
         Only connections accepted afterwards are wrapped; existing
-        subscribers keep their plain sockets.  Used by the CLI to arm
-        ``--net-faults`` on a server built from a pipeline spec.
+        subscribers keep their plain sockets.  The CLI arms ``serve
+        --net-faults`` here with ``NetworkFaultInjector.wrap``.
         """
         self._transport = transport
 
@@ -1167,7 +1152,7 @@ class TelemetryServer:
                         version=wire.STREAM_VERSION)
                 else:
                     chunk = data
-                offered += self._offer(subscriber, kind, chunk)
+                offered += subscriber.queue.offer(kind, chunk)
             if kind is FrameKind.REPORT:
                 self._maybe_heartbeat(float(body.get("time_s", 0.0)))
         self._notify()
@@ -1186,7 +1171,7 @@ class TelemetryServer:
             if (subscriber.subscription is not None
                     and subscriber.subscription.wants_kind(
                         FrameKind.HEARTBEAT)):
-                self._offer(subscriber, FrameKind.HEARTBEAT, data)
+                subscriber.queue.offer(FrameKind.HEARTBEAT, data)
 
     def _count_stall(self) -> None:
         # Called from inside a queue's lock, so the order here is
@@ -1196,11 +1181,6 @@ class TelemetryServer:
         with self._cond:
             self.stalls += 1
             self._cond.notify_all()
-
-    @staticmethod
-    def _offer(subscriber: _Subscriber, kind: FrameKind,
-               data: bytes) -> int:
-        return 1 if subscriber.offer(kind, data) else 0
 
     def _notify(self) -> None:
         with self._cond:

@@ -10,13 +10,47 @@ import time
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, _telemetry_spec, main
+from repro.core.pipeline import PipelineSpec, StageSpec, TelemetrySpec
 
 
 def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def serve_and_handshake(argv):
+    """Run ``serve`` (with ``--await-subscribers 1``) on a thread,
+    subscribe once it prints its port, and return ``(exit code, output,
+    the spec the server advertised)``."""
+    import re
+    import threading
+
+    from repro.telemetry.client import TelemetryClient
+
+    out = io.StringIO()
+    result = {}
+    runner = threading.Thread(
+        target=lambda: result.update(code=main(
+            argv + ["--await-subscribers", "1", "--await-timeout", "30"],
+            out=out)),
+        daemon=True)
+    runner.start()
+    deadline = time.monotonic() + 30.0
+    match = None
+    while match is None and time.monotonic() < deadline:
+        match = re.search(r"serving on 127\.0\.0\.1:(\d+)", out.getvalue())
+        time.sleep(0.01)
+    assert match is not None, out.getvalue()
+    client = TelemetryClient("127.0.0.1", int(match.group(1)))
+    try:
+        client.connect()
+        runner.join(timeout=60.0)
+    finally:
+        client.close()
+    assert not runner.is_alive()
+    return result["code"], out.getvalue(), client.server_spec
 
 
 class TestSpecs:
@@ -227,12 +261,124 @@ type = "memory"
 host = "127.0.0.1"
 port = 0
 """)
-        code, output = run_cli(["serve", "--model", str(model_path),
-                                "--workload", "cpu", "--duration", "3",
-                                "--pipeline", str(config)])
+        code, output, advertised = serve_and_handshake(
+            ["serve", "--model", str(model_path), "--workload", "cpu",
+             "--duration", "3", "--host-label", "from-flag",
+             "--pipeline", str(config)])
         assert code == 0
         assert "telemetry: serving on 127.0.0.1:" in output
         assert "published 3 reports" in output
+        spec = PipelineSpec.from_dict(advertised)
+        # The file's [telemetry] section wins over the flags.
+        assert spec.telemetry == TelemetrySpec(host="127.0.0.1", port=0)
+        assert spec.reporters == (StageSpec("memory"),)
+        assert spec.period_s == 1.0
+        assert len(spec.pids) == 1 and spec.pids != (1,)  # re-targeted
+
+    def test_serve_without_pipeline_advertises_its_telemetry(self,
+                                                             model_path):
+        code, output, advertised = serve_and_handshake(
+            ["serve", "--model", str(model_path), "--workload", "cpu",
+             "--duration", "2", "--period", "0.5", "--host-label", "edge-7",
+             "--batch-frames", "4", "--max-subscribers", "3"])
+        assert code == 0
+        assert "published 4 reports" in output
+        spec = PipelineSpec.from_dict(advertised)
+        assert spec.period_s == 0.5
+        assert spec.telemetry == TelemetrySpec(
+            host_label="edge-7", replay_window=256, batch_max_frames=4,
+            max_subscribers=3)
+
+    @pytest.mark.parametrize("cap", [[], ["--cap", "40"]],
+                             ids=["uncapped", "cap-40"])
+    def test_default_pipeline_file_matches_default_wiring(
+            self, model_path, tmp_path, cap):
+        """Differential: `monitor` with its default wiring and `monitor
+        --pipeline F`, where F spells that wiring out, write
+        byte-identical CSVs and print the same console report."""
+        config = self._write_toml(tmp_path, """\
+pids = [1]
+period_s = 0.5
+
+[sensor]
+type = "hpc"
+
+[formula]
+type = "hpc"
+
+[[aggregators]]
+type = "timestamp"
+
+[[aggregators]]
+type = "pid"
+
+[degradation]
+degrade_after = 3
+recover_after = 2
+""")
+        argv = ["monitor", "--model", str(model_path), "--workload", "cpu",
+                "--duration", "6", "--period", "0.5"] + cap
+        default_csv, file_csv = tmp_path / "a.csv", tmp_path / "b.csv"
+        code_a, out_a = run_cli(argv + ["--csv", str(default_csv)])
+        code_b, out_b = run_cli(argv + ["--csv", str(file_csv),
+                                        "--pipeline", str(config)])
+        assert code_a == code_b == 0
+        assert default_csv.read_bytes() == file_csv.read_bytes()
+        pipeline_line, rest = out_b.split("\n", 1)
+        assert pipeline_line.startswith("pipeline: ")
+        assert rest == out_a
+        if cap:
+            assert "cap actuations:" in out_a
+
+
+class TestServerFlags:
+    """Every serve/relay server flag lands in the TelemetrySpec (and
+    from there in the server's settings) — none is dropped."""
+
+    def test_serve_flags_reach_the_spec(self):
+        args = _build_parser().parse_args([
+            "serve", "--port", "9462", "--overflow", "coalesce",
+            "--queue-capacity", "32", "--batch-frames", "8",
+            "--batch-bytes", "4096", "--batch-latency", "0.02",
+            "--max-subscribers", "5", "--heartbeat-every", "3",
+            "--host-label", "edge-7", "--replay-window", "64",
+            "--uplink", "up-a:9100", "--uplink", "up-b:9101"])
+        assert _telemetry_spec(args) == TelemetrySpec(
+            port=9462, overflow="coalesce", queue_capacity=32,
+            batch_max_frames=8, batch_max_bytes=4096,
+            batch_max_latency_s=0.02, max_subscribers=5,
+            heartbeat_every=3, host_label="edge-7", replay_window=64,
+            uplinks=("up-a:9100", "up-b:9101"))
+
+    def test_unset_serve_flags_leave_server_defaults(self):
+        args = _build_parser().parse_args(["serve"])
+        assert _telemetry_spec(args) == TelemetrySpec(replay_window=256)
+
+    def test_relay_flags_reach_the_server(self):
+        from repro.telemetry.server import BatchPolicy, TelemetryServer
+        args = _build_parser().parse_args([
+            "relay", "--upstream", "127.0.0.1:9462", "--port", "9500",
+            "--batch-frames", "8", "--batch-bytes", "4096",
+            "--batch-latency", "0.02", "--max-subscribers", "5",
+            "--replay-window", "64"])
+        spec = _telemetry_spec(args)
+        assert (spec.host, spec.port) == ("127.0.0.1", 9500)
+        server = TelemetryServer(**spec.server_kwargs())
+        assert server.batch == BatchPolicy(max_frames=8, max_bytes=4096,
+                                           max_latency_s=0.02)
+        assert server.max_subscribers == 5
+        assert server.replay_window == 64
+
+    def test_policy_choices_come_from_their_sources(self):
+        from repro.core.components import default_registry
+        from repro.telemetry.server import OverflowPolicy
+        parser = _build_parser()
+        for policy in OverflowPolicy.ALL:
+            assert parser.parse_args(
+                ["serve", "--overflow", policy]).overflow == policy
+        for policy in default_registry().names("policy"):
+            assert parser.parse_args(
+                ["monitor", "--cap-policy", policy]).cap_policy == policy
 
 
 @pytest.mark.chaos

@@ -114,3 +114,45 @@ class TestCustomMetricLists:
         assert diff_bench.main(argv) == 1
         current.write_text(json.dumps(self.CONTROL_BASE))
         assert diff_bench.main(argv) == 0
+
+
+_lines_spec = importlib.util.spec_from_file_location(
+    "src_lines", REPO_ROOT / "benchmarks" / "src_lines.py")
+src_lines = importlib.util.module_from_spec(_lines_spec)
+_lines_spec.loader.exec_module(src_lines)
+
+
+class TestSrcLines:
+    def _tree(self, root):
+        (root / "repro" / "core").mkdir(parents=True)
+        (root / "repro" / "__init__.py").write_text("")
+        (root / "repro" / "cli.py").write_text("a\nb\n")
+        (root / "repro" / "core" / "x.py").write_text("a\nb\nc\n")
+        (root / "repro" / "core" / "y.py").write_text("a\n")
+        (root / "repro" / "core" / "notes.txt").write_text("a\n" * 99)
+        return root
+
+    def test_counts_total_and_per_package(self, tmp_path):
+        counts = src_lines.count_lines(self._tree(tmp_path / "src"))
+        assert counts == {"src_lines": 6, "src_lines_repro": 2,
+                          "src_lines_core": 4}
+
+    def test_main_writes_the_headline(self, tmp_path):
+        output = tmp_path / "BENCH_src.json"
+        assert src_lines.main(["--src", str(self._tree(tmp_path / "src")),
+                               "--output", str(output)]) == 0
+        assert json.loads(output.read_text())["src_lines"] == 6
+
+    def test_growth_is_a_lower_is_better_regression(self, tmp_path):
+        baseline = tmp_path / "base.json"
+        current = tmp_path / "current.json"
+        baseline.write_text(json.dumps({"src_lines": 1000,
+                                        "src_lines_core": 400}))
+        current.write_text(json.dumps({"src_lines": 900,
+                                       "src_lines_core": 500}))
+        argv = [str(baseline), str(current), "--threshold", "5",
+                "--higher", "", "--lower", "src_lines,src_lines_core"]
+        assert diff_bench.main(argv) == 1  # core grew 25%
+        current.write_text(json.dumps({"src_lines": 900,
+                                       "src_lines_core": 380}))
+        assert diff_bench.main(argv) == 0  # deletions never regress

@@ -142,6 +142,34 @@ class TestTelemetryTier:
             TelemetrySpec(max_subscribers=-1)
         with pytest.raises(ConfigurationError, match="HOST:PORT"):
             TelemetrySpec(uplinks=("bogus",))
+        # The server's own rules apply when the spec is built, not
+        # after start_pipeline has already spawned the actors.
+        with pytest.raises(ConfigurationError, match="overflow"):
+            TelemetrySpec(overflow="bogus")
+        with pytest.raises(ConfigurationError, match="queue_capacity"):
+            TelemetrySpec(queue_capacity=0)
+        with pytest.raises(ConfigurationError, match="heartbeat_every"):
+            TelemetrySpec(heartbeat_every=-1)
+
+    def test_failed_telemetry_start_leaves_no_pipeline(self, model):
+        import socket
+        blocker = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen(1)
+        api, pid = fresh_api(model)
+        try:
+            spec = PipelineSpec(
+                pids=(pid,), reporters=(StageSpec("memory"),),
+                faults="pid-exit@5",
+                telemetry=TelemetrySpec(port=blocker.getsockname()[1]))
+            with pytest.raises(OSError):
+                api.start_pipeline(spec)
+            assert api.monitored_pids() == ()
+            assert api.telemetry_servers == ()
+            assert api.injector is None
+        finally:
+            api.shutdown()
+            blocker.close()
 
     def test_server_kwargs_builds_batch_policy_and_uplinks(self):
         from repro.telemetry.server import BatchPolicy
