@@ -40,24 +40,13 @@ from repro.core.pipeline import (ControlSpec, PipelineSpec, StageSpec,
 from repro.core.reporters import ConsoleReporter, CsvReporter, InMemoryReporter
 from repro.core.sampling import SamplingCampaign, learn_power_model
 from repro.errors import ReproError
-from repro.faults import FaultPlan
 from repro.os.kernel import SimKernel
 from repro.powermeter.powerspy import PowerSpy
 from repro.simcpu.spec import PRESETS, preset
 from repro.telemetry.server import OverflowPolicy
+from repro.workloads import WORKLOADS
 from repro.workloads.specjbb import SpecJbbWorkload
-from repro.workloads.stress import CpuStress, MemoryStress, MixedStress
-
-WORKLOADS = {
-    "cpu": lambda duration: CpuStress(utilization=1.0, threads=4,
-                                      duration_s=duration),
-    "memory": lambda duration: MemoryStress(utilization=1.0, threads=4,
-                                            duration_s=duration),
-    "mixed": lambda duration: MixedStress(utilization=1.0, threads=4,
-                                          duration_s=duration),
-    "specjbb": lambda duration: SpecJbbWorkload(duration_s=duration,
-                                                threads=4),
-}
+from repro.workloads.stress import CpuStress, MemoryStress
 
 
 class _GracefulStop:
@@ -451,15 +440,17 @@ def cmd_monitor(args, out=sys.stdout) -> int:
                 cap_w=args.cap, policy=StageSpec(args.cap_policy)))
         print(f"power cap: {args.cap:.1f} W ({args.cap_policy} policy)",
               file=out)
+    if args.faults:
+        pipeline_spec = dataclasses.replace(pipeline_spec,
+                                            faults=args.faults)
     memory = InMemoryReporter()
     handle = api.start_pipeline(pipeline_spec, reporters=(memory,))
     api.system.spawn(ConsoleReporter(stream=out), name="console")
     if args.csv is not None:
         api.system.spawn(CsvReporter(args.csv, pids=[pid]), name="csv")
     if args.faults:
-        plan = FaultPlan.parse(args.faults)
-        api.install_faults(plan)
-        print(f"fault plan: {plan.describe() or '(empty)'}", file=out)
+        print(f"fault plan: {api.injector.plan.describe() or '(empty)'}",
+              file=out)
     with _GracefulStop() as stop:
         _run_interruptible(api, args.duration, pipeline_spec.period_s, stop)
     api.flush()

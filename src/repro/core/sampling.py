@@ -213,17 +213,6 @@ class SamplingCampaign:
         return points
 
 
-def _execute_campaign_run(task: Tuple["SamplingCampaign", int, Workload, int]
-                          ) -> List[SamplePoint]:
-    """Worker entry point: one (frequency, workload) run of a campaign.
-
-    Module-level so it pickles cleanly into pool workers; the campaign
-    itself travels with the task (it is a small value object).
-    """
-    campaign, frequency_hz, workload, run_index = task
-    return campaign._one_run(frequency_hz, workload, run_index)
-
-
 def _execute_campaign_chunk(
         payload: Tuple["SamplingCampaign",
                        List[Tuple[int, Workload, int]]]) -> List[SamplePoint]:

@@ -32,193 +32,82 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.faults.plan import _convert, _max_args, _spec_entries, spec_number
+from repro.faults.plan import _Event, _Plan
 
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(_Event):
     """All traffic fails for ``duration_s`` seconds from ``at_s``."""
+
+    KIND = "partition"
+    ARGS = (("duration", float),)
 
     at_s: float
     duration_s: float = 1.0
 
-    def describe(self) -> str:
-        return f"partition@{self.at_s:g}:{self.duration_s:g}"
-
-    def to_spec(self) -> str:
-        return (f"partition@{spec_number(self.at_s)}"
-                f":{spec_number(self.duration_s)}")
-
 
 @dataclass(frozen=True)
-class ConnectionReset:
+class ConnectionReset(_Event):
     """The next transport operation at/after ``at_s`` raises ECONNRESET."""
+
+    KIND = "reset"
 
     at_s: float
 
-    def describe(self) -> str:
-        return f"reset@{self.at_s:g}"
-
-    def to_spec(self) -> str:
-        return f"reset@{spec_number(self.at_s)}"
-
 
 @dataclass(frozen=True)
-class ByteCorruption:
+class ByteCorruption(_Event):
     """``nbytes`` of the next received chunk after ``at_s`` are flipped."""
+
+    KIND = "corrupt"
+    ARGS = (("byte count", int),)
 
     at_s: float
     nbytes: int = 1
 
-    def describe(self) -> str:
-        return f"corrupt@{self.at_s:g}:{self.nbytes}"
-
-    def to_spec(self) -> str:
-        return f"corrupt@{spec_number(self.at_s)}:{self.nbytes}"
-
 
 @dataclass(frozen=True)
-class TruncatedFrame:
+class TruncatedFrame(_Event):
     """The next send after ``at_s`` transmits half its bytes, then dies."""
+
+    KIND = "truncate"
 
     at_s: float
 
-    def describe(self) -> str:
-        return f"truncate@{self.at_s:g}"
-
-    def to_spec(self) -> str:
-        return f"truncate@{spec_number(self.at_s)}"
-
 
 @dataclass(frozen=True)
-class SlowReader:
+class SlowReader(_Event):
     """Reads sleep ``delay_s`` during the window (a stalling consumer)."""
+
+    KIND = "stall"
+    ARGS = (("duration", float), ("delay", float))
 
     at_s: float
     duration_s: float = 0.5
     delay_s: float = 0.05
-
-    def describe(self) -> str:
-        return f"stall@{self.at_s:g}:{self.duration_s:g}:{self.delay_s:g}"
-
-    def to_spec(self) -> str:
-        return (f"stall@{spec_number(self.at_s)}"
-                f":{spec_number(self.duration_s)}"
-                f":{spec_number(self.delay_s)}")
 
 
 NetworkFaultEvent = Union[Partition, ConnectionReset, ByteCorruption,
                           TruncatedFrame, SlowReader]
 
 
-class NetworkFaultPlan:
-    """An immutable, time-ordered schedule of transport faults."""
+class NetworkFaultPlan(_Plan):
+    """An immutable, time-ordered schedule of transport faults.
 
-    def __init__(self, events: Sequence[NetworkFaultEvent] = (),
-                 seed: Optional[int] = None) -> None:
-        for event in events:
-            if event.at_s < 0:
-                raise ConfigurationError(
-                    f"network fault time must be >= 0, got {event.at_s}")
-        self.events: Tuple[NetworkFaultEvent, ...] = tuple(
-            sorted(events, key=lambda e: e.at_s))
-        self.seed = seed
+    Parsed from the ``--net-faults`` spec with the same grammar as
+    :class:`~repro.faults.plan.FaultPlan` (kinds listed in the module
+    docstring); ``random:SEED[:DURATION]`` composes a seeded campaign
+    in.
+    """
 
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def describe(self) -> str:
-        """The plan as a human-oriented spec string (``%g`` times)."""
-        return ";".join(event.describe() for event in self.events)
-
-    def to_spec(self) -> str:
-        """The plan as a lossless, parseable spec string.
-
-        ``NetworkFaultPlan.parse(plan.to_spec())`` reproduces the exact
-        event tuple (shortest-round-trip floats, seeded campaigns
-        flattened), so any plan is a copy-pasteable ``--net-faults``
-        argument.
-        """
-        return ";".join(event.to_spec() for event in self.events)
-
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def parse(cls, spec: str) -> "NetworkFaultPlan":
-        """Parse a compact ``kind@time[:arg[:arg]]`` spec (the
-        ``--net-faults`` flag); entries separated by ``;`` or ``,``.
-        ``random:SEED[:DURATION]`` composes a seeded campaign in.
-        Errors name the offending entry, its character position and
-        the token that failed to parse.
-        """
-        events: List[NetworkFaultEvent] = []
-        seed: Optional[int] = None
-        for entry, where in _spec_entries(spec):
-
-            def bad(reason: str) -> ConfigurationError:
-                return ConfigurationError(
-                    f"bad network fault entry {entry!r} {where}: {reason}")
-
-            if entry.startswith("random:"):
-
-                def bad_random(reason: str) -> ConfigurationError:
-                    return ConfigurationError(
-                        f"bad random network fault entry {entry!r} "
-                        f"{where}: {reason}; use random:SEED[:DURATION]")
-
-                parts = entry.split(":")[1:]
-                seed = _convert(parts[0] if parts else "", "seed", int,
-                                bad_random)
-                duration = 10.0
-                if len(parts) > 1:
-                    duration = _convert(parts[1], "duration", float,
-                                        bad_random)
-                if len(parts) > 2:
-                    raise bad_random(f"unexpected argument {parts[2]!r}")
-                events.extend(cls.random(seed, duration_s=duration).events)
-                continue
-            if "@" not in entry:
-                raise bad("expected kind@time[:args]")
-            kind, _, rest = entry.partition("@")
-            args = rest.split(":")
-            at_s = _convert(args[0], "time", float, bad)
-            if kind == "partition":
-                _max_args(args, 2, bad)
-                events.append(Partition(
-                    at_s,
-                    _convert(args[1], "duration", float, bad)
-                    if len(args) > 1 else 1.0))
-            elif kind == "reset":
-                _max_args(args, 1, bad)
-                events.append(ConnectionReset(at_s))
-            elif kind == "corrupt":
-                _max_args(args, 2, bad)
-                events.append(ByteCorruption(
-                    at_s,
-                    _convert(args[1], "byte count", int, bad)
-                    if len(args) > 1 else 1))
-            elif kind == "truncate":
-                _max_args(args, 1, bad)
-                events.append(TruncatedFrame(at_s))
-            elif kind == "stall":
-                _max_args(args, 3, bad)
-                events.append(SlowReader(
-                    at_s,
-                    _convert(args[1], "duration", float, bad)
-                    if len(args) > 1 else 0.5,
-                    _convert(args[2], "delay", float, bad)
-                    if len(args) > 2 else 0.05))
-            else:
-                raise bad(f"unknown network fault kind {kind!r}")
-        return cls(events, seed=seed)
+    EVENTS = (Partition, ConnectionReset, ByteCorruption, TruncatedFrame,
+              SlowReader)
+    NOUN = "network fault"
 
     @classmethod
     def random(cls, seed: int, duration_s: float = 10.0,

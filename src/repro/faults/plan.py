@@ -16,8 +16,9 @@ The plan itself never touches the pipeline; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import (Callable, ClassVar, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -38,78 +39,102 @@ def spec_number(value) -> str:
     return repr(float(value))
 
 
+class _Event:
+    """One ``kind@time[:arg...]`` entry of a plan.
+
+    Subclasses are frozen dataclasses whose first field is ``at_s`` and
+    whose remaining fields are the entry's optional arguments, in spec
+    order.  ``ARGS`` gives each argument's error label and converter;
+    a ``float`` argument renders like a time, anything else with
+    ``str``.  A non-empty ``REQUIRED`` is the error raised when the
+    first argument is missing or empty.
+    """
+
+    KIND: ClassVar[str]
+    ARGS: ClassVar[Tuple[Tuple[str, Callable[[str], object]], ...]] = ()
+    REQUIRED: ClassVar[str] = ""
+
+    def _render(self, number: Callable[[float], str]) -> str:
+        tokens = [f"{self.KIND}@{number(self.at_s)}"]
+        for (_label, conv), field in zip(self.ARGS, fields(self)[1:]):
+            value = getattr(self, field.name)
+            tokens.append(number(value) if conv is float else str(value))
+        return ":".join(tokens)
+
+    def describe(self) -> str:
+        """The entry for humans: ``%g`` numbers."""
+        return self._render(lambda value: f"{value:g}")
+
+    def to_spec(self) -> str:
+        """The entry as a lossless, parseable spec (:func:`spec_number`)."""
+        return self._render(spec_number)
+
+    @classmethod
+    def _parse(cls, at_s: float, args: List[str], bad) -> "_Event":
+        """Build the event from its ``:``-separated argument tokens."""
+        if len(args) > len(cls.ARGS):
+            raise bad(f"unexpected argument {args[len(cls.ARGS)]!r}")
+        if cls.REQUIRED and not (args and args[0]):
+            raise bad(cls.REQUIRED)
+        return cls(at_s, *(_convert(token, label, conv, bad)
+                           for token, (label, conv) in zip(args, cls.ARGS)))
+
+
 @dataclass(frozen=True)
-class MeterDropout:
+class MeterDropout(_Event):
     """Every attached power meter loses its link for ``down_s`` seconds."""
+
+    KIND = "meter-dropout"
+    ARGS = (("down duration", float),)
 
     at_s: float
     down_s: float = 2.0
 
-    def describe(self) -> str:
-        return f"meter-dropout@{self.at_s:g}:{self.down_s:g}"
-
-    def to_spec(self) -> str:
-        return (f"meter-dropout@{spec_number(self.at_s)}"
-                f":{spec_number(self.down_s)}")
-
 
 @dataclass(frozen=True)
-class PidExit:
+class PidExit(_Event):
     """The ``index``-th monitored pid is killed (ESRCH for its counters)."""
+
+    KIND = "pid-exit"
+    ARGS = (("pid index", int),)
 
     at_s: float
     index: int = 0
 
-    def describe(self) -> str:
-        return f"pid-exit@{self.at_s:g}:{self.index}"
-
-    def to_spec(self) -> str:
-        return f"pid-exit@{spec_number(self.at_s)}:{self.index}"
-
 
 @dataclass(frozen=True)
-class SlotStarvation:
+class SlotStarvation(_Event):
     """PMU slots are capped at ``slots`` for ``duration_s`` seconds."""
+
+    KIND = "starve"
+    ARGS = (("duration", float), ("slot count", int))
 
     at_s: float
     duration_s: float = 2.0
     slots: int = 0
 
-    def describe(self) -> str:
-        return f"starve@{self.at_s:g}:{self.duration_s:g}:{self.slots}"
-
-    def to_spec(self) -> str:
-        return (f"starve@{spec_number(self.at_s)}"
-                f":{spec_number(self.duration_s)}:{self.slots}")
-
 
 @dataclass(frozen=True)
-class SampleLoss:
+class SampleLoss(_Event):
     """Counter reads fail for ``duration_s`` seconds (acquisition loss)."""
+
+    KIND = "hpc-loss"
+    ARGS = (("duration", float),)
 
     at_s: float
     duration_s: float = 1.0
 
-    def describe(self) -> str:
-        return f"hpc-loss@{self.at_s:g}:{self.duration_s:g}"
-
-    def to_spec(self) -> str:
-        return (f"hpc-loss@{spec_number(self.at_s)}"
-                f":{spec_number(self.duration_s)}")
-
 
 @dataclass(frozen=True)
-class ActorCrash:
+class ActorCrash(_Event):
     """The named actor fails as if its ``receive`` raised."""
+
+    KIND = "crash"
+    ARGS = (("actor", str),)
+    REQUIRED = "crash needs an actor name (crash@TIME:ACTOR)"
 
     at_s: float
     actor: str = "formula-0"
-
-    def describe(self) -> str:
-        return f"crash@{self.at_s:g}:{self.actor}"
-
-    def to_spec(self) -> str:
-        return f"crash@{spec_number(self.at_s)}:{self.actor}"
 
 
 FaultEvent = Union[MeterDropout, PidExit, SlotStarvation, SampleLoss,
@@ -140,23 +165,28 @@ def _convert(token: str, what: str, conv, bad):
         raise bad(f"invalid {what} {token!r}") from None
 
 
-def _max_args(args, limit: int, bad) -> None:
-    if len(args) > limit:
-        raise bad(f"unexpected argument {args[limit]!r}")
+class _Plan:
+    """An immutable, time-ordered schedule of ``kind@time`` events.
 
+    Subclasses name their event classes (``EVENTS``) and the noun
+    their errors use (``NOUN``), and define ``random(seed,
+    duration_s=...)``, the seeded campaign a ``random:`` entry expands
+    to.  The spec grammar, its error text and both renderings live
+    here, so a new kind is one event class added to ``EVENTS``.
+    """
 
-class FaultPlan:
-    """An immutable, time-ordered schedule of fault events."""
+    EVENTS: ClassVar[Tuple[type, ...]]
+    NOUN: ClassVar[str]
 
-    def __init__(self, events: Sequence[FaultEvent] = (),
+    def __init__(self, events: Sequence[_Event] = (),
                  seed: Optional[int] = None) -> None:
         for event in events:
             if event.at_s < 0:
                 raise ConfigurationError(
-                    f"fault time must be >= 0, got {event.at_s}")
+                    f"{self.NOUN} time must be >= 0, got {event.at_s}")
         # Stable sort: simultaneous events keep their declaration order,
         # which keeps injection deterministic.
-        self.events: Tuple[FaultEvent, ...] = tuple(
+        self.events: Tuple[_Event, ...] = tuple(
             sorted(events, key=lambda e: e.at_s))
         self.seed = seed
 
@@ -173,98 +203,78 @@ class FaultPlan:
     def to_spec(self) -> str:
         """The plan as a lossless, parseable spec string.
 
-        ``FaultPlan.parse(plan.to_spec())`` reproduces the exact event
-        tuple (shortest-round-trip floats, seeded campaigns flattened
-        to their explicit events), so any plan — including a shrunk
-        minimal repro — is a copy-pasteable ``--faults`` argument.
+        ``parse(plan.to_spec())`` reproduces the exact event tuple
+        (shortest-round-trip floats, seeded campaigns flattened to
+        their explicit events), so any plan — including a shrunk
+        minimal repro — is a copy-pasteable CLI argument.
         """
         return ";".join(event.to_spec() for event in self.events)
 
-    # -- construction -----------------------------------------------------
-
     @classmethod
-    def parse(cls, spec: str) -> "FaultPlan":
+    def parse(cls, spec: str) -> "_Plan":
         """Parse a compact spec: ``kind@time[:arg[:arg]]`` entries.
 
-        Entries are separated by ``;`` (or ``,``).  Kinds:
-
-        * ``meter-dropout@T[:DOWN]`` — drop meters at T for DOWN seconds,
-        * ``pid-exit@T[:INDEX]`` — kill the INDEX-th monitored pid,
-        * ``starve@T[:DUR[:SLOTS]]`` — cap PMU slots for DUR seconds,
-        * ``hpc-loss@T[:DUR]`` — counter reads fail for DUR seconds,
-        * ``crash@T:ACTOR`` — crash the named pipeline actor,
-        * ``random:SEED[:DURATION]`` — a generated campaign
-          (see :meth:`random`); composes with explicit entries.
-
-        Errors name the offending entry, its character position in the
-        spec, and the specific token that failed to parse.
+        Entries are separated by ``;`` (or ``,``); the kinds are the
+        ``KIND`` of each class in ``EVENTS``, and
+        ``random:SEED[:DURATION]`` composes a generated campaign (see
+        :meth:`random`) in with the explicit entries.  Errors name the
+        offending entry, its character position in the spec, and the
+        specific token that failed to parse.
         """
-        events: List[FaultEvent] = []
+        kinds = {event_cls.KIND: event_cls for event_cls in cls.EVENTS}
+        events: List[_Event] = []
         seed: Optional[int] = None
         for entry, where in _spec_entries(spec):
 
             def bad(reason: str) -> ConfigurationError:
                 return ConfigurationError(
-                    f"bad fault entry {entry!r} {where}: {reason}")
+                    f"bad {cls.NOUN} entry {entry!r} {where}: {reason}")
 
             if entry.startswith("random:"):
 
                 def bad_random(reason: str) -> ConfigurationError:
                     return ConfigurationError(
-                        f"bad random fault entry {entry!r} {where}: "
+                        f"bad random {cls.NOUN} entry {entry!r} {where}: "
                         f"{reason}; use random:SEED[:DURATION]")
 
                 parts = entry.split(":")[1:]
                 seed = _convert(parts[0] if parts else "", "seed", int,
                                 bad_random)
-                duration = 30.0
-                if len(parts) > 1:
-                    duration = _convert(parts[1], "duration", float,
-                                        bad_random)
+                # Without a DURATION, random()'s own default applies.
+                duration = [_convert(part, "duration", float, bad_random)
+                            for part in parts[1:2]]
                 if len(parts) > 2:
                     raise bad_random(f"unexpected argument {parts[2]!r}")
-                events.extend(cls.random(seed, duration_s=duration).events)
+                events.extend(cls.random(seed, *duration).events)
                 continue
             if "@" not in entry:
                 raise bad("expected kind@time[:args]")
             kind, _, rest = entry.partition("@")
             args = rest.split(":")
             at_s = _convert(args[0], "time", float, bad)
-            if kind == "meter-dropout":
-                _max_args(args, 2, bad)
-                events.append(MeterDropout(
-                    at_s,
-                    _convert(args[1], "down duration", float, bad)
-                    if len(args) > 1 else 2.0))
-            elif kind == "pid-exit":
-                _max_args(args, 2, bad)
-                events.append(PidExit(
-                    at_s,
-                    _convert(args[1], "pid index", int, bad)
-                    if len(args) > 1 else 0))
-            elif kind == "starve":
-                _max_args(args, 3, bad)
-                events.append(SlotStarvation(
-                    at_s,
-                    _convert(args[1], "duration", float, bad)
-                    if len(args) > 1 else 2.0,
-                    _convert(args[2], "slot count", int, bad)
-                    if len(args) > 2 else 0))
-            elif kind == "hpc-loss":
-                _max_args(args, 2, bad)
-                events.append(SampleLoss(
-                    at_s,
-                    _convert(args[1], "duration", float, bad)
-                    if len(args) > 1 else 1.0))
-            elif kind == "crash":
-                _max_args(args, 2, bad)
-                if len(args) < 2 or not args[1]:
-                    raise bad("crash needs an actor name "
-                              "(crash@TIME:ACTOR)")
-                events.append(ActorCrash(at_s, args[1]))
-            else:
-                raise bad(f"unknown fault kind {kind!r}")
+            if kind not in kinds:
+                raise bad(f"unknown {cls.NOUN} kind {kind!r}")
+            events.append(kinds[kind]._parse(at_s, args[1:], bad))
         return cls(events, seed=seed)
+
+
+class FaultPlan(_Plan):
+    """An immutable, time-ordered schedule of fault events.
+
+    Spec kinds (the ``--faults`` flag, see :meth:`parse`):
+
+    * ``meter-dropout@T[:DOWN]`` — drop meters at T for DOWN seconds,
+    * ``pid-exit@T[:INDEX]`` — kill the INDEX-th monitored pid,
+    * ``starve@T[:DUR[:SLOTS]]`` — cap PMU slots for DUR seconds,
+    * ``hpc-loss@T[:DUR]`` — counter reads fail for DUR seconds,
+    * ``crash@T:ACTOR`` — crash the named pipeline actor,
+    * ``random:SEED[:DURATION]`` — a generated campaign (see
+      :meth:`random`).
+    """
+
+    EVENTS = (MeterDropout, PidExit, SlotStarvation, SampleLoss,
+              ActorCrash)
+    NOUN = "fault"
 
     @classmethod
     def random(cls, seed: int, duration_s: float = 30.0,

@@ -44,30 +44,10 @@ from repro.matrix.invariants import (CellObservations, ReceivedFrame,
                                      TelemetryObservations, Violation,
                                      evaluate, net_plan_summary)
 from repro.matrix.spec import MatrixCell, MatrixSpec
-from repro.os.governor import (ConservativeGovernor, OndemandGovernor,
-                               PerformanceGovernor, PowersaveGovernor)
+from repro.os.governor import GOVERNORS
 from repro.os.kernel import SimKernel
 from repro.simcpu.spec import preset
-from repro.workloads.specjbb import SpecJbbWorkload
-from repro.workloads.stress import CpuStress, MemoryStress, MixedStress
-
-GOVERNORS = {
-    "performance": PerformanceGovernor,
-    "powersave": PowersaveGovernor,
-    "ondemand": OndemandGovernor,
-    "conservative": ConservativeGovernor,
-}
-
-WORKLOADS = {
-    "cpu": lambda duration: CpuStress(utilization=1.0, threads=4,
-                                      duration_s=duration),
-    "memory": lambda duration: MemoryStress(utilization=1.0, threads=4,
-                                            duration_s=duration),
-    "mixed": lambda duration: MixedStress(utilization=1.0, threads=4,
-                                          duration_s=duration),
-    "specjbb": lambda duration: SpecJbbWorkload(duration_s=duration,
-                                                threads=4),
-}
+from repro.workloads import WORKLOADS
 
 #: The fixed per-frequency calibration every cell's estimator uses
 #: (the fault-suite fixture model): cells compare *configurations*,

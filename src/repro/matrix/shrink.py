@@ -27,6 +27,10 @@ from repro.faults.plan import FaultPlan
 from repro.matrix.spec import MatrixCell, MatrixSpec, single_cell_spec
 
 
+#: The cell's fault-plan axes, shrunk in this order.
+_FAULT_AXES = (("faults", FaultPlan), ("net_faults", NetworkFaultPlan))
+
+
 class _Budget:
     """Counts candidate runs; exhaustion conservatively stops reducing."""
 
@@ -95,26 +99,18 @@ def shrink_cell(spec: MatrixSpec, cell: MatrixCell, target: str,
     # Phase 1: ddmin the fault plans, events-first (usually the axis
     # with the most redundancy).  Plans are rebuilt through to_spec()
     # so the reduced cell stays a copy-pasteable spec string.
-    if current.faults:
-        events = list(FaultPlan.parse(current.faults))
+    for attr, plan_cls in _FAULT_AXES:
+        if not getattr(current, attr):
+            continue
 
-        def fails_with_faults(subset: Sequence[object]) -> bool:
-            reduced = FaultPlan(tuple(subset)).to_spec()
-            return fails(replace_cell(current, faults=reduced))
+        def fails_with(subset: Sequence[object]) -> bool:
+            reduced = plan_cls(tuple(subset)).to_spec()
+            return fails(replace_cell(current, **{attr: reduced}))
 
-        kept = ddmin(events, fails_with_faults)
-        current = replace_cell(current,
-                               faults=FaultPlan(tuple(kept)).to_spec())
-    if current.net_faults:
-        events = list(NetworkFaultPlan.parse(current.net_faults))
-
-        def fails_with_nets(subset: Sequence[object]) -> bool:
-            reduced = NetworkFaultPlan(tuple(subset)).to_spec()
-            return fails(replace_cell(current, net_faults=reduced))
-
-        kept = ddmin(events, fails_with_nets)
+        kept = ddmin(list(plan_cls.parse(getattr(current, attr))),
+                     fails_with)
         current = replace_cell(
-            current, net_faults=NetworkFaultPlan(tuple(kept)).to_spec())
+            current, **{attr: plan_cls(tuple(kept)).to_spec()})
 
     # Phase 2: fold axes back to the matrix baseline (first declared
     # value) wherever the violation survives the substitution.
@@ -142,14 +138,10 @@ def shrink_cell(spec: MatrixSpec, cell: MatrixCell, target: str,
         "axes": current.axes(),
         "faults": current.faults,
         "net_faults": current.net_faults,
-        "events_removed": (
-            (len(FaultPlan.parse(cell.faults)) if cell.faults else 0)
-            + (len(NetworkFaultPlan.parse(cell.net_faults))
-               if cell.net_faults else 0)
-            - (len(FaultPlan.parse(current.faults))
-               if current.faults else 0)
-            - (len(NetworkFaultPlan.parse(current.net_faults))
-               if current.net_faults else 0)),
+        "events_removed": sum(
+            len(plan_cls.parse(getattr(cell, attr)))
+            - len(plan_cls.parse(getattr(current, attr)))
+            for attr, plan_cls in _FAULT_AXES),
         "runs_used": runs.used,
         "matrix_toml": matrix_toml,
         "command": command,

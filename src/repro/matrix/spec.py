@@ -28,14 +28,17 @@ from repro.errors import ConfigurationError
 from repro.faults.network import (ConnectionReset, NetworkFaultPlan,
                                   Partition, SlowReader)
 from repro.faults.plan import FaultPlan
+from repro.os.governor import GOVERNORS
 from repro.simcpu.spec import PRESETS
+from repro.workloads import WORKLOADS
 
-#: Governor names a matrix axis may use.  ``userspace`` is excluded:
-#: it needs an explicit pinned frequency, which is not an axis value.
-GOVERNOR_NAMES = ("performance", "powersave", "ondemand", "conservative")
+#: Governor names a matrix axis may use.  ``userspace`` is not among
+#: them: it needs an explicit pinned frequency, which is not an axis
+#: value.
+GOVERNOR_NAMES = tuple(GOVERNORS)
 
 #: Workload names a matrix axis may use (the CLI's workload set).
-WORKLOAD_NAMES = ("cpu", "memory", "mixed", "specjbb")
+WORKLOAD_NAMES = tuple(WORKLOADS)
 
 #: The built-in invariants, in evaluation order.
 DEFAULT_SUITE = (

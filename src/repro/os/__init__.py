@@ -1,7 +1,6 @@
 """Simulated operating-system layer: processes, scheduling, cpufreq, procfs."""
 
-from repro.os.actuation import (CeilingGovernor, FrequencyCapActuator,
-                                ProcessThrottle)
+from repro.os.actuation import FrequencyCapActuator, ProcessThrottle
 from repro.os.cgroups import ROOT, CgroupTree
 from repro.os.governor import (GOVERNORS, ConservativeGovernor, Governor,
                                OndemandGovernor, PerformanceGovernor,
@@ -15,7 +14,7 @@ from repro.os.sysfs import SysFs
 from repro.os.virt import VirtualMachine, split_vm_power
 
 __all__ = [
-    "CeilingGovernor", "CgroupTree", "ConservativeGovernor",
+    "CgroupTree", "ConservativeGovernor",
     "DEFAULT_QUANTUM_S", "Demand", "EnergyAwareScheduler",
     "FrequencyCapActuator", "GOVERNORS", "Governor", "OndemandGovernor",
     "PackScheduler", "PerformanceGovernor", "PinnedScheduler",

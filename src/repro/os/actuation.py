@@ -4,16 +4,15 @@ The power-cap actor decides *what* to do; this module is *how* it is
 done inside the simulated OS, without perturbing anything when no cap is
 armed:
 
-* :class:`CeilingGovernor` wraps the kernel's existing cpufreq governor
-  and clamps every per-core target above a movable ceiling after the
-  inner policy has run — the inner governor keeps full authority below
-  the ceiling, so ondemand/conservative behaviour under a cap stays
-  realistic.
-* :class:`FrequencyCapActuator` owns the ceiling: it walks the spec's
-  full DVFS table (sustained P-states plus the turbo ladder) one rung at
-  a time and arms/releases the wrapper on the kernel.  With the ceiling
-  at the top of the table the clamp is a mathematical no-op, so an armed
-  but never-stepped actuator cannot change a run.
+* :class:`FrequencyCapActuator` owns the DVFS ceiling: it walks the
+  spec's full DVFS table (sustained P-states plus the turbo ladder) one
+  rung at a time and moves the machine's
+  :attr:`~repro.simcpu.frequency.FrequencyDomain.ceiling_hz`, which
+  grants every governor request at most the ceiling.  The governor is
+  never replaced and keeps full authority below the ceiling, so
+  ondemand/conservative behaviour under a cap stays realistic; with the
+  ceiling at the top of the table the bound is a mathematical no-op, so
+  an armed but never-stepped actuator cannot change a run.
 * :class:`ProcessThrottle` is the scheduler hook for when frequency
   scaling bottoms out: it raises the nice level of the hungriest
   monitored process (the scheduler's nice weighting then shrinks the CPU
@@ -26,80 +25,47 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.os.governor import Governor
 
 #: Hard ceiling of the Linux nice range.
 _NICE_MAX = 19
 
 
-class CeilingGovernor(Governor):
-    """Delegate to an inner governor, then clamp targets to a ceiling.
-
-    ``ceiling_hz=None`` disables the clamp entirely (pass-through).  The
-    clamp happens after the inner ``update`` so the inner policy sees
-    the same utilisation it always did and its internal state (e.g.
-    conservative's per-core ladder index) evolves unchanged.
-    """
-
-    def __init__(self, inner: Governor) -> None:
-        super().__init__(inner.spec, inner.topology, inner.domain)
-        self.inner = inner
-        self.ceiling_hz: Optional[int] = None
-
-    def update(self, cpu_busy) -> None:
-        self.inner.update(cpu_busy)
-        ceiling = self.ceiling_hz
-        if ceiling is None:
-            return
-        for package_id, core_id in self.topology.cores():
-            if self.domain.target(package_id, core_id) > ceiling:
-                self.domain.set_target(package_id, core_id, ceiling)
-
-
 class FrequencyCapActuator:
     """Steps a DVFS ceiling down/up the spec's frequency table.
 
-    Arming replaces ``kernel.governor`` with a :class:`CeilingGovernor`
-    wrapping the original; :meth:`release` restores it.  The ladder is
-    ``spec.all_frequencies_hz`` (sustained plus turbo), and levels index
-    into it — level ``len(ladder) - 1`` means "no effective clamp".
+    Arming puts the ceiling on the kernel machine's frequency domain;
+    :meth:`release` lifts it.  The ladder is ``spec.all_frequencies_hz``
+    (sustained plus turbo), and levels index into it — level
+    ``len(ladder) - 1`` means "no effective clamp".
     """
 
     def __init__(self, kernel) -> None:
-        self.kernel = kernel
+        self.domain = kernel.machine.frequency
         self.ladder: Tuple[int, ...] = tuple(
             kernel.machine.spec.all_frequencies_hz)
         self._top = len(self.ladder) - 1
         self._level = self._top
-        self._wrapper: Optional[CeilingGovernor] = None
-        self._inner: Optional[Governor] = None
+        self.armed = False
 
     # -- arming ---------------------------------------------------------
 
-    @property
-    def armed(self) -> bool:
-        return self._wrapper is not None
-
     def arm(self) -> None:
-        """Install the ceiling wrapper on the kernel (idempotent)."""
-        if self._wrapper is not None:
+        """Put the ceiling on the frequency domain (idempotent)."""
+        if self.armed:
             return
-        if isinstance(self.kernel.governor, CeilingGovernor):
+        if self.domain.ceiling_hz is not None:
             raise ConfigurationError(
-                "kernel governor is already cap-wrapped by another "
-                "actuator; one frequency-cap actuator per kernel")
-        self._inner = self.kernel.governor
-        self._wrapper = CeilingGovernor(self._inner)
-        self._wrapper.ceiling_hz = self.ladder[self._level]
-        self.kernel.governor = self._wrapper
+                "the kernel's frequency domain already has a cap "
+                "ceiling; one frequency-cap actuator per kernel")
+        self.armed = True
+        self.domain.ceiling_hz = self.ladder[self._level]
 
     def release(self) -> None:
-        """Restore the original governor and forget the ceiling."""
-        if self._wrapper is None:
+        """Lift the ceiling and forget its level."""
+        if not self.armed:
             return
-        self.kernel.governor = self._inner
-        self._wrapper = None
-        self._inner = None
+        self.domain.ceiling_hz = None
+        self.armed = False
         self._level = self._top
 
     # -- the ladder -----------------------------------------------------
@@ -129,8 +95,8 @@ class FrequencyCapActuator:
                 f"ceiling level must be within [0, {self._top}], "
                 f"got {level}")
         self._level = level
-        if self._wrapper is not None:
-            self._wrapper.ceiling_hz = self.ladder[self._level]
+        if self.armed:
+            self.domain.ceiling_hz = self.ladder[level]
 
     def step(self, levels: int) -> int:
         """Move the ceiling by *levels* rungs (negative = down).

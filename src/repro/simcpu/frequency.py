@@ -11,7 +11,7 @@ global linear model.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import FrequencyError
 from repro.simcpu.spec import CpuSpec
@@ -39,6 +39,11 @@ class FrequencyDomain:
         self._voltage_cache: Dict[int, float] = {}
         self._scale_cache: Dict[int, float] = {}
         self._generation = 0
+        #: Upper bound on every granted target, hertz (None = unbounded):
+        #: the power cap's DVFS ceiling.  Moving it leaves the current
+        #: targets alone; the governor's next request, made every
+        #: quantum, is granted against the new bound.
+        self.ceiling_hz: Optional[int] = None
 
     @property
     def generation(self) -> int:
@@ -52,9 +57,20 @@ class FrequencyDomain:
 
     # -- requests ----------------------------------------------------------
 
-    def set_target(self, package_id: int, core_id: int, frequency_hz: int) -> None:
-        """Request a P-state for one core (what a cpufreq governor does)."""
+    def _granted(self, frequency_hz: int) -> int:
+        """A validated request, lowered to the ceiling if above it."""
         self.spec.validate_frequency(frequency_hz)
+        ceiling = self.ceiling_hz
+        if ceiling is not None and frequency_hz > ceiling:
+            return ceiling
+        return frequency_hz
+
+    def set_target(self, package_id: int, core_id: int, frequency_hz: int) -> None:
+        """Request a P-state for one core (what a cpufreq governor does).
+
+        The core is granted ``min(frequency_hz, ceiling_hz)``.
+        """
+        frequency_hz = self._granted(frequency_hz)
         key = (package_id, core_id)
         if key not in self._target_hz:
             raise FrequencyError(f"no such core pkg{package_id}/core{core_id}")
@@ -63,8 +79,8 @@ class FrequencyDomain:
             self._generation += 1
 
     def set_all_targets(self, frequency_hz: int) -> None:
-        """Request the same P-state on every core."""
-        self.spec.validate_frequency(frequency_hz)
+        """Request the same P-state on every core (ceiling applies)."""
+        frequency_hz = self._granted(frequency_hz)
         changed = False
         for key, current in self._target_hz.items():
             if current != frequency_hz:

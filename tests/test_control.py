@@ -22,8 +22,7 @@ from repro.core.pipeline import ControlSpec, PipelineSpec, StageSpec
 from repro.core.reporters import (CsvReporter, InMemoryReporter,
                                   JsonlReporter, PrometheusReporter)
 from repro.errors import ConfigurationError
-from repro.os.actuation import (CeilingGovernor, FrequencyCapActuator,
-                                ProcessThrottle)
+from repro.os.actuation import FrequencyCapActuator, ProcessThrottle
 from repro.os.governor import OndemandGovernor, PerformanceGovernor
 from repro.os.kernel import SimKernel
 from repro.simcpu.spec import intel_i3_2120
@@ -161,27 +160,22 @@ class TestPIPolicy:
 # Actuation backends
 
 
-class TestCeilingGovernor:
+class TestFrequencyCeiling:
     def test_clamps_above_ceiling(self, spec):
         kernel = SimKernel(spec)
-        wrapper = CeilingGovernor(kernel.governor)
-        wrapper.ceiling_hz = spec.frequencies_hz[2]
-        kernel.governor = wrapper
+        kernel.machine.frequency.ceiling_hz = spec.frequencies_hz[2]
         kernel.tick()
         assert kernel.machine.frequency.target(0, 0) == spec.frequencies_hz[2]
 
     def test_none_ceiling_is_passthrough(self, spec):
         kernel = SimKernel(spec)
-        wrapper = CeilingGovernor(kernel.governor)
-        kernel.governor = wrapper
+        assert kernel.machine.frequency.ceiling_hz is None
         kernel.tick()
         assert kernel.machine.frequency.target(0, 0) == spec.max_frequency_hz
 
     def test_inner_policy_keeps_authority_below_ceiling(self, spec):
         kernel = SimKernel(spec, governor_factory=OndemandGovernor)
-        wrapper = CeilingGovernor(kernel.governor)
-        wrapper.ceiling_hz = spec.frequencies_hz[-2]
-        kernel.governor = wrapper
+        kernel.machine.frequency.ceiling_hz = spec.frequencies_hz[-2]
         # Idle machine: ondemand wants the minimum, far below the
         # ceiling — the clamp must not touch it.
         kernel.tick()
@@ -189,23 +183,26 @@ class TestCeilingGovernor:
 
 
 class TestFrequencyCapActuator:
-    def test_arm_wraps_and_release_restores(self, spec):
+    def test_arm_sets_ceiling_and_release_lifts_it(self, spec):
         kernel = SimKernel(spec)
         original = kernel.governor
         actuator = FrequencyCapActuator(kernel)
         actuator.arm()
-        assert isinstance(kernel.governor, CeilingGovernor)
-        assert kernel.governor.inner is original
+        assert kernel.machine.frequency.ceiling_hz == actuator.frequency_hz
+        assert kernel.governor is original
         actuator.release()
+        assert kernel.machine.frequency.ceiling_hz is None
         assert kernel.governor is original
 
     def test_arm_is_idempotent(self, spec):
         kernel = SimKernel(spec)
         actuator = FrequencyCapActuator(kernel)
         actuator.arm()
-        wrapper = kernel.governor
+        actuator.step(-1)
         actuator.arm()
-        assert kernel.governor is wrapper
+        assert actuator.armed
+        assert kernel.machine.frequency.ceiling_hz == actuator.frequency_hz
+        assert actuator.frequency_hz == actuator.ladder[-2]
 
     def test_second_actuator_rejected(self, spec):
         kernel = SimKernel(spec)
@@ -243,6 +240,38 @@ class TestFrequencyCapActuator:
         kernel.tick()
         assert (kernel.machine.frequency.target(0, 0)
                 == actuator.frequency_hz)
+
+    def test_stepped_cap_leaves_pstate_generation_alone(self, spec):
+        # Regression: the cap used to be a second target writer that
+        # ran after the governor, moving every target three times per
+        # tick and invalidating the engine's compiled tick programs.
+        kernel = SimKernel(spec)
+        kernel.spawn(CpuStress(utilization=1.0, threads=4, duration_s=60),
+                     name="w")
+        actuator = FrequencyCapActuator(kernel)
+        actuator.arm()
+        actuator.step(-2)
+        domain = kernel.machine.frequency
+        kernel.tick()  # the first request moves targets to the ceiling
+        generation = domain.generation
+        for _ in range(1000):
+            kernel.tick()
+            assert all(domain.target(package_id, core_id)
+                       == actuator.frequency_hz
+                       for package_id, core_id
+                       in kernel.machine.topology.cores())
+        assert domain.generation == generation
+
+    def test_release_lets_next_request_through(self, spec):
+        kernel = SimKernel(spec)
+        actuator = FrequencyCapActuator(kernel)
+        actuator.arm()
+        actuator.step(-3)
+        kernel.tick()
+        assert kernel.machine.frequency.target(0, 0) == actuator.ladder[-4]
+        actuator.release()
+        kernel.tick()
+        assert kernel.machine.frequency.target(0, 0) == spec.max_frequency_hz
 
     def test_set_level_validates(self, spec):
         actuator = FrequencyCapActuator(SimKernel(spec))
@@ -634,10 +663,13 @@ class TestEndToEndAdherence:
         handle = (api.monitor(pid).every(0.5).cap(40.0)
                   .to(InMemoryReporter()))
         api.run(5.0)
-        assert kernel.governor is not original
+        assert kernel.machine.frequency.ceiling_hz is not None
         handle.stop()
         api.system.dispatch()
+        assert kernel.machine.frequency.ceiling_hz is None
         assert kernel.governor is original
+        kernel.tick()
+        assert kernel.machine.frequency.target(0, 0) == spec.max_frequency_hz
         api.shutdown()
 
     def test_set_cap_without_control_raises(self, spec, model):

@@ -39,6 +39,47 @@ class TestTargets:
             domain.target(2, 0)
 
 
+class TestCeiling:
+    def test_targets_never_exceed_ceiling(self):
+        spec = intel_xeon_smt()
+        ladder = spec.all_frequencies_hz
+        cores = [(package_id, core_id)
+                 for package_id in range(spec.packages)
+                 for core_id in range(spec.cores_per_package)]
+        for ceiling in ladder:
+            for request in ladder:
+                domain = FrequencyDomain(spec)
+                domain.ceiling_hz = ceiling
+                domain.set_target(0, 0, request)
+                assert domain.target(0, 0) == min(request, ceiling)
+                domain.set_all_targets(request)
+                assert all(domain.target(*core) == min(request, ceiling)
+                           for core in cores)
+
+    def test_request_validated_before_ceiling(self):
+        domain = FrequencyDomain(intel_i3_2120())
+        domain.ceiling_hz = ghz(1.6)
+        with pytest.raises(FrequencyError):
+            domain.set_target(0, 0, ghz(5.0))
+        with pytest.raises(FrequencyError):
+            domain.set_all_targets(ghz(5.0))
+
+    def test_ceiling_moves_no_target_until_next_request(self):
+        domain = FrequencyDomain(intel_i3_2120())
+        domain.set_all_targets(ghz(3.3))
+        generation = domain.generation
+        domain.ceiling_hz = ghz(1.6)
+        assert domain.target(0, 0) == ghz(3.3)
+        assert domain.generation == generation
+        domain.set_all_targets(ghz(3.3))
+        assert domain.target(0, 0) == ghz(1.6)
+        assert domain.generation == generation + 1
+        # Asking again for what the ceiling already grants is no change.
+        domain.set_all_targets(ghz(3.3))
+        domain.set_target(0, 1, ghz(3.3))
+        assert domain.generation == generation + 1
+
+
 class TestEffectiveFrequency:
     def test_sustained_granted_as_requested(self):
         domain = FrequencyDomain(intel_i3_2120())
