@@ -4,7 +4,8 @@ PowerAPI sensors sample on a monitoring period.  The :class:`VirtualClock`
 is driven by simulated time (the host calls :meth:`advance` as the kernel
 steps) and publishes a :class:`ClockTick` on the event bus whenever a
 period boundary passes, so every subscribed Sensor fires at its configured
-rate regardless of the kernel quantum.
+rate regardless of the kernel quantum.  :meth:`quanta_until_tick` tells
+the host how many quanta it may run before the next boundary.
 """
 
 from __future__ import annotations
@@ -36,15 +37,34 @@ class VirtualClock:
         self._time_s = 0.0
         self.ticks_emitted = 0
 
-    def advance(self, dt_s: float) -> int:
-        """Advance simulated time; publish one tick per completed period.
+    def quanta_until_tick(self, dt_s: float, limit: int) -> int:
+        """Advances of *dt_s* up to and including the next one that
+        publishes, at most *limit*.
 
+        Repeats :meth:`advance`'s float additions, so the count lands on
+        the exact quantum that stepping one at a time would publish on.
+        """
+        elapsed = self._elapsed_s
+        threshold = self.period_s - 1e-12
+        for n_quanta in range(1, limit):
+            elapsed += dt_s
+            if elapsed >= threshold:
+                return n_quanta
+        return limit
+
+    def advance(self, dt_s: float, n_quanta: int = 1) -> int:
+        """Advance simulated time by *n_quanta* steps of *dt_s*; publish
+        one tick per period completed by the last step.
+
+        Only the last step may complete a period: a caller advancing
+        several steps at once bounds them with :meth:`quanta_until_tick`.
         Returns the number of ticks published for this advance.
         """
         if dt_s < 0:
             raise ConfigurationError("cannot advance time backwards")
-        self._elapsed_s += dt_s
-        self._time_s += dt_s
+        for _ in range(n_quanta):
+            self._elapsed_s += dt_s
+            self._time_s += dt_s
         published = 0
         while self._elapsed_s >= self.period_s - 1e-12:
             self._elapsed_s -= self.period_s

@@ -218,6 +218,16 @@ class ActorSystem:
         self._handle_failure(name, cell, failure)
         return True
 
+    @property
+    def has_runnable(self) -> bool:
+        """Whether the next :meth:`dispatch` has queued mail to process."""
+        return bool(self._run_queue)
+
+    def next_resume_s(self) -> Optional[float]:
+        """Earliest virtual time at which a restart backoff expires."""
+        return min((cell.suspended_until for cell in self._cells.values()
+                    if cell.suspended_until is not None), default=None)
+
     def advance_time(self, now_s: float) -> None:
         """Advance the virtual clock; resume actors whose backoff expired."""
         self.clock_s = max(self.clock_s, now_s)

@@ -22,6 +22,7 @@ spec loaded from a JSON/TOML config file travels:
 
 from __future__ import annotations
 
+import sys
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.actors.actor import Actor, ActorRef
@@ -422,29 +423,71 @@ class PowerAPI:
 
     # -- driving ----------------------------------------------------------
 
-    def _step(self) -> None:
-        self.kernel.tick()
+    def _span(self, limit: int, deadline_s: Optional[float]) -> int:
+        """Quanta the kernel may run before the actors must act.
+
+        The span ends on the first quantum on which the clock
+        publishes, a fault action falls due or a restart backoff
+        expires (or kernel time reaches *deadline_s*), and on the first
+        quantum when the bus already holds a message.  On every other
+        quantum the actors have nothing to do.  Kernel time is predicted
+        with the engine's repeated addition and compared exactly as
+        ``FaultInjector.advance`` and ``ActorSystem.advance_time`` do,
+        so each span ends on the quantum a one-quantum loop acts on.
+        """
+        if self.system.has_runnable:
+            return 1
+        quantum = self.kernel.quantum_s
+        limit = self.clock.quanta_until_tick(quantum, limit)
+        if limit == 1:
+            return 1
+        dues = [self.system.next_resume_s()]
+        if self._injector is not None:
+            dues.append(self._injector.next_due_s)
+        due_s = min((due for due in dues if due is not None), default=None)
+        if due_s is None and deadline_s is None:
+            return limit
+        time_s = self.kernel.time_s
+        for n_quanta in range(1, limit):
+            time_s += quantum
+            if due_s is not None and due_s <= time_s + 1e-12:
+                return n_quanta
+            if deadline_s is not None and time_s >= deadline_s:
+                return n_quanta
+        return limit
+
+    def _run_span(self, limit: int,
+                  deadline_s: Optional[float] = None) -> int:
+        """Run one span of at most *limit* quanta and let the actors act
+        on its last quantum; returns the quanta run."""
+        kernel = self.kernel
+        ran = kernel.run_span(self._span(limit, deadline_s),
+                              until_idle=deadline_s is not None)
         # Faults and restart backoffs are resolved against the fresh
         # kernel time *before* the clock tick reaches the sensors, so a
         # fault at t is visible to the samples taken at t.
-        self.system.advance_time(self.kernel.time_s)
+        self.system.advance_time(kernel.time_s)
         if self._injector is not None:
-            self._injector.advance(self.kernel.time_s)
-        self.clock.advance(self.kernel.quantum_s)
+            self._injector.advance(kernel.time_s)
+        self.clock.advance(kernel.quantum_s, ran)
         self.system.dispatch()
+        return ran
 
     def run(self, duration_s: float) -> None:
         """Advance kernel, clock and actors together for *duration_s*."""
         if duration_s < 0:
             raise ConfigurationError("duration must be >= 0")
-        steps = int(round(duration_s / self.kernel.quantum_s))
-        for _step in range(steps):
-            self._step()
+        remaining = int(round(duration_s / self.kernel.quantum_s))
+        while remaining:
+            remaining -= self._run_span(remaining)
 
     def run_until_idle(self, max_duration_s: float = 3600.0) -> None:
-        """Run until every monitored process exits."""
-        while self.kernel.live_pids and self.kernel.time_s < max_duration_s:
-            self._step()
+        """Run until every process exits, for at most *max_duration_s*
+        of simulated time from now."""
+        kernel = self.kernel
+        deadline_s = kernel.time_s + max_duration_s
+        while kernel.live_pids and kernel.time_s < deadline_s:
+            self._run_span(sys.maxsize, deadline_s)
 
     def flush(self) -> None:
         """Force aggregators to emit partial/summary reports."""

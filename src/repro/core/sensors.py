@@ -123,8 +123,11 @@ class HpcSensor(PipelineStage):
         except (CounterInvalidError, CounterStateError):
             return False
         self._counters[pid] = counters
+        # A freshly opened counter reads zero: taking that baseline
+        # without a read keeps a (re)start inside a sample-loss window
+        # from failing.
         self._previous[pid] = {
-            counter.event: self._snapshot(counter) for counter in counters}
+            counter.event: (0.0, 0.0, 0.0) for counter in counters}
         return True
 
     @staticmethod

@@ -1,10 +1,13 @@
 """Applying a :class:`~repro.faults.plan.FaultPlan` to a live pipeline.
 
-The injector is driven by the host's run loop
-(:meth:`repro.core.monitor.PowerAPI.run` calls :meth:`FaultInjector.advance`
-once per kernel quantum, *before* the monitoring clock publishes its
-tick), so faults land at deterministic virtual-clock times regardless of
-period or quantum.  Every applied action publishes a
+The injector is driven by the host's run loop:
+:meth:`repro.core.monitor.PowerAPI.run` ends a kernel span on the quantum
+on which :attr:`FaultInjector.next_due_s` falls due and calls
+:meth:`FaultInjector.advance` at the end of every span, *before* the
+monitoring clock publishes its tick.  Faults therefore land on the same
+quantum as if the kernel stepped one quantum at a time, at deterministic
+virtual-clock times regardless of period or quantum.  Every applied
+action publishes a
 ``fault-injected`` :class:`~repro.core.messages.HealthEvent`, so the
 health log doubles as the campaign's ground-truth record.
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.messages import HealthEvent
 from repro.errors import FaultInjectionError
@@ -73,6 +76,11 @@ class FaultInjector:
     def exhausted(self) -> bool:
         """Whether every scheduled action has been applied."""
         return not self._queue
+
+    @property
+    def next_due_s(self) -> Optional[float]:
+        """Virtual time of the next pending action (None when exhausted)."""
+        return self._queue[0][0] if self._queue else None
 
     def advance(self, now_s: float) -> int:
         """Apply every action due at or before *now_s*; returns the count."""

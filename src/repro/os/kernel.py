@@ -1,11 +1,18 @@
 """The simulated kernel: process table, scheduling loop and time base.
 
-:class:`SimKernel` glues the OS layer to the machine.  Its :meth:`tick`
-performs one quantum: poll every live process for its demand, let the
-governor adjust P-states from the previous quantum's utilisation, let the
-scheduler produce assignments, step the machine, and update process
-accounting.  :meth:`run` loops that for a duration; :meth:`run_until_idle`
-loops until every process exits.
+:class:`SimKernel` glues the OS layer to the machine.  One quantum polls
+every live process for its demand, lets the governor adjust P-states from
+the previous quantum's utilisation, lets the scheduler produce
+assignments, advances the machine and updates process accounting.
+
+:meth:`run_span` is the one loop: it runs a span of quanta, still polling
+processes, governor and scheduler every quantum, but holds the compiled
+engine program while the assignments and the frequency domain's
+generation repeat, and replays each run of identical quanta with one
+engine call when the run ends.  :meth:`tick` is a span of one quantum,
+:meth:`run` a span for a duration; :meth:`run_until_idle` ticks until
+every process exits.  :class:`~repro.core.monitor.PowerAPI` cuts its runs
+into spans at the quanta its actors must see.
 """
 
 from __future__ import annotations
@@ -79,38 +86,77 @@ class SimKernel:
         """Current simulated time."""
         return self.machine.time_s
 
+    def run_span(self, n_quanta: int, until_idle: bool = False) -> int:
+        """Run up to *n_quanta* quanta; returns how many ran.
+
+        Machine state (time, energy, counters) moves only when a run of
+        identical quanta is replayed, the last one before this returns.
+        The program replayed is the one compiled on the run's first
+        quantum: it froze the frequencies the run used, even if the
+        governor has moved a target since.  With *until_idle* the span
+        ends after the quantum in which the last live process exited.
+        """
+        engine = self.machine.engine
+        domain = self.machine.frequency
+        quantum = self.quantum_s
+        processes = self._processes.values()
+        program = held = None
+        generation = -1
+        granted: Dict[int, float] = {}
+        count = ran = 0
+        try:
+            while ran < n_quanta:
+                demands: List[Tuple[SimProcess, Demand]] = []
+                for process in processes:
+                    if process.alive:
+                        demand = process.poll_demand()
+                        if demand is not None:
+                            demands.append((process, demand))
+
+                self.governor.update(self._last_busy)
+                assignments = self.scheduler.assign(demands)
+                if assignments != held or domain.generation != generation:
+                    if count:
+                        replayed, count = count, 0
+                        engine.replay(program, replayed)
+                    program = engine.program(assignments, quantum)
+                    held, generation = assignments, domain.generation
+                    granted = {}
+                    for assignment in assignments:
+                        granted[assignment.pid] = (
+                            granted.get(assignment.pid, 0.0)
+                            + assignment.busy_fraction)
+                count += 1
+                # The program owns its busy map and nothing mutates it;
+                # it is the map this quantum's record carries.
+                self._last_busy = program.cpu_busy
+
+                for process, _demand in demands:
+                    process.account(
+                        granted.get(process.pid, 0.0) * quantum, quantum)
+                ran += 1
+                if until_idle and not demands:
+                    break
+        finally:
+            if count:
+                engine.replay(program, count)
+        return ran
+
     def tick(self) -> TickRecord:
         """Run one scheduling quantum."""
-        demands: List[Tuple[SimProcess, Demand]] = []
-        for process in self._processes.values():
-            if not process.alive:
-                continue
-            demand = process.poll_demand()
-            if demand is not None:
-                demands.append((process, demand))
+        self.run_span(1)
+        return self.machine.last_record
 
-        self.governor.update(self._last_busy)
-        assignments = self.scheduler.assign(demands)
-        record = self.machine.step(assignments, self.quantum_s)
-        # The record owns its busy map and nothing mutates it afterwards;
-        # keep a reference instead of copying it every quantum.
-        self._last_busy = record.cpu_busy
+    def run(self, duration_s: float) -> Optional[TickRecord]:
+        """Run for *duration_s* of simulated time.
 
-        granted: Dict[int, float] = {}
-        for assignment in assignments:
-            granted[assignment.pid] = (granted.get(assignment.pid, 0.0)
-                                       + assignment.busy_fraction)
-        for process, _demand in demands:
-            process.account(
-                granted.get(process.pid, 0.0) * self.quantum_s, self.quantum_s)
-        return record
-
-    def run(self, duration_s: float) -> List[TickRecord]:
-        """Run for *duration_s* of simulated time."""
+        Returns the final quantum's record (None when *duration_s*
+        rounds to no quantum).
+        """
         if duration_s < 0:
             raise ConfigurationError("duration must be >= 0")
         steps = int(round(duration_s / self.quantum_s))
-        return [self.tick() for _ in range(steps)]
+        return self.machine.last_record if self.run_span(steps) else None
 
     def run_until_idle(self, max_duration_s: float = 3600.0) -> List[TickRecord]:
         """Run until every process has exited (bounded by *max_duration_s*)."""

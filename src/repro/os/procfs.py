@@ -3,16 +3,18 @@
 This is the interface the CPU-load baseline (Versick et al.) and the
 PowerAPI ``ProcFsSensor`` read: cumulative per-process CPU time (as
 ``/proc/<pid>/stat`` utime) and per-CPU busy/idle time (as ``/proc/stat``).
-It observes the machine's tick stream, so it sees exactly what the
-simulated kernel sees — no access to the hidden power model.
+It folds the machine's replays (one call per batch of identical ticks),
+so it sees exactly what the simulated kernel sees — no access to the
+hidden power model.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ProcessError
+from repro.simcpu.engine import fold_add
 from repro.simcpu.machine import Machine, TickRecord
 
 
@@ -24,19 +26,42 @@ class ProcFs:
         self._pid_cpu_time_s: Dict[int, float] = defaultdict(float)
         self._cpu_busy_s: Dict[int, float] = defaultdict(float)
         self._total_time_s = 0.0
-        machine.add_observer(self._on_tick)
+        # One tick's addends, derived from the last event map folded: a
+        # held engine program hands every replay the same maps.
+        self._events = None
+        self._dt: Tuple[float] = (0.0,)
+        self._busy_addends: List[Tuple[int, Tuple[float]]] = []
+        self._pid_addends: List[Tuple[int, List[float]]] = []
+        machine.add_fold(self._fold)
 
-    def _on_tick(self, record: TickRecord) -> None:
-        self._total_time_s += record.dt_s
-        for cpu_id, busy in record.cpu_busy.items():
-            self._cpu_busy_s[cpu_id] += busy * record.dt_s
+    def _fold(self, record: TickRecord, n_ticks: int) -> None:
+        if record.events is not self._events:
+            self._derive_addends(record)
+        self._total_time_s = fold_add(self._total_time_s, self._dt, n_ticks)
+        busy_s = self._cpu_busy_s
+        for cpu_id, addend in self._busy_addends:
+            busy_s[cpu_id] = fold_add(busy_s[cpu_id], addend, n_ticks)
+        cpu_time_s = self._pid_cpu_time_s
+        for pid, addends in self._pid_addends:
+            cpu_time_s[pid] = fold_add(cpu_time_s[pid], addends, n_ticks)
+
+    def _derive_addends(self, record: TickRecord) -> None:
+        dt = record.dt_s
+        self._events = record.events
+        self._dt = (dt,)
+        self._busy_addends = [(cpu_id, (busy * dt,))
+                              for cpu_id, busy in record.cpu_busy.items()]
         # Per-pid CPU time is busy_fraction * dt; recover it from retired
-        # cycles at the core's granted frequency.
+        # cycles at the core's granted frequency.  A pid on several CPUs
+        # gets one addend per CPU each tick, in event order.
+        addends: Dict[int, List[float]] = {}
         for (pid, cpu_id), delta in record.events.items():
             core = self._machine.topology.cpu(cpu_id)
             frequency = record.core_frequencies_hz[(core.package_id, core.core_id)]
             if frequency > 0:
-                self._pid_cpu_time_s[pid] += delta.get("cycles", 0.0) / frequency
+                addends.setdefault(pid, []).append(
+                    delta.get("cycles", 0.0) / frequency)
+        self._pid_addends = list(addends.items())
 
     # -- /proc/<pid>/stat ----------------------------------------------------
 

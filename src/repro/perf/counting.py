@@ -8,19 +8,21 @@ and report ``time_enabled`` / ``time_running`` so multiplexed values can be
 scaled exactly like perf does.
 
 Multiplexing lives in :mod:`repro.perf.multiplex`; the session delegates
-per-tick scheduling decisions to it.
+per-tick scheduling decisions to it.  The session is a machine *fold*:
+it takes each engine replay (a batch of identical ticks) in one call.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Mapping, Tuple
 
 from repro.errors import (CounterInvalidError, CounterStateError,
                           SampleLossError)
 from repro.perf import pfm
 from repro.perf.multiplex import MultiplexScheduler
+from repro.simcpu.engine import fold_add
 from repro.simcpu.machine import Machine, TickRecord
 
 
@@ -62,6 +64,10 @@ class PerfCounter:
         self.raw = 0.0
         self.time_enabled_s = 0.0
         self.time_running_s = 0.0
+        # The per-tick addends of the last event map folded: a held
+        # engine program hands every replay the same map.
+        self._events = None
+        self._addends: List[float] = []
 
     def _check_open(self) -> None:
         if self.closed:
@@ -117,25 +123,24 @@ class PerfCounter:
 
     # -- session internals ---------------------------------------------
 
-    def _matches(self, pid: int, cpu: int) -> bool:
-        """Whether a (pid, cpu) event-delta applies to this counter."""
-        if self.pid >= 0 and self.pid != pid:
-            return False
-        if self.cpu >= 0 and self.cpu != cpu:
-            return False
-        return True
-
-    def _accumulate(self, record: TickRecord, scheduled: bool) -> None:
-        """Fold one machine tick into the counter."""
-        if not self.enabled:
+    def _accumulate(self, dt: Tuple[float], events: Mapping,
+                    n_ticks: int, n_running: int) -> None:
+        """Fold *n_ticks* enabled ticks of ``dt[0]`` seconds and *events*,
+        *n_running* of them on the PMU."""
+        self.time_enabled_s = fold_add(self.time_enabled_s, dt, n_ticks)
+        if not n_running:
             return
-        self.time_enabled_s += record.dt_s
-        if not scheduled:
-            return
-        self.time_running_s += record.dt_s
-        for (pid, cpu), delta in record.events.items():
-            if self._matches(pid, cpu):
-                self.raw += delta.get(self.event, 0.0)
+        self.time_running_s = fold_add(self.time_running_s, dt, n_running)
+        if events is not self._events:
+            # One addend per (pid, cpu) delta this counter's target
+            # covers, in the order a tick folds them.
+            pid, cpu, event = self.pid, self.cpu, self.event
+            self._events = events
+            self._addends = [delta.get(event, 0.0)
+                             for (delta_pid, delta_cpu), delta in events.items()
+                             if (pid < 0 or delta_pid == pid)
+                             and (cpu < 0 or delta_cpu == cpu)]
+        self.raw = fold_add(self.raw, self._addends, n_running)
 
 
 class PerfSession:
@@ -149,7 +154,7 @@ class PerfSession:
         self._dead_pids: set = set()
         self._sample_loss = False
         self._closed = False
-        machine.add_observer(self._on_tick)
+        machine.add_fold(self._fold)
 
     @property
     def closed(self) -> bool:
@@ -183,7 +188,7 @@ class PerfSession:
         self._closed = True
         for counter in list(self._counters.values()):
             counter.close()
-        self.machine.remove_observer(self._on_tick)
+        self.machine.remove_fold(self._fold)
 
     # -- fault injection -------------------------------------------------
 
@@ -215,12 +220,14 @@ class PerfSession:
     def _release(self, counter: PerfCounter) -> None:
         self._counters.pop(counter.counter_id, None)
 
-    def _on_tick(self, record: TickRecord) -> None:
+    def _fold(self, record: TickRecord, n_ticks: int) -> None:
         active = [counter for counter in self._counters.values()
                   if counter.enabled]
-        scheduled_ids = self._mux.schedule(active)
+        running = self._mux.running_ticks(active, n_ticks)
+        dt = (record.dt_s,)
         for counter in active:
-            counter._accumulate(record, counter.counter_id in scheduled_ids)
+            counter._accumulate(dt, record.events, n_ticks,
+                                running.get(counter.counter_id, 0))
 
     def __enter__(self) -> "PerfSession":
         return self

@@ -15,6 +15,7 @@ any window longer than a few ticks.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
@@ -70,6 +71,35 @@ class MultiplexScheduler:
                 scheduled.add(members[(start + offset) % len(members)].counter_id)
             self._rotation[target] = (start + slots) % len(members)
         return scheduled
+
+    def running_ticks(self, counters: Sequence,
+                      n_ticks: int) -> Dict[int, int]:
+        """Ticks each of *counters* holds a slot over *n_ticks* ticks.
+
+        Keyed by ``counter_id`` (counters never scheduled are absent);
+        leaves the rotation state exactly as *n_ticks* :meth:`schedule`
+        calls would.  A schedule in which every group fits (or no slot
+        is usable) repeats unchanged, so only a rotating group costs one
+        :meth:`schedule` call per tick.
+        """
+        scheduled = self.schedule(counters)
+        if n_ticks == 1 or not self._rotates(counters):
+            return dict.fromkeys(scheduled, n_ticks)
+        running = dict.fromkeys(scheduled, 1)
+        for _ in repeat(None, n_ticks - 1):
+            for counter_id in self.schedule(counters):
+                running[counter_id] = running.get(counter_id, 0) + 1
+        return running
+
+    def _rotates(self, counters: Sequence) -> bool:
+        """Whether some target has more counters than usable slots."""
+        slots = self.effective_slots
+        if slots == 0:
+            return False
+        sizes: Dict[Tuple[int, int], int] = defaultdict(int)
+        for counter in counters:
+            sizes[(counter.pid, counter.cpu)] += 1
+        return any(size > slots for size in sizes.values())
 
     def rotation_targets(self) -> Tuple[Tuple[int, int], ...]:
         """Targets with live rotation state (introspection for tests)."""

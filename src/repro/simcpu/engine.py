@@ -34,6 +34,12 @@ record per tick with fully committed machine state, exactly as before;
 with no observers the per-tick record materialisation is skipped and
 the counter cells are accumulated column-wise, which is where the
 order-of-magnitude throughput win comes from.
+
+*Folds* (``Machine.add_fold``) are the observers that only need what a
+program holds constant — ``dt_s``, events, busy map and frequencies —
+and none of the per-tick leakage or time.  Each is called once per
+replay with the final record and the tick count, and performs the
+per-tick additions itself, so folds keep the column-wise path open.
 """
 
 from __future__ import annotations
@@ -47,6 +53,25 @@ from repro.simcpu.power import CoreActivity, PowerBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (machine -> engine)
     from repro.simcpu.machine import Machine, ThreadAssignment, TickRecord
+
+
+def fold_add(value: float, addends: Sequence[float], n_ticks: int) -> float:
+    """*value* after *n_ticks* rounds of adding each of *addends* in order.
+
+    The float additions *n_ticks* one-tick folds make — never a single
+    ``n * addend`` — so a fold over a batch rounds exactly like a loop
+    over its ticks.
+    """
+    if len(addends) == 1:
+        addend = addends[0]
+        for _ in repeat(None, n_ticks):
+            value += addend
+        return value
+    if addends:
+        for _ in repeat(None, n_ticks):
+            for addend in addends:
+                value += addend
+    return value
 
 
 class TickProgram:
@@ -253,7 +278,8 @@ class BatchEngine:
         tick-at-a-time loop.  Without observers only the final record is
         built and the accumulation cells are walked column-wise — one
         tight ``t += d`` loop per cell — which performs the identical
-        additions in a cell-local order.
+        additions in a cell-local order.  Either way each fold then sees
+        the final record once, with *n_ticks*.
         """
         from repro.simcpu.machine import TickRecord
 
@@ -318,6 +344,8 @@ class BatchEngine:
                 machine.last_record = record
                 for observer in observers:
                     observer(record)
+            for fold in machine._folds:
+                fold(record, n_ticks)
             return record
 
         # No observers: nothing can see intermediate state, so integrate
@@ -331,16 +359,9 @@ class BatchEngine:
             energy += ((base_w + leak) + wakeup_w) * dt
             time_s += dt
         for container, index, addend in single_cells:
-            value = container[index]
-            for _ in repeat(None, n_ticks):
-                value += addend
-            container[index] = value
+            container[index] = fold_add(container[index], (addend,), n_ticks)
         for container, index, addends in multi_cells:
-            value = container[index]
-            for _ in repeat(None, n_ticks):
-                for addend in addends:
-                    value += addend
-            container[index] = value
+            container[index] = fold_add(container[index], addends, n_ticks)
 
         thermal.temperature_c = temp
         machine._energy_j = energy
@@ -360,4 +381,6 @@ class BatchEngine:
         )
         record.__dict__["_machine_events"] = program.machine_events
         machine.last_record = record
+        for fold in machine._folds:
+            fold(record, n_ticks)
         return record

@@ -12,8 +12,9 @@ instruction mix and memory profile — and the machine
 4. accounts C-state residencies,
 5. evaluates the hidden ground-truth power model.
 
-Every step produces a :class:`TickRecord`; observers (power meters, perf
-counters, trace recorders) subscribe to the stream.
+Every step produces a :class:`TickRecord`; observers (power meters, trace
+recorders) subscribe to the stream, and folds (perf counters, procfs) take
+each engine replay at once.
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ class TickRecord:
 
 
 TickObserver = Callable[[TickRecord], None]
+#: ``fold(record, n_ticks)``: fold *n_ticks* identical ticks, of which
+#: *record* is the last, into the subscriber's own state.
+TickFold = Callable[[TickRecord, int], None]
 
 
 class Machine:
@@ -123,6 +127,7 @@ class Machine:
         self._time_s = 0.0
         self._energy_j = 0.0
         self._observers: List[TickObserver] = []
+        self._folds: List[TickFold] = []
         #: The most recent tick record (None before the first step).
         self.last_record: Optional[TickRecord] = None
         # Hot-path lookups resolved once: the topology is immutable, and
@@ -141,7 +146,9 @@ class Machine:
             cpu_id: 0.0 for cpu_id in topology.cpu_ids}
         self._line_bytes_cached = (spec.caches[-1].line_bytes
                                    if spec.caches else 64)
-        self._engine = BatchEngine(self)
+        #: Compiles occupancies into programs and replays them; the
+        #: kernel holds a program across a run of identical quanta.
+        self.engine = BatchEngine(self)
 
     # -- observers -----------------------------------------------------
 
@@ -158,6 +165,25 @@ class Machine:
         """
         try:
             self._observers.remove(observer)
+        except ValueError:
+            pass
+
+    def add_fold(self, fold: TickFold) -> None:
+        """Subscribe *fold* to every replay, called once per replay.
+
+        A fold reads only the record's ``dt_s``, ``events``,
+        ``cpu_busy`` and ``core_frequencies_hz``, which every tick of a
+        replay shares (every replay of one program passes the same
+        mapping objects), and must leave its state as *n_ticks* one-tick
+        calls would.  Unlike an observer, it keeps the engine's
+        column-wise replay available.
+        """
+        self._folds.append(fold)
+
+    def remove_fold(self, fold: TickFold) -> None:
+        """Unsubscribe a fold; a no-op if it is not subscribed."""
+        try:
+            self._folds.remove(fold)
         except ValueError:
             pass
 
@@ -188,8 +214,8 @@ class Machine:
         """
         if dt_s <= 0:
             raise ConfigurationError(f"dt_s must be positive, got {dt_s}")
-        program = self._engine.program(assignments, dt_s)
-        return self._engine.replay(program, 1)
+        program = self.engine.program(assignments, dt_s)
+        return self.engine.replay(program, 1)
 
     def run_batch(self, assignments: Sequence[ThreadAssignment],
                   n_ticks: int, dt_s: float = 0.01) -> TickRecord:
@@ -198,14 +224,14 @@ class Machine:
         State (counters, residencies, thermal, energy, time) ends up
         bit-identical to calling :meth:`step` *n_ticks* times; the record
         returned is the final tick's.  Observers, when attached, still
-        see every intermediate tick.
+        see every intermediate tick; folds see the batch once.
         """
         if dt_s <= 0:
             raise ConfigurationError(f"dt_s must be positive, got {dt_s}")
         if n_ticks < 1:
             raise ConfigurationError(f"n_ticks must be >= 1, got {n_ticks}")
-        program = self._engine.program(assignments, dt_s)
-        return self._engine.replay(program, n_ticks)
+        program = self.engine.program(assignments, dt_s)
+        return self.engine.replay(program, n_ticks)
 
     def run_schedule(self, schedule: Sequence[
             Tuple[Sequence[ThreadAssignment], int]],

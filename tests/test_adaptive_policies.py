@@ -23,7 +23,7 @@ class TestEnergyAwareScheduler:
         kernel = SimKernel(spec, scheduler_factory=EnergyAwareScheduler,
                            quantum_s=0.01)
         kernel.spawn(CpuStress(utilization=0.4, duration_s=10.0))
-        record = kernel.run(0.05)[-1]
+        record = kernel.run(0.05)
         assert kernel.scheduler.mode == "pack"
         busy = {cpu for cpu, value in record.cpu_busy.items() if value > 0}
         assert busy <= {0, 2}  # core 0's hyperthreads only
@@ -33,7 +33,7 @@ class TestEnergyAwareScheduler:
                            quantum_s=0.01)
         for _ in range(3):
             kernel.spawn(CpuStress(utilization=1.0, duration_s=10.0))
-        record = kernel.run(0.05)[-1]
+        record = kernel.run(0.05)
         assert kernel.scheduler.mode == "spread"
         cores = {Topology(spec).cpu(cpu).core_id
                  for cpu, value in record.cpu_busy.items() if value > 0}

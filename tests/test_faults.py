@@ -362,6 +362,22 @@ class TestActorCrash:
                 if r.time_s > restarted.time_s and not r.gap]
         assert late
 
+    def test_sensor_restarts_inside_a_sample_loss_window(self, kernel,
+                                                        model):
+        """The restarted sensor reopens its counters while reads fail;
+        its fresh baseline must not need a read."""
+        pid = kernel.spawn(CpuStress(duration_s=20.0))
+        api = PowerAPI(kernel, model)
+        handle = api.monitor(pid).every(0.5).to(InMemoryReporter())
+        api.install_faults(FaultPlan.parse(
+            "hpc-loss@1:1;crash@1.5:sensor-0"))
+        api.run(4.0)
+        restarted = next(e for e in handle.health
+                         if e.kind == "actor-restarted")
+        assert restarted.component == "sensor-0"
+        assert any(not r.gap and r.time_s > 2.5
+                   for r in handle.reporter.aggregated)
+
     def test_crash_unknown_actor_is_harmless(self, kernel, model):
         pid = kernel.spawn(CpuStress(duration_s=20.0))
         api = PowerAPI(kernel, model)

@@ -87,22 +87,22 @@ class TestGovernorIntegration:
         kernel = SimKernel(i3_spec, governor_factory=PowersaveGovernor,
                            quantum_s=0.01)
         kernel.spawn(CpuStress(duration_s=1.0))
-        record = kernel.run(0.05)[-1]
+        record = kernel.run(0.05)
         assert record.core_frequencies_hz[(0, 0)] == i3_spec.min_frequency_hz
 
     def test_ondemand_raises_frequency_under_load(self, i3_spec):
         kernel = SimKernel(i3_spec, governor_factory=OndemandGovernor,
                            quantum_s=0.01)
         kernel.spawn(CpuStress(utilization=1.0, duration_s=2.0))
-        records = kernel.run(0.05)
-        assert records[-1].core_frequencies_hz[(0, 0)] == i3_spec.max_frequency_hz
+        record = kernel.run(0.05)
+        assert record.core_frequencies_hz[(0, 0)] == i3_spec.max_frequency_hz
 
     def test_pack_scheduler_consolidates(self, i3_spec):
         kernel = SimKernel(i3_spec, scheduler_factory=PackScheduler,
                            quantum_s=0.01)
         kernel.spawn(CpuStress(duration_s=1.0))
         kernel.spawn(CpuStress(duration_s=1.0))
-        record = kernel.run(0.02)[-1]
+        record = kernel.run(0.02)
         busy_cpus = {cpu for cpu, busy in record.cpu_busy.items() if busy > 0}
         assert busy_cpus == {0, 2}  # both hyperthreads of core 0
 

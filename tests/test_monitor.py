@@ -112,6 +112,27 @@ class TestMonitoring:
         api.run_until_idle(max_duration_s=5.0)
         assert kernel.time_s < 1.0
 
+    def test_run_until_idle_deadline_is_relative_to_the_call(self, model):
+        """Like SimKernel.run_until_idle: at most *max_duration_s* more,
+        not until absolute time *max_duration_s*."""
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.01)
+        pid = kernel.spawn(CpuStress(duration_s=8.0))
+        api = PowerAPI(kernel, model)
+        api.monitor(pid).every(1.0).to(InMemoryReporter())
+        api.run(6.0)
+        api.run_until_idle(max_duration_s=5.0)
+        assert kernel.live_pids == ()
+        assert kernel.time_s == pytest.approx(8.01)
+
+    def test_run_until_idle_stops_at_its_deadline(self, kernel, model):
+        pid = kernel.spawn(CpuStress(duration_s=8.0))
+        api = PowerAPI(kernel, model)
+        api.monitor(pid).every(0.5).to(InMemoryReporter())
+        api.run(1.0)
+        api.run_until_idle(max_duration_s=0.3)
+        assert kernel.live_pids == (pid,)
+        assert kernel.time_s == pytest.approx(1.3)
+
     def test_attach_meter_publishes(self, kernel, model):
         from repro.core.messages import PowerMeterReport
         from repro.actors.actor import Actor

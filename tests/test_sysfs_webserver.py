@@ -132,5 +132,5 @@ class TestWebServerWorkload:
     def test_runs_under_kernel(self):
         kernel = SimKernel(intel_i3_2120(), quantum_s=0.05)
         kernel.spawn(WebServerWorkload(duration_s=100, seed=6))
-        records = kernel.run(5.0)
-        assert any(sum(r.cpu_busy.values()) > 0 for r in records)
+        kernel.run(5.0)
+        assert kernel.procfs.machine_load() > 0
