@@ -62,13 +62,15 @@ def bertran_model(core2_spec):
 def speccpu_windows(core2_spec):
     """Each app measured alone at steady state, like Bertran's protocol."""
     windows = {}
-    for name in APP_NAMES:
+    # Seeded by position: str hashes are salted per process, so a
+    # hash-derived seed would change the result on every run.
+    for index, name in enumerate(APP_NAMES):
         windows[name] = run_windows(
             core2_spec, [spec_cpu_app(name)],
             frequency_hz=core2_spec.max_frequency_hz,
             events=BERTRAN_EVENTS, duration_s=30.0, window_s=1.0,
             settle_s=SETTLE_S, quantum_s=0.05,
-            meter_seed=hash(name) % 10_000)
+            meter_seed=index)
     return windows
 
 

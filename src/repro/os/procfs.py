@@ -11,7 +11,7 @@ hidden power model.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ProcessError
 from repro.simcpu.engine import fold_add
@@ -34,7 +34,8 @@ class ProcFs:
         self._pid_addends: List[Tuple[int, List[float]]] = []
         machine.add_fold(self._fold)
 
-    def _fold(self, record: TickRecord, n_ticks: int) -> None:
+    def _fold(self, record: TickRecord, n_ticks: int,
+              leaks: Sequence[float], start_s: float) -> None:
         if record.events is not self._events:
             self._derive_addends(record)
         self._total_time_s = fold_add(self._total_time_s, self._dt, n_ticks)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import (CounterInvalidError, CounterStateError,
                           SampleLossError)
@@ -220,7 +220,8 @@ class PerfSession:
     def _release(self, counter: PerfCounter) -> None:
         self._counters.pop(counter.counter_id, None)
 
-    def _fold(self, record: TickRecord, n_ticks: int) -> None:
+    def _fold(self, record: TickRecord, n_ticks: int,
+              leaks: Sequence[float], start_s: float) -> None:
         active = [counter for counter in self._counters.values()
                   if counter.enabled]
         running = self._mux.running_ticks(active, n_ticks)

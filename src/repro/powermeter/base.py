@@ -1,16 +1,25 @@
 """Power-meter abstractions.
 
-Meters attach to a machine's tick stream and integrate true wall power
-into periodic :class:`PowerSample` readings, each subclass adding its own
-imperfections (noise, quantization, latency, restricted measurement
-domain).  The learning pipeline and the evaluation figures consume the
-common :class:`PowerMeter` interface only.
+Meters integrate true wall power into periodic :class:`PowerSample`
+readings, each subclass adding its own imperfections (noise,
+quantization, latency, restricted measurement domain).  The learning
+pipeline and the evaluation figures consume the common
+:class:`PowerMeter` interface only.
+
+A connected meter is a machine *fold*: it takes each engine replay in
+one call and walks the replay's per-tick leakage powers, adding
+``((base + leak) + wakeup) * dt`` per tick (the association
+``PowerBreakdown.total`` and the engine's energy line use) and closing
+a sample whenever its interval fills.  Sample times advance from the
+replay's start by repeated ``+ dt``, and :meth:`PowerMeter._postprocess`
+runs once per sample, so every float and every random draw matches a
+tick-at-a-time meter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError, MeterConnectionError
 from repro.simcpu.machine import Machine, TickRecord
@@ -57,7 +66,7 @@ class PowerMeter:
                 f"t={self._link_down_until_s:.3f}s")
         if self._connected:
             return
-        self.machine.add_observer(self._on_tick)
+        self.machine.add_fold(self._fold)
         self._connected = True
 
     def inject_dropout(self, down_s: float) -> None:
@@ -79,7 +88,7 @@ class PowerMeter:
         """Detach; accumulated samples remain readable."""
         if not self._connected:
             return
-        self.machine.remove_observer(self._on_tick)
+        self.machine.remove_fold(self._fold)
         self._connected = False
 
     @property
@@ -101,21 +110,29 @@ class PowerMeter:
 
     # -- sampling ---------------------------------------------------------
 
-    def _on_tick(self, record: TickRecord) -> None:
-        self._interval_energy_j += self._measured_power(record) * record.dt_s
-        self._interval_elapsed_s += record.dt_s
-        while self._interval_elapsed_s >= self.sample_interval_s - 1e-12:
-            average = self._interval_energy_j / self._interval_elapsed_s
-            self._samples.append(PowerSample(
-                time_s=record.time_s,
-                power_w=self._postprocess(average),
-            ))
-            self._interval_energy_j = 0.0
-            self._interval_elapsed_s = 0.0
-
-    def _measured_power(self, record: TickRecord) -> float:
-        """What part of the machine's power this meter sees (default: wall)."""
-        return record.wall_power_w
+    def _fold(self, record: TickRecord, n_ticks: int,
+              leaks: Sequence[float], start_s: float) -> None:
+        power = record.power
+        base_w = ((power.idle + power.cores) + power.uncore) + power.dram
+        wakeup_w = power.wakeup
+        dt = record.dt_s
+        threshold_s = self.sample_interval_s - 1e-12
+        energy = self._interval_energy_j
+        elapsed = self._interval_elapsed_s
+        time_s = start_s
+        for leak in leaks:
+            energy += ((base_w + leak) + wakeup_w) * dt
+            elapsed += dt
+            time_s += dt
+            if elapsed >= threshold_s:
+                self._samples.append(PowerSample(
+                    time_s=time_s,
+                    power_w=self._postprocess(energy / elapsed),
+                ))
+                energy = 0.0
+                elapsed = 0.0
+        self._interval_energy_j = energy
+        self._interval_elapsed_s = elapsed
 
     def _postprocess(self, power_w: float) -> float:
         """Apply the meter's imperfections to a clean average (default: none)."""

@@ -13,14 +13,21 @@ the real interface quirks consumers must handle:
   the system, so it cannot substitute for a wall meter,
 * the interface only exists on Intel parts — the portability limitation
   that motivates the paper's counter-based approach.
+
+:class:`RaplInterface` is a machine *fold*.  Per tick the package domain
+adds ``(((cores + uncore) + leak) + wakeup) * dt``, walking the replay's
+leakage powers; PP0 and DRAM add a constant per tick, so they fold with
+``fold_add``.  The energies end bit-identical to a tick-at-a-time
+integration.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict
+from typing import Dict, Sequence
 
 from repro.errors import PowerMeterError
+from repro.simcpu.engine import fold_add
 from repro.simcpu.machine import Machine, TickRecord
 
 #: MSR addresses (Intel SDM).
@@ -53,7 +60,7 @@ _DOMAIN_MSR = {
 
 
 class RaplInterface:
-    """MSR-level RAPL emulation over a machine's tick stream."""
+    """MSR-level RAPL emulation over a machine's replays."""
 
     def __init__(self, machine: Machine) -> None:
         if machine.spec.vendor.lower() != "intel":
@@ -62,18 +69,27 @@ class RaplInterface:
         self.machine = machine
         self._energy_j: Dict[RaplDomain, float] = {
             domain: 0.0 for domain in RaplDomain}
-        machine.add_observer(self._on_tick)
+        machine.add_fold(self._fold)
 
-    def _on_tick(self, record: TickRecord) -> None:
+    def _fold(self, record: TickRecord, n_ticks: int,
+              leaks: Sequence[float], start_s: float) -> None:
         # Package = cores + uncore; PP0 = cores only; DRAM separate.  The
         # idle baseline outside the CPU (fans, disk, board) is invisible to
         # RAPL, which is why it cannot replace a wall meter.
-        package_w = (record.power.cores + record.power.uncore
-                     + record.power.leakage + record.power.wakeup)
-        self._energy_j[RaplDomain.PACKAGE] += package_w * record.dt_s
-        self._energy_j[RaplDomain.PP0] += (
-            (record.power.cores + record.power.wakeup) * record.dt_s)
-        self._energy_j[RaplDomain.DRAM] += record.power.dram * record.dt_s
+        power = record.power
+        dt = record.dt_s
+        active_w = power.cores + power.uncore
+        wakeup_w = power.wakeup
+        energy = self._energy_j
+        package_j = energy[RaplDomain.PACKAGE]
+        for leak in leaks:
+            package_j += ((active_w + leak) + wakeup_w) * dt
+        energy[RaplDomain.PACKAGE] = package_j
+        energy[RaplDomain.PP0] = fold_add(
+            energy[RaplDomain.PP0], ((power.cores + power.wakeup) * dt,),
+            n_ticks)
+        energy[RaplDomain.DRAM] = fold_add(
+            energy[RaplDomain.DRAM], (power.dram * dt,), n_ticks)
 
     # -- MSR interface -------------------------------------------------------
 

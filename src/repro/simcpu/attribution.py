@@ -20,6 +20,11 @@ owns):
 
 This module is part of the *hidden* substrate: estimation code must not
 import it.  Tests and benchmarks use it as the per-process oracle.
+
+:class:`TrueProcessPower` is a machine *fold*.  Attribution ignores
+leakage, so every tick of a replay has the same shares: it attributes
+once per replay, then adds each pid's ``watts * dt`` and the duration
+once per tick with ``fold_add``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.simcpu import counters as ev
 from repro.simcpu.counters import EventDelta
+from repro.simcpu.engine import fold_add
 from repro.simcpu.power import SMT_SECOND_THREAD_FACTOR, PowerBreakdown
 
 
@@ -125,11 +131,11 @@ def attribute_power(
 
 
 class TrueProcessPower:
-    """Oracle observer: integrates ground-truth active energy per pid.
+    """Oracle fold: integrates ground-truth active energy per pid.
 
-    Attach to a machine (or pass to ``Machine.add_observer``); read
-    :meth:`energy_j` / :meth:`mean_power_w` afterwards.  For validation
-    only — the estimation pipeline never sees these numbers.
+    Attaches to *machine* on construction; read :meth:`energy_j` /
+    :meth:`mean_power_w` afterwards.  For validation only — the
+    estimation pipeline never sees these numbers.
     """
 
     def __init__(self, machine) -> None:
@@ -138,18 +144,21 @@ class TrueProcessPower:
                              for p, c in machine.topology.cores()]
         self._energy_j: Dict[int, float] = defaultdict(float)
         self._duration_s = 0.0
-        machine.add_observer(self._on_tick)
+        machine.add_fold(self._fold)
 
-    def _on_tick(self, record) -> None:
+    def _fold(self, record, n_ticks: int, leaks: Sequence[float],
+              start_s: float) -> None:
         shares = attribute_power(record.power, record.events,
                                  record.cpu_busy, self._core_groups)
+        dt = record.dt_s
+        energy = self._energy_j
         for pid, watts in shares.items():
-            self._energy_j[pid] += watts * record.dt_s
-        self._duration_s += record.dt_s
+            energy[pid] = fold_add(energy[pid], (watts * dt,), n_ticks)
+        self._duration_s = fold_add(self._duration_s, (dt,), n_ticks)
 
     def detach(self) -> None:
         """Stop observing."""
-        self._machine.remove_observer(self._on_tick)
+        self._machine.remove_fold(self._fold)
 
     @property
     def duration_s(self) -> float:

@@ -16,9 +16,10 @@ This module splits the step into the two halves the tick loop conflates:
   the per-(pid, cpu) event deltas, the shared events/busy/frequency
   mappings of the eventual :class:`~repro.simcpu.machine.TickRecord`,
   the constant components of the power breakdown, and a flat list of
-  *accumulation cells* — ``(container, index, addends)`` triples over
-  the struct-of-arrays :class:`~repro.simcpu.counters.CounterBank`
-  columns and the C-state residency table.
+  *accumulation cells* — ``(container, index, addend)`` triples, in the
+  order one tick adds them, over the struct-of-arrays
+  :class:`~repro.simcpu.counters.CounterBank` columns and the C-state
+  residency table.
 * **replay** — :meth:`BatchEngine.replay` advances N ticks by replaying
   only the data-dependent state updates: the first-order thermal
   relaxation, the energy and time integrals, and one float addition per
@@ -29,17 +30,18 @@ replaying a program performs exactly the float operations, in exactly
 the order, that N calls of the tick-at-a-time step would — repeated
 addition per cell rather than a single ``n * delta`` fold, the same
 association order in the power total, the same two data-dependent
-thermal lines per tick.  Observers attached to the machine see one
-record per tick with fully committed machine state, exactly as before;
-with no observers the per-tick record materialisation is skipped and
-the counter cells are accumulated column-wise, which is where the
-order-of-magnitude throughput win comes from.
+thermal lines per tick.  There is one replay path: the scalar
+recurrences run tick by tick, the counter cells are added column-wise
+(one tight loop per cell; cells are independent memory locations, so
+the order across cells is free), and only the final record is built.
 
-*Folds* (``Machine.add_fold``) are the observers that only need what a
-program holds constant — ``dt_s``, events, busy map and frequencies —
-and none of the per-tick leakage or time.  Each is called once per
-replay with the final record and the tick count, and performs the
-per-tick additions itself, so folds keep the column-wise path open.
+Every subscriber is a *fold* (``Machine.add_fold``), called once per
+replay as ``fold(record, n_ticks, leaks, start_s)``: the final record,
+the tick count, each tick's leakage power (the one per-tick value a
+program does not fix — it follows the temperature recurrence) and the
+machine time the replay started from.  A fold performs the per-tick
+additions itself, in the order a tick-at-a-time loop would, so its state
+ends bit-identical to *n_ticks* one-tick calls.
 """
 
 from __future__ import annotations
@@ -79,10 +81,10 @@ class TickProgram:
     that does not change from tick to tick."""
 
     __slots__ = (
-        "dt_s", "cpu_busy", "core_freqs", "events", "machine_events",
-        "single_cells", "multi_cells", "current_states", "has_counters",
-        "idle_w", "cores_w", "uncore_w", "dram_w", "wakeup_w", "base_w",
-        "dynamic_w", "bank", "cstates",
+        "dt_s", "cpu_busy", "core_freqs", "events", "cells",
+        "grouped_cells", "current_states", "has_counters", "idle_w",
+        "cores_w", "uncore_w", "dram_w", "wakeup_w", "base_w", "dynamic_w",
+        "bank", "cstates",
     )
 
 
@@ -174,8 +176,8 @@ class BatchEngine:
         program.cpu_busy = cpu_busy
         program.core_freqs = core_freqs
         program.events = events
-        program.machine_events = self._merged_events(events)
-        program.single_cells, program.multi_cells = self._group_cells(raw_cells)
+        program.cells = raw_cells
+        program.grouped_cells = None  # grouped on the first longer replay
         program.current_states = current_states
         program.has_counters = has_counters
         program.idle_w = breakdown.idle
@@ -232,15 +234,6 @@ class BatchEngine:
         return activities, cells, current_states
 
     @staticmethod
-    def _merged_events(events: Dict[Tuple[int, int], EventDelta]) -> EventDelta:
-        """Machine-wide merge, exactly as ``TickRecord.machine_events``."""
-        merged = EventDelta()
-        for delta in events.values():
-            for event, count in delta.items():
-                merged[event] = merged.get(event, 0.0) + count
-        return merged
-
-    @staticmethod
     def _group_cells(raw_cells):
         """Group (container, index, addend) triples by cell, keeping order.
 
@@ -260,114 +253,61 @@ class BatchEngine:
                 grouped[group_key] = entry
                 order.append(entry)
             entry[2].append(addend)
-        singles = [(container, index, addends[0])
-                   for container, index, addends in order
-                   if len(addends) == 1]
-        multis = [(container, index, tuple(addends))
-                  for container, index, addends in order
-                  if len(addends) > 1]
-        return singles, multis
+        return [(container, index, tuple(addends))
+                for container, index, addends in order]
 
     # -- replay --------------------------------------------------------
 
     def replay(self, program: TickProgram, n_ticks: int) -> "TickRecord":
         """Advance *n_ticks* of the program; returns the final tick's record.
 
-        With observers attached every tick materialises (and delivers) a
-        full record over fully committed machine state, exactly like the
-        tick-at-a-time loop.  Without observers only the final record is
-        built and the accumulation cells are walked column-wise — one
-        tight ``t += d`` loop per cell — which performs the identical
-        additions in a cell-local order.  Either way each fold then sees
-        the final record once, with *n_ticks*.
+        The thermal, energy and time recurrences run tick by tick and
+        record each tick's leakage.  A one-tick replay then adds the raw
+        cells in compile order; a longer one adds each grouped cell in
+        its own ``fold_add`` loop, the identical additions in a
+        cell-local order.  Each fold then sees the final record once.
         """
         from repro.simcpu.machine import TickRecord
 
         machine = self._machine
-        observers = machine._observers
         thermal = machine.thermal
         dt = program.dt_s
         target_c, decay, leak_per_c, ambient_c = thermal.batch_constants(
             program.dynamic_w, dt)
         temp = thermal.temperature_c
         energy = machine._energy_j
-        time_s = machine._time_s
+        start_s = time_s = machine._time_s
         base_w = program.base_w
         wakeup_w = program.wakeup_w
-        single_cells = program.single_cells
-        multi_cells = program.multi_cells
-
-        for cpu_id, state_name in program.current_states.items():
-            program.cstates.set_current_state(cpu_id, state_name)
-
-        record = None
-        if observers or n_ticks == 1:
-            idle_w = program.idle_w
-            cores_w = program.cores_w
-            uncore_w = program.uncore_w
-            dram_w = program.dram_w
-            events = program.events
-            cpu_busy = program.cpu_busy
-            core_freqs = program.core_freqs
-            machine_events = program.machine_events
-            has_counters = program.has_counters
-            bank = program.bank
-            for _ in repeat(None, n_ticks):
-                temp += (target_c - temp) * decay
-                rise_c = temp - ambient_c
-                leak = leak_per_c * (rise_c if rise_c > 0.0 else 0.0)
-                thermal.temperature_c = temp
-                energy += ((base_w + leak) + wakeup_w) * dt
-                time_s += dt
-                for container, index, addend in single_cells:
-                    container[index] += addend
-                for container, index, addends in multi_cells:
-                    value = container[index]
-                    for addend in addends:
-                        value += addend
-                    container[index] = value
-                if has_counters:
-                    bank.mark_dirty()
-                machine._energy_j = energy
-                machine._time_s = time_s
-                record = TickRecord(
-                    time_s=time_s,
-                    dt_s=dt,
-                    power=PowerBreakdown(
-                        idle=idle_w, cores=cores_w, uncore=uncore_w,
-                        dram=dram_w, leakage=leak, wakeup=wakeup_w),
-                    events=events,
-                    cpu_busy=cpu_busy,
-                    core_frequencies_hz=core_freqs,
-                )
-                record.__dict__["_machine_events"] = machine_events
-                machine.last_record = record
-                for observer in observers:
-                    observer(record)
-            for fold in machine._folds:
-                fold(record, n_ticks)
-            return record
-
-        # No observers: nothing can see intermediate state, so integrate
-        # the scalars tick-wise (thermal/energy/time are genuine
-        # recurrences) and each counter cell in its own tight loop.
+        leaks = []
         leak = 0.0
         for _ in repeat(None, n_ticks):
             temp += (target_c - temp) * decay
             rise_c = temp - ambient_c
             leak = leak_per_c * (rise_c if rise_c > 0.0 else 0.0)
+            leaks.append(leak)
             energy += ((base_w + leak) + wakeup_w) * dt
             time_s += dt
-        for container, index, addend in single_cells:
-            container[index] = fold_add(container[index], (addend,), n_ticks)
-        for container, index, addends in multi_cells:
-            container[index] = fold_add(container[index], addends, n_ticks)
-
         thermal.temperature_c = temp
         machine._energy_j = energy
         machine._time_s = time_s
+
+        if n_ticks == 1:
+            for container, index, addend in program.cells:
+                container[index] += addend
+        else:
+            cells = program.grouped_cells
+            if cells is None:
+                cells = program.grouped_cells = self._group_cells(
+                    program.cells)
+            for container, index, addends in cells:
+                container[index] = fold_add(container[index], addends,
+                                            n_ticks)
         if program.has_counters:
             program.bank.mark_dirty()
+        for cpu_id, state_name in program.current_states.items():
+            program.cstates.set_current_state(cpu_id, state_name)
+
         record = TickRecord(
             time_s=time_s,
             dt_s=dt,
@@ -379,8 +319,7 @@ class BatchEngine:
             cpu_busy=program.cpu_busy,
             core_frequencies_hz=program.core_freqs,
         )
-        record.__dict__["_machine_events"] = program.machine_events
         machine.last_record = record
         for fold in machine._folds:
-            fold(record, n_ticks)
+            fold(record, n_ticks, leaks, start_s)
         return record

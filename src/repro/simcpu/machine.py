@@ -12,14 +12,14 @@ instruction mix and memory profile — and the machine
 4. accounts C-state residencies,
 5. evaluates the hidden ground-truth power model.
 
-Every step produces a :class:`TickRecord`; observers (power meters, trace
-recorders) subscribe to the stream, and folds (perf counters, procfs) take
+Every step produces a :class:`TickRecord`.  Subscribers (perf counters,
+procfs, power meters, the per-process power oracle) are folds that take
 each engine replay at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, TopologyError
@@ -90,9 +90,8 @@ class TickRecord:
     def machine_events(self) -> EventDelta:
         """Machine-wide event delta (sum over all processes and CPUs).
 
-        The merge is computed once and cached: several observers (power
-        meters, system-wide counters) ask for it on every tick.  Treat
-        the returned delta as read-only.
+        The merge is computed on the first call and cached on the
+        record.  Treat the returned delta as read-only.
         """
         cached = self.__dict__.get("_machine_events")
         if cached is None:
@@ -106,9 +105,11 @@ class TickRecord:
 
 
 TickObserver = Callable[[TickRecord], None]
-#: ``fold(record, n_ticks)``: fold *n_ticks* identical ticks, of which
-#: *record* is the last, into the subscriber's own state.
-TickFold = Callable[[TickRecord, int], None]
+#: ``fold(record, n_ticks, leaks, start_s)``: fold *n_ticks* ticks of one
+#: program, of which *record* is the last, into the subscriber's own
+#: state; ``leaks[i]`` is tick *i*'s leakage power and *start_s* the
+#: machine time before the first tick.
+TickFold = Callable[[TickRecord, int, Sequence[float], float], None]
 
 
 class Machine:
@@ -126,8 +127,8 @@ class Machine:
         self.counters = CounterBank()
         self._time_s = 0.0
         self._energy_j = 0.0
-        self._observers: List[TickObserver] = []
         self._folds: List[TickFold] = []
+        self._observer_folds: Dict[TickObserver, TickFold] = {}
         #: The most recent tick record (None before the first step).
         self.last_record: Optional[TickRecord] = None
         # Hot-path lookups resolved once: the topology is immutable, and
@@ -150,33 +151,17 @@ class Machine:
         #: kernel holds a program across a run of identical quanta.
         self.engine = BatchEngine(self)
 
-    # -- observers -----------------------------------------------------
-
-    def add_observer(self, observer: TickObserver) -> None:
-        """Subscribe *observer* to the stream of tick records."""
-        self._observers.append(observer)
-
-    def remove_observer(self, observer: TickObserver) -> None:
-        """Unsubscribe an observer; a no-op if it is not subscribed.
-
-        Idempotent so that meters and sessions that double-close (or
-        disconnect after an earlier error path already detached them)
-        never crash a run.
-        """
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
+    # -- subscribers ---------------------------------------------------
 
     def add_fold(self, fold: TickFold) -> None:
         """Subscribe *fold* to every replay, called once per replay.
 
-        A fold reads only the record's ``dt_s``, ``events``,
-        ``cpu_busy`` and ``core_frequencies_hz``, which every tick of a
-        replay shares (every replay of one program passes the same
-        mapping objects), and must leave its state as *n_ticks* one-tick
-        calls would.  Unlike an observer, it keeps the engine's
-        column-wise replay available.
+        A fold may read the record's ``dt_s``, ``events``, ``cpu_busy``,
+        ``core_frequencies_hz`` and the non-leakage power components,
+        which every tick of a replay shares (every replay of one program
+        passes the same mapping objects); per-tick leakage comes in
+        *leaks* and tick times are *start_s* plus repeated ``+ dt_s``.
+        It must leave its state as *n_ticks* one-tick calls would.
         """
         self._folds.append(fold)
 
@@ -186,6 +171,28 @@ class Machine:
             self._folds.remove(fold)
         except ValueError:
             pass
+
+    def add_observer(self, observer: TickObserver) -> None:
+        """Call *observer* with one record per tick, after each replay.
+
+        A fold-backed adapter for per-tick consumers outside the package:
+        the records are rebuilt from the fold's leak list after the
+        replay has committed machine state.
+        """
+        def per_tick(record, n_ticks, leaks, start_s):
+            time_s = start_s
+            for leak in leaks:
+                time_s += record.dt_s
+                observer(replace(record, time_s=time_s,
+                                 power=replace(record.power, leakage=leak)))
+
+        self.remove_observer(observer)
+        self._observer_folds[observer] = per_tick
+        self.add_fold(per_tick)
+
+    def remove_observer(self, observer: TickObserver) -> None:
+        """Unsubscribe an observer; a no-op if it is not subscribed."""
+        self.remove_fold(self._observer_folds.pop(observer, None))
 
     # -- state ----------------------------------------------------------
 
@@ -223,8 +230,7 @@ class Machine:
 
         State (counters, residencies, thermal, energy, time) ends up
         bit-identical to calling :meth:`step` *n_ticks* times; the record
-        returned is the final tick's.  Observers, when attached, still
-        see every intermediate tick; folds see the batch once.
+        returned is the final tick's.  Folds see the batch once.
         """
         if dt_s <= 0:
             raise ConfigurationError(f"dt_s must be positive, got {dt_s}")

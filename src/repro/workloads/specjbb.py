@@ -63,12 +63,14 @@ class SpecJbbWorkload(Workload):
         self._gc_duration_s = gc_duration_s
 
         rng = np.random.default_rng(seed)
-        # One jitter factor per second of trace, precomputed for determinism.
-        self._jitter = 1.0 + jitter * rng.standard_normal(
-            int(math.ceil(duration_s)) + 1)
+        # One jitter factor per second of trace, precomputed for
+        # determinism.  Held as Python floats (the same doubles), so
+        # demands carry no numpy scalars into the per-quantum arithmetic.
+        self._jitter = (1.0 + jitter * rng.standard_normal(
+            int(math.ceil(duration_s)) + 1)).tolist()
         # GC bursts drift around the nominal interval.
         self._gc_offsets = rng.uniform(-5.0, 5.0, size=max(
-            1, int(duration_s / gc_interval_s) + 2))
+            1, int(duration_s / gc_interval_s) + 2)).tolist()
 
         self._transaction_mix = InstructionMix(
             fp_fraction=0.05, simd_fraction=0.0,

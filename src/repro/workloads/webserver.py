@@ -57,8 +57,9 @@ class WebServerWorkload(Workload):
         n_spikes = int(round(spike_rate_per_day * days))
         self._spike_starts = sorted(
             float(rng.uniform(0, duration_s)) for _ in range(n_spikes))
-        self._jitter = 1.0 + 0.05 * rng.standard_normal(
-            int(math.ceil(duration_s)) + 1)
+        # Python floats, like SpecJbbWorkload's: no numpy scalars in demands.
+        self._jitter = (1.0 + 0.05 * rng.standard_normal(
+            int(math.ceil(duration_s)) + 1)).tolist()
 
         self._request_mix = InstructionMix(
             fp_fraction=0.02, branch_fraction=0.22, branch_miss_rate=0.05)

@@ -1,8 +1,8 @@
 """Unit tests of the span machinery: folds and the clock's span bound.
 
 A fold takes a batch of identical ticks in one call, so
-``fold(record, n)`` must leave its owner exactly where *n* calls of
-``fold(record, 1)`` leave it.  The clock's span bound must name the very
+``fold(record, n, leaks, start_s)`` must leave its owner exactly where
+*n* one-tick calls leave it.  The clock's span bound must name the very
 quantum on which stepping one quantum at a time publishes, float drift
 included.
 """
@@ -34,6 +34,12 @@ def record():
     machine = Machine(SPEC)
     return machine.step([_assignment(100, 0, 1.0), _assignment(100, 1, 0.6),
                          _assignment(101, 2, 0.35)], 0.001)
+
+
+def _fold(owner, record, n_ticks):
+    """Fold *n_ticks* copies of *record*'s tick into *owner*."""
+    owner._fold(record, n_ticks, [record.power.leakage] * n_ticks,
+                record.time_s - record.dt_s)
 
 
 def _session(setup):
@@ -83,14 +89,14 @@ class TestPerfFold:
     def test_batch_equals_single_ticks(self, record, setup, n_ticks):
         batched, ticked = _session(setup), _session(setup)
         for _ in range(2):  # a second batch continues the rotation
-            batched._fold(record, n_ticks)
+            _fold(batched, record, n_ticks)
             for _ in range(n_ticks):
-                ticked._fold(record, 1)
+                _fold(ticked, record, 1)
         assert _state(batched) == _state(ticked)
 
     def test_rotating_group_shares_the_pmu(self, record):
         session = _session(_rotates)
-        session._fold(record, 12)
+        _fold(session, record, 12)
         counters = [c for c in session._counters.values() if c.pid == 100]
         assert {c.time_running_s for c in counters} == {
             counters[0].time_running_s}
@@ -98,7 +104,7 @@ class TestPerfFold:
 
     def test_starved_counters_only_stay_enabled(self, record):
         session = _session(_starved)
-        session._fold(record, 5)
+        _fold(session, record, 5)
         for counter in session._counters.values():
             assert counter.time_enabled_s > 0.0
             assert counter.time_running_s == 0.0 == counter.raw
@@ -106,7 +112,7 @@ class TestPerfFold:
     def test_disabled_and_dead_counters_do_not_move(self, record):
         for setup in (_disabled, _dead):
             session = _session(setup)
-            session._fold(record, 5)
+            _fold(session, record, 5)
             idle = [c for c in session._counters.values() if not c.enabled]
             assert idle
             assert all(c.time_enabled_s == 0.0 == c.raw for c in idle)
@@ -117,9 +123,9 @@ class TestProcFsFold:
     def test_batch_equals_single_ticks(self, record, n_ticks):
         batched, ticked = ProcFs(Machine(SPEC)), ProcFs(Machine(SPEC))
         for _ in range(2):
-            batched._fold(record, n_ticks)
+            _fold(batched, record, n_ticks)
             for _ in range(n_ticks):
-                ticked._fold(record, 1)
+                _fold(ticked, record, 1)
 
         def state(procfs):
             return (procfs.uptime_s(),
@@ -134,7 +140,8 @@ class TestProcFsFold:
         machine = Machine(SPEC)
         procfs = ProcFs(machine)
         calls = []
-        machine.add_fold(lambda record, n_ticks: calls.append(n_ticks))
+        machine.add_fold(lambda record, n_ticks, leaks, start_s:
+                         calls.append(n_ticks))
         machine.run_batch([_assignment(100, 0, 1.0)], 40, dt_s=0.001)
         assert calls == [40]
         assert procfs.uptime_s() == pytest.approx(0.04)

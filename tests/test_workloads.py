@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.os.kernel import SimKernel
+from repro.simcpu.spec import intel_i3_2120
 from repro.workloads.base import (ConstantWorkload, Phase, PhasedWorkload,
                                   cpu_demand, memory_demand)
 from repro.workloads.idle import BackgroundNoise, IdleWorkload
@@ -11,6 +13,7 @@ from repro.workloads.speccpu import (APP_NAMES, spec_cpu_app, spec_cpu_suite)
 from repro.workloads.specjbb import RT_CURVE_STEPS, SpecJbbWorkload
 from repro.workloads.stress import (CpuStress, MemoryStress, MixedStress,
                                     stress_matrix)
+from repro.workloads.webserver import WebServerWorkload
 
 
 class TestPhasedWorkload:
@@ -150,6 +153,45 @@ class TestSpecJbb:
     def test_multithreaded_demand(self):
         workload = SpecJbbWorkload(threads=4)
         assert workload.demand(100.0).threads == 4
+
+
+class TestSeededTracesArePlainFloats:
+    """Regression: seeded jitter once reached demands as ``np.float64``.
+
+    ``type(x) is float``, not ``isinstance``: ``np.float64`` subclasses
+    ``float`` and would pass an ``isinstance`` check.
+    """
+
+    def test_specjbb_utilization_at_ramp_plateau_and_gc(self):
+        workload = SpecJbbWorkload(duration_s=500, seed=3)
+        gc_time = next(t / 10 for t in range(5000) if workload.in_gc(t / 10))
+        plateau_time = next(t for t in range(100, 500)
+                            if not workload.in_gc(float(t)))
+        assert type(workload.in_gc(gc_time)) is bool
+        for time_s in (5.0, float(plateau_time), gc_time):
+            assert type(workload.demand(time_s).utilization) is float
+
+    def test_webserver_utilization(self):
+        workload = WebServerWorkload(duration_s=60.0)
+        for time_s in (0.0, 17.5, 59.0):
+            assert type(workload.demand(time_s).utilization) is float
+
+    def test_busy_fraction_after_one_kernel_quantum(self):
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.001)
+        kernel.spawn(SpecJbbWorkload(duration_s=60.0, threads=2))
+        placed = []
+        assign = kernel.scheduler.assign
+
+        def recording_assign(demands):
+            placed.append(assign(demands))
+            return placed[-1]
+
+        kernel.scheduler.assign = recording_assign
+        record = kernel.tick()
+        assert placed[-1]
+        for assignment in placed[-1]:
+            assert type(assignment.busy_fraction) is float
+        assert all(type(busy) is float for busy in record.cpu_busy.values())
 
 
 class TestSpecCpu:
