@@ -12,8 +12,9 @@ import pytest
 
 from repro.analysis.report import render_grid
 from repro.baselines.cpuload import CPU_LOAD_EVENTS, learn_cpu_load_model
-from repro.baselines.evaluation import run_windows, score_model
-from repro.core.sampling import SamplingCampaign, learn_power_model
+from repro.baselines.evaluation import score_model
+from repro.core.sampling import (SamplingCampaign, learn_power_model,
+                                 run_windows)
 from repro.simcpu.counters import CYCLES, GENERIC_TRIO
 from repro.workloads.stress import CpuStress, MemoryStress
 

@@ -9,10 +9,10 @@ once.  This ablation quantifies that design choice.
 import pytest
 
 from repro.analysis.report import render_grid
-from repro.baselines.evaluation import run_windows, score_model
+from repro.baselines.evaluation import score_model
 from repro.core.model import FrequencyFormula, PowerModel
 from repro.core.regression import fit
-from repro.core.sampling import learn_power_model
+from repro.core.sampling import learn_power_model, run_windows
 from repro.simcpu.counters import CACHE_MISSES, CACHE_REFERENCES, CYCLES
 from repro.workloads.mix import RandomWorkload
 

@@ -16,11 +16,11 @@ promotes busy-time counters, and does not lose to the fixed trio.
 import pytest
 
 from repro.analysis.report import render_grid
-from repro.baselines.evaluation import run_windows, score_model
+from repro.baselines.evaluation import score_model
 from repro.core.calibration import calibrate_idle_power
 from repro.core.model import FrequencyFormula, PowerModel
 from repro.core.regression import fit
-from repro.core.sampling import SamplingCampaign
+from repro.core.sampling import SamplingCampaign, run_windows
 from repro.core.selection import rank_counters, select_counters
 from repro.perf.events import portable_events
 from repro.simcpu.counters import GENERIC_TRIO

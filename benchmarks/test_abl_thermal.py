@@ -13,8 +13,9 @@ import pytest
 from conftest import paper_style_workloads
 
 from repro.analysis.report import render_grid
-from repro.baselines.evaluation import run_windows, score_model
-from repro.core.sampling import SamplingCampaign, learn_power_model
+from repro.baselines.evaluation import score_model
+from repro.core.sampling import (SamplingCampaign, learn_power_model,
+                                 run_windows)
 from repro.workloads.stress import CpuStress, MemoryStress
 
 #: Settle times to sweep: cold (the paper's style), warm, steady-state.

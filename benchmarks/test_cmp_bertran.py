@@ -18,8 +18,9 @@ from conftest import paper_style_workloads
 
 from repro.analysis.report import render_grid
 from repro.baselines.bertran import BERTRAN_EVENTS, learn_bertran_model
-from repro.baselines.evaluation import run_windows, score_model
-from repro.core.sampling import SamplingCampaign, learn_power_model
+from repro.baselines.evaluation import score_model
+from repro.core.sampling import (SamplingCampaign, learn_power_model,
+                                 run_windows)
 from repro.simcpu.spec import intel_core2duo_e6600
 from repro.workloads.speccpu import APP_NAMES, spec_cpu_app
 from repro.workloads.stress import CpuStress, MemoryStress, MixedStress

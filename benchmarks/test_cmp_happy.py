@@ -16,9 +16,10 @@ oblivious one.
 import pytest
 
 from repro.analysis.report import render_grid
-from repro.baselines.evaluation import run_windows, score_model
+from repro.baselines.evaluation import score_model
 from repro.baselines.happy import HAPPY_BASE_EVENTS, learn_happy_model
-from repro.core.sampling import SamplingCampaign, learn_power_model
+from repro.core.sampling import (SamplingCampaign, learn_power_model,
+                                 run_windows)
 from repro.simcpu.spec import intel_xeon_smt
 from repro.workloads.mix import colocated_pair
 from repro.workloads.stress import CpuStress, MemoryStress

@@ -10,9 +10,7 @@ is tracked by:
   ticks per Python-level call on,
 * ``campaign_wall_by_workers`` — wall time of the default Figure 1
   sampling campaign (840 runs) at 1, 2 and 4 pool workers, with the
-  chunked per-worker dispatch,
-* ``adaptive`` — per-scenario tick counts and whole-run energy error of
-  the adaptive sampler against full-resolution stepping.
+  chunked per-worker dispatch.
 
 Results are written to ``BENCH_sim.json`` at the repository root so
 future PRs can diff the perf trajectory (``benchmarks/diff_bench.py``
@@ -32,9 +30,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.sampling import SamplingCampaign
-from repro.simcpu import (AdaptiveConfig, AdaptiveSampler, InstructionMix,
-                          Machine, MemoryProfile, ThreadAssignment,
-                          intel_i3_2120)
+from repro.simcpu import (InstructionMix, Machine, MemoryProfile,
+                          ThreadAssignment, intel_i3_2120)
 
 pytestmark = pytest.mark.perf
 
@@ -61,32 +58,6 @@ def _full_load_assignments(spec):
                 locality=0.75 if memory_bound else 0.99),
         ))
     return assignments
-
-
-def _assignments(spec, busy, fp=0.2, mem=0.1, ws=1 << 16, locality=0.95):
-    return [ThreadAssignment(
-        pid=200 + cpu_id, cpu_id=cpu_id, busy_fraction=busy,
-        mix=InstructionMix(fp_fraction=fp),
-        memory=MemoryProfile(mem_ops_per_instruction=mem,
-                             working_set_bytes=ws, locality=locality))
-        for cpu_id in range(spec.num_threads)]
-
-
-def _adaptive_scenarios(spec):
-    """Two phased workload schedules with real transients to detect."""
-    return {
-        "phased-cpu": [
-            (_assignments(spec, 0.9), 20.0),
-            (_assignments(spec, 0.3), 10.0),
-            (_assignments(spec, 1.0, fp=0.5), 20.0),
-            ([], 5.0),
-        ],
-        "memory-churn": [
-            (_assignments(spec, 0.6, mem=0.4, ws=1 << 24, locality=0.6), 15.0),
-            (_assignments(spec, 0.2, mem=0.4, ws=1 << 24, locality=0.6), 10.0),
-            (_assignments(spec, 0.8), 15.0),
-        ],
-    }
 
 
 def test_perf_sim_microbench():
@@ -122,34 +93,6 @@ def test_perf_sim_microbench():
     assert len(datasets[1]) == len(datasets[2]) == len(datasets[4]) > 0
     assert ticks_per_sec > 0
 
-    # -- adaptive sampling vs full resolution ---------------------------
-    config = AdaptiveConfig()
-    adaptive = {}
-    for name, schedule in _adaptive_scenarios(spec).items():
-        reference = Machine(spec)
-        reference.set_frequency(spec.max_frequency_hz)
-        energy_before = reference.energy_j
-        for segment_assignments, duration_s in schedule:
-            n_ticks = max(1, int(round(duration_s / config.fine_dt_s)))
-            reference.run_batch(segment_assignments, n_ticks,
-                                config.fine_dt_s)
-        reference_energy_j = reference.energy_j - energy_before
-
-        adaptive_machine = Machine(spec)
-        adaptive_machine.set_frequency(spec.max_frequency_hz)
-        report = AdaptiveSampler(adaptive_machine, config, seed=42).run(
-            schedule)
-        error_pct = (abs(report.energy_j - reference_energy_j)
-                     / reference_energy_j * 100.0)
-        assert error_pct <= 1.0, (name, error_pct)
-        adaptive[name] = {
-            "fine_ticks": report.fine_ticks,
-            "coarse_ticks": report.coarse_ticks,
-            "probe_windows": report.probe_windows,
-            "tick_reduction": round(report.tick_reduction(config), 2),
-            "energy_error_pct": round(error_pct, 4),
-        }
-
     results = {
         "ticks_per_sec": round(ticks_per_sec, 1),
         "batched_ticks_per_sec": round(batched_ticks_per_sec, 1),
@@ -160,7 +103,6 @@ def test_perf_sim_microbench():
         "campaign_workers": 4,
         "campaign_runs": len(campaign.run_plan()),
         "host_cpus": os.cpu_count(),
-        "adaptive": adaptive,
         "step_ticks_timed": STEP_TICKS,
         "python": platform.python_version(),
     }

@@ -1,156 +1,18 @@
-"""Shared windowed evaluation harness for model comparisons.
+"""Scoring a model against measured evaluation windows.
 
-Runs workloads on a fresh simulated machine while collecting, per window:
-
-* machine-wide rates of a configurable event set,
-* per-logical-CPU cycle rates (for hyperthread-aware features),
-* the measured wall power (PowerSpy).
-
-Both the learning campaigns of the baseline models and the comparison
-benchmarks consume these :class:`EvalWindow` records, so every model is
-scored against identical observations.
+The windows come from :func:`repro.core.sampling.run_windows`, the loop
+the learning campaign measures through too, so every model is scored
+against identical observations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from repro.core.metrics import error_summary
 from repro.core.model import PowerModel
+from repro.core.sampling import EvalWindow
 from repro.errors import ConfigurationError
-from repro.os.governor import UserspaceGovernor
-from repro.os.kernel import SimKernel
-from repro.perf.counting import PerfSession
-from repro.powermeter.powerspy import PowerSpy
-from repro.simcpu.counters import CYCLES, GENERIC_TRIO
-from repro.simcpu.spec import CpuSpec
-from repro.workloads.base import Workload
-
-#: Feature name under which the SMT-overlap rate is exposed.
-SMT_OVERLAP = "smt-overlap-cycles"
-
-
-@dataclass(frozen=True)
-class EvalWindow:
-    """One observation window of an evaluation run."""
-
-    time_s: float
-    frequency_hz: int
-    #: Machine-wide event rates plus any derived features, events/second.
-    features: Dict[str, float]
-    power_w: float
-    workload: str
-
-
-def smt_overlap_rate(per_cpu_cycles: Dict[int, float],
-                     siblings: Sequence[Tuple[int, ...]],
-                     window_s: float) -> float:
-    """Cycles/second during which both hyperthreads of a core were busy.
-
-    For each physical core the overlap is the *minimum* of its threads'
-    cycle counts — the portion of time the second thread ran concurrently
-    and therefore drew less than a full core's power.
-    """
-    overlap = 0.0
-    for core in siblings:
-        counts = [per_cpu_cycles.get(cpu_id, 0.0) for cpu_id in core]
-        if len(counts) > 1:
-            overlap += min(counts)
-    return overlap / window_s
-
-
-def run_windows(spec: CpuSpec, workloads: Sequence[Workload],
-                frequency_hz: Optional[int] = None,
-                events: Sequence[str] = GENERIC_TRIO,
-                duration_s: float = 60.0,
-                window_s: float = 1.0,
-                settle_s: float = 0.0,
-                quantum_s: float = 0.05,
-                meter_seed: int = 4321,
-                with_smt_overlap: bool = False,
-                pin_each_to_core: bool = False,
-                governor_factory=None) -> List[EvalWindow]:
-    """Run *workloads* together and collect one EvalWindow per window.
-
-    With *frequency_hz* set, cores are pinned there (userspace governor);
-    otherwise the performance governor applies.  *pin_each_to_core*
-    affinity-pins consecutive workloads onto the same physical core until
-    its hyperthreads are full, then moves to the next core — the
-    co-location setup of the SMT experiments (workloads 0 and 1 share
-    core 0 on a 2-way SMT part).
-    """
-    if duration_s <= 0 or window_s <= 0:
-        raise ConfigurationError("durations must be positive")
-    if frequency_hz is not None:
-        governor = lambda s, t, d: UserspaceGovernor(s, t, d, frequency_hz)
-        kernel = SimKernel(spec, governor_factory=governor,
-                           quantum_s=quantum_s)
-    elif governor_factory is not None:
-        kernel = SimKernel(spec, governor_factory=governor_factory,
-                           quantum_s=quantum_s)
-    else:
-        kernel = SimKernel(spec, quantum_s=quantum_s)
-
-    cores = kernel.machine.topology.cores()
-    smt_ways = spec.threads_per_core
-    for index, workload in enumerate(workloads):
-        affinity = None
-        if pin_each_to_core:
-            package_id, core_id = cores[(index // smt_ways) % len(cores)]
-            affinity = set(kernel.machine.topology.core_cpus(
-                package_id, core_id))
-        kernel.spawn(workload, name=workload.name, affinity=affinity)
-
-    meter = PowerSpy(kernel.machine, sample_rate_hz=1.0 / window_s,
-                     seed=meter_seed)
-    perf = PerfSession(kernel.machine)
-    counters = perf.open_group(events)
-    cpu_cycle_counters = {
-        cpu_id: perf.open(CYCLES, cpu=cpu_id)
-        for cpu_id in kernel.machine.topology.cpu_ids
-    } if with_smt_overlap else {}
-    sibling_groups = [kernel.machine.topology.core_cpus(p, c)
-                      for p, c in cores]
-
-    windows: List[EvalWindow] = []
-    with meter:
-        if settle_s > 0:
-            kernel.run(settle_s)
-        meter.clear()
-        previous = {counter.event: counter.read().scaled
-                    for counter in counters}
-        previous_cycles = {cpu_id: counter.read().scaled
-                           for cpu_id, counter in cpu_cycle_counters.items()}
-        steps = int(round(duration_s / window_s))
-        for _window in range(steps):
-            kernel.run(window_s)
-            sample = meter.last_sample()
-            if sample is None:
-                continue
-            current = {counter.event: counter.read().scaled
-                       for counter in counters}
-            features = {event: (current[event] - previous[event]) / window_s
-                        for event in previous}
-            previous = current
-            if with_smt_overlap:
-                current_cycles = {
-                    cpu_id: counter.read().scaled
-                    for cpu_id, counter in cpu_cycle_counters.items()}
-                deltas = {cpu_id: current_cycles[cpu_id] - previous_cycles[cpu_id]
-                          for cpu_id in current_cycles}
-                previous_cycles = current_cycles
-                features[SMT_OVERLAP] = smt_overlap_rate(
-                    deltas, sibling_groups, window_s)
-            windows.append(EvalWindow(
-                time_s=kernel.time_s,
-                frequency_hz=kernel.machine.dominant_frequency_hz(),
-                features=features,
-                power_w=sample.power_w,
-                workload="+".join(w.name for w in workloads),
-            ))
-    perf.close()
-    return windows
 
 
 def score_model(model: PowerModel, windows: Sequence[EvalWindow]) -> dict:

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.evaluation import SMT_OVERLAP, EvalWindow, run_windows
 from repro.core.calibration import calibrate_idle_power
 from repro.core.model import FrequencyFormula, PowerModel
 from repro.core.regression import RegressionResult, fit
+from repro.core.sampling import SMT_OVERLAP, EvalWindow, run_windows
 from repro.errors import ConfigurationError, InsufficientDataError
 from repro.simcpu.counters import CYCLES, GENERIC_TRIO
 from repro.simcpu.spec import CpuSpec

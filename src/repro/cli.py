@@ -37,7 +37,7 @@ from repro.core.model import PowerModel
 from repro.core.monitor import PowerAPI
 from repro.core.pipeline import (ControlSpec, PipelineSpec, StageSpec,
                                  TelemetrySpec, parse_uplink)
-from repro.core.reporters import ConsoleReporter, CsvReporter, InMemoryReporter
+from repro.core.reporters import ConsoleReporter, InMemoryReporter
 from repro.core.sampling import SamplingCampaign, learn_power_model
 from repro.errors import ReproError
 from repro.os.kernel import SimKernel
@@ -443,11 +443,12 @@ def cmd_monitor(args, out=sys.stdout) -> int:
     if args.faults:
         pipeline_spec = dataclasses.replace(pipeline_spec,
                                             faults=args.faults)
+    if args.csv is not None:
+        pipeline_spec = pipeline_spec.with_reporter(
+            "csv", path=str(args.csv), control=args.cap is not None)
     memory = InMemoryReporter()
     handle = api.start_pipeline(pipeline_spec, reporters=(memory,))
     api.system.spawn(ConsoleReporter(stream=out), name="console")
-    if args.csv is not None:
-        api.system.spawn(CsvReporter(args.csv, pids=[pid]), name="csv")
     if args.faults:
         print(f"fault plan: {api.injector.plan.describe() or '(empty)'}",
               file=out)

@@ -49,8 +49,7 @@ from repro.core.parallel import (chunk_tasks, default_worker_count,
 from repro.core.selection import CounterRanking, rank_counters, select_counters
 from repro.core.validation import (CrossValidationReport, FoldResult,
                                    cross_validate)
-from repro.core.sensors import (HpcSensor, MachineHpcSensor,
-                                PowerMeterSensor, ProcFsSensor)
+from repro.core.sensors import HpcSensor, PowerMeterSensor, ProcFsSensor
 
 __all__ = [
     "AggregatedPowerReport", "BuildContext", "BuiltPipeline",
@@ -61,8 +60,8 @@ __all__ = [
     "EnergyMeasurement", "FlushAggregates", "FoldResult", "FrequencyFormula",
     "HpcFormula", "HpcReport", "HpcSensor", "InMemoryCgroupReporter",
     "InMemoryReporter", "JsonlReporter", "LearningReport", "METHODS",
-    "MachineHpcSensor", "ModelRegistry", "MonitorBuilder", "MonitorHandle",
-    "Param", "PidAggregator", "PidEnergyReport", "PipelineBuilder",
+    "ModelRegistry", "MonitorBuilder", "MonitorHandle", "Param",
+    "PidAggregator", "PidEnergyReport", "PipelineBuilder",
     "PipelineSpec", "PipelineStage", "PowerAPI", "PowerMeterReport",
     "PowerMeterSensor", "PowerModel", "PowerReport", "ProcFsReport",
     "ProcFsSensor", "PrometheusReporter", "RegionProfiler",

@@ -91,16 +91,12 @@ class ConsoleReporter(PipelineStage):
         self.lines_written += 1
 
 
-class CsvReporter(PipelineStage):
-    """Writes one CSV row per aggregated report.
+class _FileReporter(PipelineStage):
+    """The file lifecycle :class:`CsvReporter` and :class:`JsonlReporter`
+    share; a subclass writes its own header and lines.
 
-    Columns: time_s, total_w, idle_w, one ``pid_<n>_w`` column per
-    monitored pid (the set of pids is fixed at construction so the header
-    is stable), then ``gap`` (1 where the period carried no formula data,
-    0 otherwise).
-
-    ``flush_every=N`` flushes the file once per N rows instead of after
-    every row — per-row flushing dominates the reporter's cost in long
+    ``flush_every=N`` flushes the file once per N lines instead of after
+    every line — per-line flushing dominates the reporter's cost in long
     runs.  The default of 1 keeps the historical always-current file.
 
     Restart-safe: opening on an existing non-empty file **appends**
@@ -108,32 +104,28 @@ class CsvReporter(PipelineStage):
     the same output file.  ``fsync=True`` additionally forces every
     flush to stable storage — opt-in durability for crash-safe runs.
 
-    ``control=True`` opts in to two extra trailing columns, ``cap_w``
-    (the active cap, empty while none) and ``cap_hz`` (the control
-    loop's DVFS ceiling) — opt-in so cap-less runs keep their exact
-    historical byte layout.
+    ``control=True`` subscribes to :class:`CapEvent` and keeps the latest
+    one for the subclass to render — opt-in so cap-less runs keep their
+    exact historical byte layout.
     """
 
     subscribes_to = (AggregatedPowerReport,)
 
-    def __init__(self, path: Union[str, Path], pids,
+    def __init__(self, component: str, path: Union[str, Path],
                  flush_every: int = 1, fsync: bool = False,
                  control: bool = False) -> None:
-        super().__init__(component="csv-reporter")
+        super().__init__(component=component)
         if flush_every < 1:
             raise ConfigurationError("flush_every must be >= 1")
         self.path = Path(path)
-        self.pids = tuple(sorted(pids))
         self.flush_every = flush_every
         self.fsync = fsync
         self.control = control
         #: True when on_start appended to an existing file.
         self.resumed = False
-        self._rows_since_flush = 0
         self._file = None
-        self._writer = None
-        self._cap_w: Optional[float] = None
-        self._cap_hz: Optional[int] = None
+        self._unflushed = 0
+        self._cap: Optional[CapEvent] = None
 
     def subscriptions(self):
         topics = list(super().subscriptions())
@@ -145,6 +137,61 @@ class CsvReporter(PipelineStage):
         self.resumed = self.path.exists() and self.path.stat().st_size > 0
         self._file = self.path.open("a" if self.resumed else "w",
                                     newline="")
+
+    def on_stop(self) -> None:
+        if self._file is not None:
+            self.flush()
+            self._file.close()
+            self._file = None
+
+    def flush(self) -> None:
+        if self._file is not None:
+            self._file.flush()
+            if self.fsync:
+                os.fsync(self._file.fileno())
+            self._unflushed = 0
+
+    def handle(self, message) -> None:
+        if isinstance(message, AggregatedPowerReport):
+            self._write_report(message)
+        elif isinstance(message, CapEvent):
+            self._cap = message
+            self._write_cap(message)
+
+    def _line_written(self) -> None:
+        self._unflushed += 1
+        if self._unflushed >= self.flush_every:
+            self.flush()
+
+    def _write_report(self, message: AggregatedPowerReport) -> None:
+        raise NotImplementedError
+
+    def _write_cap(self, event: CapEvent) -> None:
+        """One actuation arrived; by default only the latest is kept."""
+
+
+class CsvReporter(_FileReporter):
+    """Writes one CSV row per aggregated report.
+
+    Columns: time_s, total_w, idle_w, one ``pid_<n>_w`` column per
+    monitored pid (the set of pids is fixed at construction so the header
+    is stable), then ``gap`` (1 where the period carried no formula data,
+    0 otherwise).  ``control=True`` adds two trailing columns, ``cap_w``
+    (the active cap, empty while none) and ``cap_hz`` (the control
+    loop's DVFS ceiling).  Flushing, resuming and ``fsync`` are those of
+    every file reporter (:class:`_FileReporter`).
+    """
+
+    def __init__(self, path: Union[str, Path], pids,
+                 flush_every: int = 1, fsync: bool = False,
+                 control: bool = False) -> None:
+        super().__init__("csv-reporter", path, flush_every=flush_every,
+                         fsync=fsync, control=control)
+        self.pids = tuple(sorted(pids))
+        self._writer = None
+
+    def on_start(self) -> None:
+        super().on_start()
         self._writer = csv.writer(self._file)
         if not self.resumed:
             header = ["time_s", "total_w", "idle_w"]
@@ -154,43 +201,18 @@ class CsvReporter(PipelineStage):
                 header.extend(("cap_w", "cap_hz"))
             self._writer.writerow(header)
 
-    def on_stop(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            self._maybe_fsync()
-            self._file.close()
-            self._file = None
-
-    def _maybe_fsync(self) -> None:
-        if self.fsync and self._file is not None:
-            os.fsync(self._file.fileno())
-
-    def flush(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            self._maybe_fsync()
-            self._rows_since_flush = 0
-
-    def handle(self, message) -> None:
-        if isinstance(message, CapEvent):
-            self._cap_w = message.cap_w
-            self._cap_hz = message.frequency_hz
-            return
-        if not isinstance(message, AggregatedPowerReport):
-            return
+    def _write_report(self, message: AggregatedPowerReport) -> None:
         row = [f"{message.time_s:.3f}", f"{message.total_w:.4f}",
                f"{message.idle_w:.4f}"]
         row.extend(f"{message.by_pid.get(pid, 0.0):.4f}" for pid in self.pids)
         row.append(str(int(message.gap)))
         if self.control:
-            row.append("" if self._cap_w is None else f"{self._cap_w:.4f}")
-            row.append("" if self._cap_hz is None else str(self._cap_hz))
+            cap = self._cap
+            row.append("" if cap is None or cap.cap_w is None
+                       else f"{cap.cap_w:.4f}")
+            row.append("" if cap is None else str(cap.frequency_hz))
         self._writer.writerow(row)
-        self._rows_since_flush += 1
-        if self._rows_since_flush >= self.flush_every:
-            self._file.flush()
-            self._maybe_fsync()
-            self._rows_since_flush = 0
+        self._line_written()
 
 
 class CallbackReporter(PipelineStage):
@@ -207,75 +229,22 @@ class CallbackReporter(PipelineStage):
             self.callback(message)
 
 
-class JsonlReporter(PipelineStage):
+class JsonlReporter(_FileReporter):
     """Writes one JSON object per aggregated report (machine-readable log).
 
-    ``flush_every=N`` flushes once per N records (default 1: the file is
-    always current, matching historical behaviour).
-
-    Restart-safe like :class:`CsvReporter`: an existing non-empty file
-    is appended to, and ``fsync=True`` forces flushes to stable storage.
-
-    ``control=True`` opts in to a ``control`` sub-object per record
-    (active ``cap_w`` and ``cap_hz`` ceiling) and one
-    ``{"cap_event": ...}`` record per actuation — opt-in so cap-less
-    runs keep their exact historical byte layout.
+    ``control=True`` adds a ``control`` sub-object per record (active
+    ``cap_w`` and ``cap_hz`` ceiling) and one ``{"cap_event": ...}``
+    record per actuation.  Flushing, resuming and ``fsync`` are those of
+    every file reporter (:class:`_FileReporter`).
     """
-
-    subscribes_to = (AggregatedPowerReport,)
 
     def __init__(self, path: Union[str, Path], flush_every: int = 1,
                  fsync: bool = False, control: bool = False) -> None:
-        super().__init__(component="jsonl-reporter")
-        if flush_every < 1:
-            raise ConfigurationError("flush_every must be >= 1")
-        self.path = Path(path)
-        self.flush_every = flush_every
-        self.fsync = fsync
-        self.control = control
-        #: True when on_start appended to an existing file.
-        self.resumed = False
-        self._records_since_flush = 0
-        self._file = None
+        super().__init__("jsonl-reporter", path, flush_every=flush_every,
+                         fsync=fsync, control=control)
         self.records_written = 0
-        self._cap_w: Optional[float] = None
-        self._cap_hz: Optional[int] = None
 
-    def subscriptions(self):
-        topics = list(super().subscriptions())
-        if self.control:
-            topics.append(CapEvent)
-        return topics
-
-    def on_start(self) -> None:
-        self.resumed = self.path.exists() and self.path.stat().st_size > 0
-        self._file = self.path.open("a" if self.resumed else "w")
-
-    def on_stop(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            self._maybe_fsync()
-            self._file.close()
-            self._file = None
-
-    def _maybe_fsync(self) -> None:
-        if self.fsync and self._file is not None:
-            os.fsync(self._file.fileno())
-
-    def flush(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            self._maybe_fsync()
-            self._records_since_flush = 0
-
-    def handle(self, message) -> None:
-        if isinstance(message, CapEvent):
-            self._cap_w = message.cap_w
-            self._cap_hz = message.frequency_hz
-            self._write_record({"cap_event": message.to_wire()})
-            return
-        if not isinstance(message, AggregatedPowerReport):
-            return
+    def _write_report(self, message: AggregatedPowerReport) -> None:
         record = {
             "time_s": message.time_s,
             "period_s": message.period_s,
@@ -287,18 +256,19 @@ class JsonlReporter(PipelineStage):
                        for pid, watts in message.by_pid.items()},
         }
         if self.control:
-            record["control"] = {"cap_w": self._cap_w,
-                                 "cap_hz": self._cap_hz}
+            cap = self._cap
+            record["control"] = {
+                "cap_w": None if cap is None else cap.cap_w,
+                "cap_hz": None if cap is None else cap.frequency_hz}
         self._write_record(record)
+
+    def _write_cap(self, event: CapEvent) -> None:
+        self._write_record({"cap_event": event.to_wire()})
 
     def _write_record(self, record) -> None:
         self._file.write(json.dumps(record, sort_keys=True) + "\n")
         self.records_written += 1
-        self._records_since_flush += 1
-        if self._records_since_flush >= self.flush_every:
-            self._file.flush()
-            self._maybe_fsync()
-            self._records_since_flush = 0
+        self._line_written()
 
 
 class PrometheusReporter(PipelineStage):

@@ -13,7 +13,9 @@ The process, exactly as the paper describes it:
    frequency (step 4), with the idle constant coming from a separate
    calibration run.
 
-The result is a :class:`~repro.core.model.PowerModel`.
+The result is a :class:`~repro.core.model.PowerModel`.  Steps 2–3 are
+:func:`run_windows`, the one window loop: the baseline models of
+:mod:`repro.baselines` learn and are scored through it as well.
 """
 
 from __future__ import annotations
@@ -30,10 +32,147 @@ from repro.os.governor import UserspaceGovernor
 from repro.os.kernel import SimKernel
 from repro.perf.counting import PerfSession
 from repro.powermeter.powerspy import PowerSpy
-from repro.simcpu.counters import GENERIC_TRIO
+from repro.simcpu.counters import CYCLES, GENERIC_TRIO
 from repro.simcpu.spec import CpuSpec
 from repro.workloads.base import Workload
 from repro.workloads.stress import stress_matrix
+
+#: Feature name under which the SMT-overlap rate is exposed.
+SMT_OVERLAP = "smt-overlap-cycles"
+
+
+@dataclass(frozen=True)
+class EvalWindow:
+    """One observation window of a :func:`run_windows` run."""
+
+    time_s: float
+    frequency_hz: int
+    #: Machine-wide event rates plus any derived features, events/second.
+    features: Dict[str, float]
+    power_w: float
+    workload: str
+
+
+def smt_overlap_rate(per_cpu_cycles: Dict[int, float],
+                     siblings: Sequence[Tuple[int, ...]],
+                     window_s: float) -> float:
+    """Cycles/second during which both hyperthreads of a core were busy.
+
+    For each physical core the overlap is the *minimum* of its threads'
+    cycle counts — the portion of time the second thread ran concurrently
+    and therefore drew less than a full core's power.
+    """
+    overlap = 0.0
+    for core in siblings:
+        counts = [per_cpu_cycles.get(cpu_id, 0.0) for cpu_id in core]
+        if len(counts) > 1:
+            overlap += min(counts)
+    return overlap / window_s
+
+
+def run_windows(spec: CpuSpec, workloads: Sequence[Workload],
+                frequency_hz: Optional[int] = None,
+                events: Sequence[str] = GENERIC_TRIO,
+                duration_s: float = 60.0,
+                window_s: float = 1.0,
+                settle_s: float = 0.0,
+                quantum_s: float = 0.05,
+                meter_seed: int = 4321,
+                with_smt_overlap: bool = False,
+                pin_each_to_core: bool = False,
+                governor_factory=None) -> List[EvalWindow]:
+    """Run *workloads* together and collect one EvalWindow per window.
+
+    The one window loop: the Figure 1 campaign and every baseline model
+    and comparison measure through it, so all of them are scored on
+    identical observations — per window, the machine-wide rates of
+    *events*, optionally the SMT-overlap rate, and the PowerSpy power.
+
+    With *frequency_hz* set, cores are pinned there (userspace governor);
+    otherwise the performance governor applies.  *pin_each_to_core*
+    affinity-pins consecutive workloads onto the same physical core until
+    its hyperthreads are full, then moves to the next core — the
+    co-location setup of the SMT experiments (workloads 0 and 1 share
+    core 0 on a 2-way SMT part).  *window_s* must be a whole number of
+    kernel quanta, so each window closes exactly one meter sample.
+    """
+    if duration_s <= 0 or window_s <= 0 or quantum_s <= 0:
+        raise ConfigurationError("durations must be positive")
+    quanta = window_s / quantum_s
+    if abs(quanta - round(quanta)) > 1e-9 * quanta:
+        raise ConfigurationError(
+            f"window_s={window_s} is not a whole number of "
+            f"quantum_s={quantum_s} quanta")
+    if frequency_hz is not None:
+        governor = lambda s, t, d: UserspaceGovernor(s, t, d, frequency_hz)
+        kernel = SimKernel(spec, governor_factory=governor,
+                           quantum_s=quantum_s)
+    elif governor_factory is not None:
+        kernel = SimKernel(spec, governor_factory=governor_factory,
+                           quantum_s=quantum_s)
+    else:
+        kernel = SimKernel(spec, quantum_s=quantum_s)
+
+    cores = kernel.machine.topology.cores()
+    smt_ways = spec.threads_per_core
+    for index, workload in enumerate(workloads):
+        affinity = None
+        if pin_each_to_core:
+            package_id, core_id = cores[(index // smt_ways) % len(cores)]
+            affinity = set(kernel.machine.topology.core_cpus(
+                package_id, core_id))
+        kernel.spawn(workload, name=workload.name, affinity=affinity)
+
+    meter = PowerSpy(kernel.machine, sample_rate_hz=1.0 / window_s,
+                     seed=meter_seed)
+    perf = PerfSession(kernel.machine)
+    counters = perf.open_group(events)
+    cpu_cycle_counters = {
+        cpu_id: perf.open(CYCLES, cpu=cpu_id)
+        for cpu_id in kernel.machine.topology.cpu_ids
+    } if with_smt_overlap else {}
+    sibling_groups = [kernel.machine.topology.core_cpus(p, c)
+                      for p, c in cores]
+    name = "+".join(workload.name for workload in workloads)
+
+    windows: List[EvalWindow] = []
+    with meter:
+        if settle_s > 0:
+            kernel.run(settle_s)
+        meter.clear()
+        previous = {counter.event: counter.read().scaled
+                    for counter in counters}
+        previous_cycles = {cpu_id: counter.read().scaled
+                           for cpu_id, counter in cpu_cycle_counters.items()}
+        steps = int(round(duration_s / window_s))
+        for _window in range(steps):
+            kernel.run(window_s)
+            sample = meter.last_sample()
+            if sample is None:
+                continue
+            current = {counter.event: counter.read().scaled
+                       for counter in counters}
+            features = {event: (current[event] - previous[event]) / window_s
+                        for event in previous}
+            previous = current
+            if with_smt_overlap:
+                current_cycles = {
+                    cpu_id: counter.read().scaled
+                    for cpu_id, counter in cpu_cycle_counters.items()}
+                deltas = {cpu_id: current_cycles[cpu_id] - previous_cycles[cpu_id]
+                          for cpu_id in current_cycles}
+                previous_cycles = current_cycles
+                features[SMT_OVERLAP] = smt_overlap_rate(
+                    deltas, sibling_groups, window_s)
+            windows.append(EvalWindow(
+                time_s=kernel.time_s,
+                frequency_hz=kernel.machine.dominant_frequency_hz(),
+                features=features,
+                power_w=sample.power_w,
+                workload=name,
+            ))
+    perf.close()
+    return windows
 
 
 @dataclass(frozen=True)
@@ -174,43 +313,17 @@ class SamplingCampaign:
     def _one_run(self, frequency_hz: int, workload: Workload,
                  run_index: int) -> List[SamplePoint]:
         """One workload pinned at one frequency; one point per window."""
-        kernel = SimKernel(
-            self.spec,
-            governor_factory=lambda spec, topo, domain: UserspaceGovernor(
-                spec, topo, domain, frequency_hz),
+        windows = run_windows(
+            self.spec, [workload], frequency_hz=frequency_hz,
+            events=self.events,
+            duration_s=self.windows_per_run * self.window_s,
+            window_s=self.window_s, settle_s=self.settle_s,
             quantum_s=self.quantum_s,
-        )
-        meter = PowerSpy(kernel.machine, sample_rate_hz=1.0 / self.window_s,
-                         seed=self.meter_seed + run_index)
-        perf = PerfSession(kernel.machine)
-        counters = perf.open_group(self.events)
-        kernel.spawn(workload, name=workload.name)
-
-        points: List[SamplePoint] = []
-        with meter:
-            if self.settle_s > 0:
-                kernel.run(self.settle_s)
-            meter.clear()
-            previous = {counter.event: counter.read().scaled
-                        for counter in counters}
-            for _window in range(self.windows_per_run):
-                kernel.run(self.window_s)
-                sample = meter.last_sample()
-                if sample is None:
-                    continue
-                current = {counter.event: counter.read().scaled
-                           for counter in counters}
-                rates = {event: (current[event] - previous[event]) / self.window_s
-                         for event in previous}
-                previous = current
-                points.append(SamplePoint(
-                    frequency_hz=frequency_hz,
-                    workload=workload.name,
-                    rates=rates,
-                    power_w=sample.power_w,
-                ))
-        perf.close()
-        return points
+            meter_seed=self.meter_seed + run_index)
+        return [SamplePoint(frequency_hz=frequency_hz,
+                            workload=workload.name,
+                            rates=window.features, power_w=window.power_w)
+                for window in windows]
 
 
 def _execute_campaign_chunk(

@@ -247,91 +247,6 @@ class HpcSensor(PipelineStage):
             ))
 
 
-class MachineHpcSensor(PipelineStage):
-    """Publishes machine-wide HPC deltas (pid -1) on every clock tick.
-
-    Supports the hyperthread-aware models: with *with_smt_overlap* the
-    report's counters include the :data:`SMT_OVERLAP_EVENT` pseudo-event
-    (cycles during which both hyperthreads of a core were busy), computed
-    from per-logical-CPU cycle counters exactly like the learning
-    harness does.
-    """
-
-    #: Pseudo-event name carrying the SMT-overlap cycle count.
-    SMT_OVERLAP_EVENT = "smt-overlap-cycles"
-
-    def __init__(self, machine: Machine, perf: PerfSession,
-                 events: Sequence[str] = GENERIC_TRIO,
-                 with_smt_overlap: bool = False) -> None:
-        super().__init__(component="machine-hpc-sensor")
-        self.machine = machine
-        self.perf = perf
-        self.events = tuple(events)
-        self.with_smt_overlap = with_smt_overlap
-        self._counters: Tuple[PerfCounter, ...] = ()
-        self._previous: Dict[str, float] = {}
-        self._cycle_counters: Dict[int, PerfCounter] = {}
-        self._previous_cycles: Dict[int, float] = {}
-        self._sibling_groups = [
-            machine.topology.core_cpus(package_id, core_id)
-            for package_id, core_id in machine.topology.cores()]
-
-    subscribes_to = (ClockTick,)
-
-    def on_start(self) -> None:
-        self._counters = tuple(self.perf.open(event)
-                               for event in self.events)
-        self._previous = {counter.event: counter.read().scaled
-                          for counter in self._counters}
-        if self.with_smt_overlap:
-            self._cycle_counters = {
-                cpu_id: self.perf.open("cycles", cpu=cpu_id)
-                for cpu_id in self.machine.topology.cpu_ids}
-            self._previous_cycles = {
-                cpu_id: counter.read().scaled
-                for cpu_id, counter in self._cycle_counters.items()}
-
-    def on_stop(self) -> None:
-        for counter in self._counters:
-            counter.close()
-        for counter in self._cycle_counters.values():
-            counter.close()
-        self._counters = ()
-        self._cycle_counters = {}
-
-    def _overlap_delta(self) -> float:
-        current = {cpu_id: counter.read().scaled
-                   for cpu_id, counter in self._cycle_counters.items()}
-        deltas = {cpu_id: current[cpu_id] - self._previous_cycles[cpu_id]
-                  for cpu_id in current}
-        self._previous_cycles = current
-        overlap = 0.0
-        for group in self._sibling_groups:
-            counts = [max(0.0, deltas.get(cpu_id, 0.0))
-                      for cpu_id in group]
-            if len(counts) > 1:
-                overlap += min(counts)
-        return overlap
-
-    def handle(self, message) -> None:
-        if not isinstance(message, ClockTick):
-            return
-        current = {counter.event: counter.read().scaled
-                   for counter in self._counters}
-        deltas = {event: max(0.0, current[event] - self._previous[event])
-                  for event in current}
-        self._previous = current
-        if self.with_smt_overlap:
-            deltas[self.SMT_OVERLAP_EVENT] = self._overlap_delta()
-        self.publish(HpcReport(
-            time_s=message.time_s,
-            period_s=message.period_s,
-            pid=-1,
-            counters=deltas,
-            frequency_hz=self.machine.dominant_frequency_hz(),
-        ))
-
-
 class ProcFsSensor(PipelineStage):
     """Publishes per-process CPU-time deltas on every clock tick.
 

@@ -6,8 +6,6 @@ SMT contention, C-states, a three-level cache hierarchy, generic hardware
 performance counters and a hidden ground-truth wall-power model.
 """
 
-from repro.simcpu.adaptive import (AdaptiveConfig, AdaptiveReport,
-                                   AdaptiveSampler, PhaseDetector)
 from repro.simcpu.attribution import TrueProcessPower, attribute_power
 from repro.simcpu.caches import CacheBehaviour, CacheModel, MemoryProfile
 from repro.simcpu.counters import (ALL_EVENTS, GENERIC_TRIO, CounterBank,
@@ -23,13 +21,12 @@ from repro.simcpu.spec import (PRESETS, CacheSpec, CpuSpec, PowerEnvelope,
 from repro.simcpu.topology import LogicalCpu, Topology
 
 __all__ = [
-    "ALL_EVENTS", "AdaptiveConfig", "AdaptiveReport", "AdaptiveSampler",
-    "CStateController", "CStateInfo", "CacheBehaviour", "CacheModel",
-    "CacheSpec", "CoreActivity", "CounterBank", "CpuSpec", "EventDelta",
-    "ExecutionRates", "FrequencyDomain", "GENERIC_TRIO", "GroundTruthPower",
-    "InstructionMix", "LogicalCpu", "Machine", "MemoryProfile", "PRESETS",
-    "PhaseDetector", "PipelineModel", "PowerBreakdown", "PowerEnvelope",
-    "ThreadAssignment", "TickRecord", "Topology", "TrueProcessPower",
-    "amd_fx_8120", "attribute_power", "intel_core2duo_e6600",
-    "intel_i3_2120", "intel_xeon_smt", "preset",
+    "ALL_EVENTS", "CStateController", "CStateInfo", "CacheBehaviour",
+    "CacheModel", "CacheSpec", "CoreActivity", "CounterBank", "CpuSpec",
+    "EventDelta", "ExecutionRates", "FrequencyDomain", "GENERIC_TRIO",
+    "GroundTruthPower", "InstructionMix", "LogicalCpu", "Machine",
+    "MemoryProfile", "PRESETS", "PipelineModel", "PowerBreakdown",
+    "PowerEnvelope", "ThreadAssignment", "TickRecord", "Topology",
+    "TrueProcessPower", "amd_fx_8120", "attribute_power",
+    "intel_core2duo_e6600", "intel_i3_2120", "intel_xeon_smt", "preset",
 ]

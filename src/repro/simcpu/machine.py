@@ -87,22 +87,6 @@ class TickRecord:
         """Total wall power during the step, watts."""
         return self.power.total
 
-    def machine_events(self) -> EventDelta:
-        """Machine-wide event delta (sum over all processes and CPUs).
-
-        The merge is computed on the first call and cached on the
-        record.  Treat the returned delta as read-only.
-        """
-        cached = self.__dict__.get("_machine_events")
-        if cached is None:
-            cached = EventDelta()
-            for delta in self.events.values():
-                for event, count in delta.items():
-                    cached[event] = cached.get(event, 0.0) + count
-            # Frozen dataclass: bypass __setattr__ for the private cache.
-            self.__dict__["_machine_events"] = cached
-        return cached
-
 
 TickObserver = Callable[[TickRecord], None]
 #: ``fold(record, n_ticks, leaks, start_s)``: fold *n_ticks* ticks of one
@@ -238,16 +222,6 @@ class Machine:
             raise ConfigurationError(f"n_ticks must be >= 1, got {n_ticks}")
         program = self.engine.program(assignments, dt_s)
         return self.engine.replay(program, n_ticks)
-
-    def run_schedule(self, schedule: Sequence[
-            Tuple[Sequence[ThreadAssignment], int]],
-            dt_s: float = 0.01) -> List[TickRecord]:
-        """Run ``(assignments, n_ticks)`` segments back to back.
-
-        Returns one record per segment (the segment's final tick).
-        """
-        return [self.run_batch(assignments, n_ticks, dt_s)
-                for assignments, n_ticks in schedule]
 
     def dominant_frequency_hz(self) -> int:
         """Busy-weighted dominant core frequency of the last step.

@@ -121,15 +121,19 @@ class FleetAggregator:
         stream.thread.start()
         return client
 
-    def _drain(self, name: str, client: TelemetryClient) -> None:
+    def _drain(self, name: str, client: TelemetryClient,
+               host_of: Optional[Callable[[str], str]] = None) -> None:
+        """Merge *client*'s reports: each goes under *name*, or under
+        ``host_of(origin)`` when given, *origin* being its host label."""
         try:
             for event in client:
                 if isinstance(event, ReportEvent):
                     # identity() prefers the origin (seq, epoch) stamped
                     # by a relay hop, so dedup survives trees in which
                     # hop-local seqs restart mid-chain.
-                    _host, epoch, seq = event.identity()
-                    self.ingest(name, event.report, seq=seq, epoch=epoch)
+                    origin, epoch, seq = event.identity()
+                    host = name if host_of is None else host_of(origin)
+                    self.ingest(host, event.report, seq=seq, epoch=epoch)
         except Exception:  # noqa: BLE001 - drain threads must not leak
             pass
         finally:
@@ -302,30 +306,21 @@ class HierarchicalFleetAggregator(FleetAggregator):
                                  reconnect=reconnect,
                                  agent=f"repro-fleet/{cluster}",
                                  **client_kwargs)
+
+        def claim(origin: str) -> str:
+            # An unlabelled report stands for the cluster itself.
+            name = origin or cluster
+            with self._cond:
+                self._cluster_of.setdefault(name, cluster)
+            return name
+
         thread = threading.Thread(
-            target=self._drain_uplink, args=(cluster, client),
+            target=self._drain, args=(cluster, client, claim),
             name=f"fleet-uplink-{cluster}", daemon=True)
         with self._cond:
             self._uplinks.append((client, thread))
         thread.start()
         return client
-
-    def _drain_uplink(self, cluster: str,
-                      client: TelemetryClient) -> None:
-        try:
-            for event in client:
-                if not isinstance(event, ReportEvent):
-                    continue
-                origin_host, epoch, seq = event.identity()
-                name = origin_host or cluster
-                with self._cond:
-                    self._cluster_of.setdefault(name, cluster)
-                self.ingest(name, event.report, seq=seq, epoch=epoch)
-        except Exception:  # noqa: BLE001 - drain threads must not leak
-            pass
-        finally:
-            with self._cond:
-                self._cond.notify_all()
 
     def close(self) -> None:
         """Disconnect uplinks and per-host clients; join all drains."""

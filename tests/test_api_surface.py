@@ -6,6 +6,8 @@ that ``__all__`` matches what is actually importable.
 """
 
 import importlib
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,16 @@ PACKAGES = [
     "repro.simcpu",
     "repro.workloads",
 ]
+
+
+EXAMPLES = sorted(
+    (Path(__file__).resolve().parent.parent / "examples").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.name)
+def test_example_imports_resolve(path):
+    """Every example's imports resolve; its main guard keeps it idle."""
+    runpy.run_path(str(path), run_name="example")
 
 
 @pytest.mark.parametrize("package", PACKAGES)

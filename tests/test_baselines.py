@@ -5,12 +5,12 @@ import pytest
 from repro.baselines.bertran import (BERTRAN_EVENTS, bertran_campaign,
                                      learn_bertran_model)
 from repro.baselines.cpuload import CPU_LOAD_EVENTS, learn_cpu_load_model
-from repro.baselines.evaluation import (SMT_OVERLAP, run_windows,
-                                        score_model, smt_overlap_rate)
+from repro.baselines.evaluation import score_model
 from repro.baselines.happy import learn_happy_model
 from repro.baselines.raplmodel import (RaplEstimator,
                                        calibrate_rest_of_system)
-from repro.core.sampling import SamplingCampaign
+from repro.core.sampling import (SMT_OVERLAP, SamplingCampaign, run_windows,
+                                 smt_overlap_rate)
 from repro.errors import ConfigurationError, PowerMeterError
 from repro.os.kernel import SimKernel
 from repro.simcpu.counters import CYCLES

@@ -327,6 +327,8 @@ recover_after = 2
         pipeline_line, rest = out_b.split("\n", 1)
         assert pipeline_line.startswith("pipeline: ")
         assert rest == out_a
+        header = default_csv.read_text().splitlines()[0]
+        assert header.endswith(",gap,cap_w,cap_hz" if cap else ",gap")
         if cap:
             assert "cap actuations:" in out_a
 

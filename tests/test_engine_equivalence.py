@@ -165,7 +165,7 @@ class TestBatchedEquivalence:
             record = batched.run_batch(assignments, n_ticks, dt)
             assert record.time_s == last.time_s
             assert record.wall_power_w == last.wall_power_w
-            assert record.machine_events() == last.machine_events()
+            assert record.events == last.events
             assert dict(record.cpu_busy) == dict(last.cpu_busy)
         _assert_machines_identical(stepped, batched, pids_seen)
 

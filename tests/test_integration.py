@@ -8,7 +8,6 @@ comparison, scheduler energy effects and the RAPL comparison.
 import pytest
 
 from repro.analysis.traces import PowerTrace, compare
-from repro.baselines.evaluation import run_windows, score_model
 from repro.core.monitor import PowerAPI
 from repro.core.reporters import InMemoryReporter
 from repro.core.sampling import SamplingCampaign, learn_power_model

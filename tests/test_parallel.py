@@ -130,14 +130,3 @@ class TestSatelliteFixes:
         machine.remove_observer(seen.append)
         machine.remove_observer(seen.append)  # double-close: no error
         machine.remove_observer(lambda record: None)  # never subscribed
-
-    def test_machine_events_is_cached_and_correct(self, machine,
-                                                  cpu_bound_assignment):
-        record = machine.step([cpu_bound_assignment], dt_s=0.01)
-        first = record.machine_events()
-        assert first is record.machine_events()
-        merged = {}
-        for delta in record.events.values():
-            for event, count in delta.items():
-                merged[event] = merged.get(event, 0.0) + count
-        assert dict(first) == merged

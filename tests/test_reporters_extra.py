@@ -1,4 +1,4 @@
-"""Unit tests for the JSONL and Prometheus reporters."""
+"""Unit tests for the file (CSV, JSONL) and Prometheus reporters."""
 
 import json
 
@@ -6,7 +6,24 @@ import pytest
 
 from repro.actors.system import ActorSystem
 from repro.core.messages import AggregatedPowerReport
-from repro.core.reporters import JsonlReporter, PrometheusReporter
+from repro.core.reporters import CsvReporter, JsonlReporter, PrometheusReporter
+
+#: The file reporters, and the header lines each starts a fresh file with.
+FILE_KINDS = ("csv", "jsonl")
+HEADER_LINES = {"csv": 1, "jsonl": 0}
+
+
+def file_reporter(kind, path, **params):
+    if kind == "csv":
+        return CsvReporter(path, pids=[100], **params)
+    return JsonlReporter(path, **params)
+
+
+def line_time(kind, line):
+    """The report time one written line carries."""
+    if kind == "csv":
+        return float(line.split(",")[0])
+    return json.loads(line)["time_s"]
 
 
 def publish(system, time_s=1.0, by_pid=None):
@@ -78,32 +95,23 @@ class TestAppendResume:
     appends to the same file instead of truncating it or doubling the
     header."""
 
-    def test_csv_resumes_without_duplicate_header(self, tmp_path):
-        from repro.core.reporters import CsvReporter
-        path = tmp_path / "run.csv"
-        first_session = ActorSystem()
-        first = CsvReporter(path, pids=[100])
-        ref = first_session.spawn(first, "csv")
-        publish(first_session, time_s=1.0)
-        first_session.stop(ref)
-        assert not first.resumed
-
-        second_session = ActorSystem()
-        second = CsvReporter(path, pids=[100])
-        ref = second_session.spawn(second, "csv")
-        publish(second_session, time_s=2.0)
-        second_session.stop(ref)
-        assert second.resumed
-
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    def test_resumes_appending(self, tmp_path, kind):
+        path = tmp_path / f"run.{kind}"
+        for session, time_s in enumerate((1.0, 2.0)):
+            system = ActorSystem()
+            reporter = file_reporter(kind, path)
+            ref = system.spawn(reporter, kind)
+            publish(system, time_s=time_s)
+            system.stop(ref)
+            assert reporter.resumed == (session == 1)
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3  # one header + two data rows
-        assert lines[0].startswith("time_s,")
-        assert sum(1 for line in lines if line.startswith("time_s,")) == 1
-        assert lines[1].startswith("1.000,")
-        assert lines[2].startswith("2.000,")
+        # The resumed session wrote no second header.
+        assert len(lines) == HEADER_LINES[kind] + 2
+        assert [line_time(kind, line) for line in
+                lines[HEADER_LINES[kind]:]] == [1.0, 2.0]
 
     def test_csv_empty_file_gets_header(self, tmp_path):
-        from repro.core.reporters import CsvReporter
         path = tmp_path / "run.csv"
         path.touch()  # exists but empty: not a resume
         system = ActorSystem()
@@ -114,20 +122,7 @@ class TestAppendResume:
         assert not reporter.resumed
         assert path.read_text().startswith("time_s,")
 
-    def test_jsonl_resumes_appending(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        for time_s in (1.0, 2.0):
-            system = ActorSystem()
-            reporter = JsonlReporter(path)
-            ref = system.spawn(reporter, "jsonl")
-            publish(system, time_s=time_s)
-            system.stop(ref)
-        records = [json.loads(line)
-                   for line in path.read_text().strip().splitlines()]
-        assert [record["time_s"] for record in records] == [1.0, 2.0]
-
     def test_fsync_reporters_flush_durably(self, tmp_path):
-        from repro.core.reporters import CsvReporter
         system = ActorSystem()
         csv_reporter = CsvReporter(tmp_path / "run.csv", pids=[100],
                                    fsync=True)
@@ -143,16 +138,19 @@ class TestAppendResume:
         jsonl_reporter.flush()
         system.shutdown()
 
-    def test_flush_every_batches_with_fsync(self, tmp_path):
-        from repro.core.reporters import CsvReporter
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    def test_flush_every_batches_with_fsync(self, tmp_path, kind):
+        path = tmp_path / f"run.{kind}"
         system = ActorSystem()
-        reporter = CsvReporter(tmp_path / "run.csv", pids=[100],
-                               flush_every=3, fsync=True)
-        ref = system.spawn(reporter, "csv")
+        reporter = file_reporter(kind, path, flush_every=3, fsync=True)
+        ref = system.spawn(reporter, kind)
         publish(system, time_s=1.0)
         publish(system, time_s=2.0)
-        # Below the batch size nothing is guaranteed on disk yet;
-        # stopping flushes and fsyncs the remainder.
+        assert path.read_text() == ""  # below the batch: still buffered
+        publish(system, time_s=3.0)
+        assert path.read_text().count("\n") == HEADER_LINES[kind] + 3
+        publish(system, time_s=4.0)
+        # Stopping flushes and fsyncs the remainder.
         system.stop(ref)
-        lines = (tmp_path / "run.csv").read_text().strip().splitlines()
-        assert len(lines) == 3
+        lines = path.read_text().strip().splitlines()
+        assert len(lines) == HEADER_LINES[kind] + 4

@@ -5,11 +5,14 @@ workloads, short windows); the paper-scale campaign runs in the benchmark
 harness.
 """
 
+import hashlib
+
 import pytest
 
 from repro.core.calibration import calibrate_idle_power
 from repro.core.sampling import (SamplePoint, SamplingCampaign,
-                                 SamplingDataset, learn_power_model)
+                                 SamplingDataset, learn_power_model,
+                                 run_windows)
 from repro.errors import ConfigurationError, InsufficientDataError
 from repro.simcpu.counters import GENERIC_TRIO
 from repro.simcpu.spec import intel_i3_2120
@@ -83,6 +86,63 @@ class TestCampaign:
         grid = campaign._workloads()
         thread_counts = {threads for _w, threads in grid}
         assert thread_counts == {1, 2, 4}
+
+
+def _digest(rows) -> str:
+    """sha256 over each row's repr (a float's repr round-trips exactly)."""
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+class TestWindowLoop:
+    """The one window loop behind the campaign and the baselines."""
+
+    def test_campaign_dataset_is_pinned(self, dataset):
+        assert _digest(
+            (point.frequency_hz, point.workload,
+             sorted(point.rates.items()), point.power_w)
+            for point in dataset.points) == (
+            "5626214f8ebc1a04a09fb3124a3465bc7ce4de86daf4ad60d25391e32fbb4884")
+
+    def test_smt_overlap_windows_are_pinned(self, spec):
+        windows = run_windows(
+            spec, [CpuStress(duration_s=100), MemoryStress(duration_s=100),
+                   CpuStress(utilization=0.5, duration_s=100)],
+            frequency_hz=spec.max_frequency_hz, duration_s=3.0,
+            window_s=0.5, settle_s=0.25, quantum_s=0.05,
+            with_smt_overlap=True, pin_each_to_core=True)
+        assert len(windows) == 6
+        assert _digest(
+            (window.time_s, window.frequency_hz, window.workload,
+             sorted(window.features.items()), window.power_w)
+            for window in windows) == (
+            "01bba7fed1fdec0dd83f268be71aab028c0eb53d92f90dda787f2d90c7f5ef69")
+
+    def test_rejects_window_of_partial_quanta(self, spec):
+        # 1.0 s on 0.03 s quanta runs 0.99 s windows: the first closes no
+        # meter sample, and the next divided two windows' counts by one.
+        with pytest.raises(ConfigurationError, match="quantum_s=0.03"):
+            run_windows(spec, [CpuStress(duration_s=100)],
+                        frequency_hz=spec.max_frequency_hz,
+                        duration_s=6.0, window_s=1.0, quantum_s=0.03)
+
+    def test_campaign_rejects_window_of_partial_quanta(self, spec):
+        campaign = SamplingCampaign(
+            spec, workloads=[CpuStress()],
+            frequencies_hz=[spec.max_frequency_hz], window_s=1.0,
+            windows_per_run=2, settle_s=0.0, quantum_s=0.03)
+        with pytest.raises(ConfigurationError, match="window_s=1.0"):
+            campaign.run()
+
+    def test_short_whole_quanta_windows_pass(self, spec):
+        windows = run_windows(spec, [CpuStress(duration_s=100)],
+                              frequency_hz=spec.max_frequency_hz,
+                              duration_s=0.2, window_s=0.05, quantum_s=0.01)
+        rates = [window.features["instructions"] for window in windows]
+        assert len(rates) == 4
+        assert max(rates) == pytest.approx(min(rates), rel=1e-9)
 
 
 class TestCalibration:
