@@ -356,7 +356,7 @@ def _measure_slow_subscriber(policy: str) -> dict:
     paused = [sub for sub in server.subscribers()
               if sub.agent == "repro-bench-slow"]
     assert len(paused) == 1
-    paused[0].queue.pause()
+    paused[0].pause()
 
     start = time.perf_counter()
     unblocker = None
@@ -365,7 +365,7 @@ def _measure_slow_subscriber(policy: str) -> dict:
         # the first stall is counted so the run completes.
         def _unblock() -> None:
             server.wait_for(lambda: server.stalls >= 1, timeout=30.0)
-            paused[0].queue.resume()
+            paused[0].resume()
 
         unblocker = threading.Thread(target=_unblock, daemon=True)
         unblocker.start()
@@ -375,7 +375,7 @@ def _measure_slow_subscriber(policy: str) -> dict:
     if unblocker is not None:
         unblocker.join(timeout=30.0)
     else:
-        paused[0].queue.resume()
+        paused[0].resume()
 
     stats = server.stats()
     slow_stats = next(sub for sub in stats["subscribers"]

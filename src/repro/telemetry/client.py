@@ -210,6 +210,10 @@ class TelemetryClient:
         self._sock = sock
         self._decoder = decoder
         self._pending = pending
+        if self._closed:
+            # close() ran mid-handshake and found no socket to release.
+            self._disconnect()
+            raise TelemetryError("client is closed")
         return self
 
     def _read_handshake_reply(
@@ -301,21 +305,26 @@ class TelemetryClient:
             if self._pending:
                 frames, self._pending = self._pending, []
             else:
+                # close() on another thread may clear both attributes
+                # mid-read: keep this read's socket and decoder.
+                sock, decoder = self._sock, self._decoder
+                if sock is None or decoder is None:
+                    continue
                 try:
-                    data = self._sock.recv(_RECV_BYTES)
+                    data = sock.recv(_RECV_BYTES)
                 except socket.timeout:
                     raise TelemetryConnectionError(
                         f"no data from {self.host}:{self.port} within "
                         f"{self.read_timeout_s}s") from None
                 except OSError:
                     data = b""
-                if not data:
+                if self._closed or not data:
                     self._disconnect()
-                    if self._closed or not self._redial():
+                    if not self._redial():
                         return
                     continue
                 try:
-                    frames = self._decoder.feed(data)
+                    frames = decoder.feed(data)
                 except WireProtocolError:
                     # Corrupt stream: the decoder is poisoned, so the
                     # only recovery is a fresh connection — RESUME then

@@ -121,14 +121,15 @@ def check_server_config(overflow: str = OverflowPolicy.DROP_OLDEST,
 class BoundedFrameQueue:
     """A bounded frame queue implementing the three overflow policies.
 
-    Kept separate from the socket machinery so the policies are
-    unit-testable without any I/O.  ``pause()`` holds the consumer —
-    the deterministic way to simulate a slow subscriber in tests.
+    A plain policy container, kept apart from the socket machinery so
+    the policies are unit-testable without any I/O.  It owns no lock:
+    the server guards every queue with its ``_cond``.  :meth:`offer`
+    never blocks; a ``block``-policy publisher waits on that ``_cond``
+    until ``full`` clears before it offers.
     """
 
     def __init__(self, capacity: int,
-                 policy: str = OverflowPolicy.DROP_OLDEST,
-                 on_block: Optional[Callable[[], None]] = None) -> None:
+                 policy: str = OverflowPolicy.DROP_OLDEST) -> None:
         if capacity < 1:
             raise ConfigurationError("queue capacity must be >= 1")
         if policy not in OverflowPolicy.ALL:
@@ -137,155 +138,85 @@ class BoundedFrameQueue:
                 f"use one of {', '.join(OverflowPolicy.ALL)}")
         self.capacity = capacity
         self.policy = policy
-        #: Called the moment a producer starts waiting for space, so
-        #: stall accounting is visible while the stall is in progress.
-        self.on_block = on_block
-        #: Called (outside the queue lock) whenever the consumer may
-        #: have work: after an append, a resume or a close.  The server
-        #: points this at its event-loop wakeup.
-        self.on_ready: Optional[Callable[[], None]] = None
         self._items: Deque[Tuple[FrameKind, bytes]] = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-        self._paused = False
-        #: Frames shed by drop-oldest / coalesce on this queue.
+        #: Consumer held: frames pile up and the policy becomes visible.
+        self.paused = False
+        #: Refuses new frames once set.
+        self.closed = False
+        #: Frames shed by a full queue.
         self.dropped = 0
-        #: Times a producer had to wait for space (block policy only).
+        #: Times a publisher waited for space (block policy only).
         self.blocked = 0
         #: Maximum queue depth ever observed.
         self.high_water = 0
 
     def __len__(self) -> int:
-        with self._cond:
-            return len(self._items)
+        return len(self._items)
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def _notify_ready(self) -> None:
-        if self.on_ready is not None:
-            self.on_ready()
+    def full(self) -> bool:
+        return len(self._items) >= self.capacity
 
     def offer(self, kind: FrameKind, data: bytes) -> bool:
-        """Enqueue one frame per the policy; False if the queue closed."""
-        with self._cond:
-            if self._closed:
-                return False
-            if len(self._items) >= self.capacity:
-                if self.policy == OverflowPolicy.BLOCK:
-                    self.blocked += 1
-                    if self.on_block is not None:
-                        self.on_block()
-                    while len(self._items) >= self.capacity:
-                        if self._closed:
-                            return False
-                        self._cond.wait()
-                elif (self.policy == OverflowPolicy.COALESCE
-                        and kind is FrameKind.REPORT):
-                    # Replace the most recent pending report with this
-                    # one: the subscriber skips straight to the latest.
-                    for index in range(len(self._items) - 1, -1, -1):
-                        if self._items[index][0] is FrameKind.REPORT:
-                            del self._items[index]
-                            self.dropped += 1
-                            break
-                    else:
-                        self._items.popleft()
-                        self.dropped += 1
+        """Enqueue one frame, shedding one if full; False if closed.
+
+        ``coalesce`` sheds the newest pending report for a report; every
+        other case sheds the oldest frame.  A ``block`` queue is never
+        full here: its publisher waits for space first, and a RESUME
+        replay is cut to fit its fresh queue.
+        """
+        if self.closed:
+            return False
+        if self.full:
+            self.dropped += 1
+            if (self.policy == OverflowPolicy.COALESCE
+                    and kind is FrameKind.REPORT):
+                # Replace the most recent pending report with this
+                # one: the subscriber skips straight to the latest.
+                for index in range(len(self._items) - 1, -1, -1):
+                    if self._items[index][0] is FrameKind.REPORT:
+                        del self._items[index]
+                        break
                 else:
                     self._items.popleft()
-                    self.dropped += 1
-            self._items.append((kind, data))
-            self.high_water = max(self.high_water, len(self._items))
-            self._cond.notify_all()
-        self._notify_ready()
-        return True
-
-    def force(self, kind: FrameKind, data: bytes) -> bool:
-        """Enqueue one frame without ever blocking.
-
-        Evicts the oldest queued frame when full regardless of policy.
-        Used for resume replay, which runs while holding the server's
-        ``_cond`` — a blocking ``offer`` there would deadlock against
-        the consumer (it takes ``_cond`` after every flush).
-        """
-        with self._cond:
-            if self._closed:
-                return False
-            if len(self._items) >= self.capacity:
+            else:
                 self._items.popleft()
-                self.dropped += 1
-            self._items.append((kind, data))
-            self.high_water = max(self.high_water, len(self._items))
-            self._cond.notify_all()
-        self._notify_ready()
+        self._items.append((kind, data))
+        self.high_water = max(self.high_water, len(self._items))
         return True
 
-    def pop_many_nowait(self, max_frames: int, max_bytes: int
-                        ) -> List[Tuple[FrameKind, bytes]]:
-        """Dequeue up to *max_frames* frames without blocking.
+    def pop_many(self, max_frames: int, max_bytes: int
+                 ) -> List[Tuple[FrameKind, bytes]]:
+        """Dequeue up to *max_frames* frames; ``[]`` when paused or empty.
 
         Stops before a frame that would push the popped total past
         *max_bytes* (the first frame always fits, so an oversized frame
-        cannot wedge the queue).  Returns an empty list when paused,
-        empty or drained-after-close — one lock round-trip either way,
-        which is what lets the event loop drain a whole batch per
-        wakeup instead of locking per frame.
+        cannot wedge the queue).
         """
-        with self._cond:
-            if self._paused or not self._items:
-                return []
-            popped: List[Tuple[FrameKind, bytes]] = []
-            total = 0
-            while self._items and len(popped) < max_frames:
-                size = len(self._items[0][1])
-                if popped and total + size > max_bytes:
-                    break
-                item = self._items.popleft()
-                popped.append(item)
-                total += size
-            self._cond.notify_all()
+        popped: List[Tuple[FrameKind, bytes]] = []
+        if self.paused:
             return popped
-
-    def pause(self) -> None:
-        """Hold the consumer (frames pile up; policies become visible)."""
-        with self._cond:
-            self._paused = True
-            self._cond.notify_all()
-
-    def resume(self) -> None:
-        """Release a paused consumer."""
-        with self._cond:
-            self._paused = False
-            self._cond.notify_all()
-        self._notify_ready()
-
-    def close(self) -> None:
-        """Refuse new frames and wake blocked producers.
-
-        Queued frames stay poppable: ``pop_many_nowait`` drains them,
-        then returns ``[]`` for good.
-        """
-        with self._cond:
-            self._closed = True
-            self._paused = False
-            self._cond.notify_all()
-        self._notify_ready()
+        total = 0
+        while self._items and len(popped) < max_frames:
+            size = len(self._items[0][1])
+            if popped and total + size > max_bytes:
+                break
+            popped.append(self._items.popleft())
+            total += size
+        return popped
 
 
 class ReplayBuffer:
     """The server's bounded ring of recently published stream frames.
 
-    Every REPORT/HEALTH/GAP frame is appended as ``(seq, kind, bytes)``
-    plus an optional *meta* — the frame's decoded payload, kept so a
-    RESUME replay can run the same pid/downsample filter predicate the
-    live path applies (entries appended without meta replay
-    unfiltered).  :meth:`since` answers a RESUME: the frames still held
-    after ``last_seq``, plus the highest sequence number that has
-    scrolled out of the window (``None`` when nothing the client missed
-    was evicted).  Not self-locking — the server mutates it under its
-    own ``_cond``.
+    Every REPORT/HEALTH/GAP frame is appended as ``(seq, kind, bytes,
+    meta)``, *meta* being the frame's payload: a RESUME replay picks
+    each subscriber's bytes from it exactly as the live path does.
+    :meth:`since` answers a RESUME: the frames still held after
+    ``last_seq``, plus the highest sequence number that has scrolled
+    out of the window (``None`` when nothing the client missed was
+    evicted).  Not self-locking — the server mutates it under its own
+    ``_cond``.
     """
 
     def __init__(self, window: int) -> None:
@@ -293,7 +224,7 @@ class ReplayBuffer:
             raise ConfigurationError("replay window must be >= 1")
         self.window = window
         self._items: Deque[Tuple[int, FrameKind, bytes,
-                                 Optional[Mapping[str, object]]]] = deque(
+                                 Mapping[str, object]]] = deque(
             maxlen=window)
         #: Highest sequence number ever appended (-1 when empty).
         self.last_seq = -1
@@ -302,13 +233,13 @@ class ReplayBuffer:
         return len(self._items)
 
     def append(self, seq: int, kind: FrameKind, data: bytes,
-               meta: Optional[Mapping[str, object]] = None) -> None:
+               meta: Mapping[str, object]) -> None:
         self._items.append((seq, kind, data, meta))
         self.last_seq = seq
 
     def since(self, last_seq: int) -> Tuple[
-            List[Tuple[int, FrameKind, bytes,
-                       Optional[Mapping[str, object]]]], Optional[int]]:
+            List[Tuple[int, FrameKind, bytes, Mapping[str, object]]],
+            Optional[int]]:
         """``(replayable frames after last_seq, evicted_through)``."""
         frames = [item for item in self._items if item[0] > last_seq]
         if frames:
@@ -332,19 +263,14 @@ class _Subscription:
         self.downsample = max(1, downsample)
         self._report_index = 0
 
-    def wants_kind(self, kind: FrameKind) -> bool:
-        return kind in self.kinds
-
     def admit_payload(self, kind: FrameKind,
                       payload: Mapping[str, object]) -> bool:
-        """The live-path filter predicate, evaluated on a wire payload.
+        """The filter predicate, evaluated on a wire payload.
 
-        One predicate for live publishes *and* RESUME replay (the
-        replay ring keeps each frame's payload as meta), so a resuming
-        subscriber sees exactly the frames it would have seen live —
-        including the downsample cadence, whose counter advances here.
+        Advances the downsample cadence on every report it gets past
+        the pid filter.
         """
-        if not self.wants_kind(kind):
+        if kind not in self.kinds:
             return False
         if kind is FrameKind.REPORT:
             if (self.pids is not None and not payload.get("gap")
@@ -359,24 +285,37 @@ class _Subscription:
             return self.pids is None or pid == -1 or pid in self.pids
         return True
 
-    def restrict_payload(self, payload: Mapping[str, object]
-                         ) -> Dict[str, object]:
-        """A report payload with ``by_pid`` narrowed to subscribed pids."""
+    def frame_for(self, kind: FrameKind, payload: Mapping[str, object],
+                  data: bytes) -> Optional[bytes]:
+        """The bytes this subscriber gets for one frame, or None.
+
+        The one delivery rule for live frames, heartbeats and RESUME
+        replay, so a resuming subscriber sees exactly the frames it
+        would have seen live: :meth:`admit_payload`, then, for a report
+        on a pid-filtered subscription, *payload* re-encoded with
+        ``by_pid`` narrowed to the subscribed pids.  Everyone else
+        shares *data*, the frame as encoded once.
+        """
+        if not self.admit_payload(kind, payload):
+            return None
+        if kind is not FrameKind.REPORT or self.pids is None:
+            return data
         restricted = dict(payload)
         by_pid = payload.get("by_pid")
-        if self.pids is not None and isinstance(by_pid, dict):
+        if isinstance(by_pid, dict):
             restricted["by_pid"] = {key: watts
                                     for key, watts in by_pid.items()
                                     if int(key) in self.pids}
-        return restricted
+        return wire.encode_frame(kind, restricted,
+                                 version=wire.STREAM_VERSION)
 
 
 class _Subscriber:
     """Server-side state for one connection on the event loop.
 
     The loop thread owns all connection state (decoder, write buffer,
-    selector registration); publishers touch only the thread-safe
-    ``queue`` and the counters guarded by the server's ``_cond``.
+    selector registration); the ``queue`` and the delivery counters are
+    guarded by the server's ``_cond``.
     """
 
     _ids = 0
@@ -389,9 +328,7 @@ class _Subscriber:
         self.conn = conn
         self.peer = peer
         self.queue = BoundedFrameQueue(server.queue_capacity,
-                                       server.overflow,
-                                       on_block=server._count_stall)
-        self.queue.on_ready = self._on_queue_ready
+                                       server.overflow)
         self.subscription: Optional[_Subscription] = None
         self.agent = ""
         self.version = wire.PROTOCOL_VERSION
@@ -423,8 +360,22 @@ class _Subscriber:
         #: Deadline for a latency-accumulated batch flush, if armed.
         self.flush_deadline: Optional[float] = None
 
-    def _on_queue_ready(self) -> None:
-        self.server._mark_dirty(self)
+    def pause(self) -> None:
+        """Hold delivery: frames pile up in the queue under its policy.
+
+        The deterministic stand-in for a subscriber that stopped reading.
+        """
+        with self.server._cond:
+            self.queue.paused = True
+
+    def resume(self) -> None:
+        """Release a paused subscriber and wake the loop to drain it."""
+        with self.server._cond:
+            self.queue.paused = False
+            self.server._dirty.add(self)
+            wake = self.server._claim_wake()
+        if wake:
+            self.server._wake()
 
     def enqueue_chunk(self, data: bytes, frames: int = 0,
                       counted: bool = False) -> None:
@@ -435,7 +386,10 @@ class _Subscriber:
         if self.closed:
             return
         self.closed = True
-        self.queue.close()
+        with self.server._cond:
+            # Wakes a ``block`` publisher waiting for space in it.
+            self.queue.closed = True
+            self.server._cond.notify_all()
         try:
             self.conn.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -446,7 +400,7 @@ class _Subscriber:
             pass
 
     def stats(self) -> Dict[str, object]:
-        """This subscriber's delivery counters."""
+        """This subscriber's delivery counters (read under ``_cond``)."""
         return {
             "id": self.id,
             "agent": self.agent,
@@ -489,10 +443,17 @@ class TelemetryServer:
     every socket (accepting, handshakes, flushing write buffers).
     ``publish_*`` may be called from any thread (typically the single
     actor-dispatch thread through a :class:`TelemetryBridge`, or a
-    relay's uplink drain threads) — a dedicated publish lock keeps the
-    seq order frames enter subscriber queues consistent with the order
-    seqs were assigned, so client-side dedup never mistakes
-    reordering for replay.
+    relay's uplink drain threads).
+
+    Lock model: ``_cond`` is the one monitor over seq, the counters,
+    the subscriber list, the replay ring, the dirty set and every
+    subscriber queue.  ``_publish_lock`` serializes whole publishes, so
+    frames enter every queue in seq order and client-side dedup never
+    mistakes reordering for replay.  The only order is
+    ``_publish_lock`` -> ``_cond``; the loop thread takes ``_cond``
+    alone.  A publisher that meets a full ``block`` queue waits on
+    ``_cond`` (releasing it, keeping ``_publish_lock``) until the loop
+    drains or closes that queue.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -536,7 +497,6 @@ class TelemetryServer:
         self._wake_w: Optional[socket.socket] = None
         #: Subscribers with queue activity since the last loop pass.
         self._dirty: Set[_Subscriber] = set()
-        self._dirty_lock = threading.Lock()
         self._wake_pending = False
         #: Connections mid-handshake (accepted, not yet subscribed).
         self._handshaking: Set[_Subscriber] = set()
@@ -548,7 +508,7 @@ class TelemetryServer:
         self._cond = threading.Condition()
         #: Serializes whole publishes (seq assignment + queue offers)
         #: across publisher threads; see the class docstring.
-        self._publish_lock = threading.RLock()
+        self._publish_lock = threading.Lock()
         self._running = False
         self.reports_published = 0
         self.health_published = 0
@@ -568,7 +528,6 @@ class TelemetryServer:
         self.stream_epoch = uuid.uuid4().hex[:16]
         # One counter across REPORT/HEALTH/GAP: the *stream* sequence a
         # resuming client acks (heartbeats keep their own counter).
-        # ``_publish_lock`` serializes assignment with fan-out.
         self._seq = 0
 
     def set_transport(self, transport: Optional[Callable[[socket.socket],
@@ -611,7 +570,7 @@ class TelemetryServer:
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
-        with self._dirty_lock:
+        with self._cond:
             self._dirty.clear()
             self._wake_pending = False
         self._running = True
@@ -661,20 +620,18 @@ class TelemetryServer:
         except OSError:
             pass
 
-    def _mark_dirty(self, subscriber: _Subscriber) -> None:
-        """Queue callback: frames (or a close) await the loop's attention.
+    def _claim_wake(self) -> bool:
+        """Whether the caller must :meth:`_wake` the loop for the dirty
+        set (``_cond`` held).
 
-        Called from publisher threads with arbitrary locks held above
-        us, so this takes only the leaf ``_dirty_lock``.  The pending
-        flag coalesces wake bytes: at most one is in flight between
-        loop passes.
+        The pending flag coalesces wake bytes: at most one is in flight
+        between loop passes.  Callers send it after releasing ``_cond``
+        where they can, so the woken loop does not block on it.
         """
-        with self._dirty_lock:
-            self._dirty.add(subscriber)
-            if self._wake_pending:
-                return
-            self._wake_pending = True
-        self._wake()
+        if not self._dirty or self._wake_pending:
+            return False
+        self._wake_pending = True
+        return True
 
     def _loop(self) -> None:
         selector = self._selector
@@ -710,9 +667,8 @@ class TelemetryServer:
         return max(0.0, soonest - time.monotonic())
 
     def _service_dirty(self) -> None:
-        with self._dirty_lock:
-            dirty = self._dirty
-            self._dirty = set()
+        with self._cond:
+            dirty, self._dirty = self._dirty, set()
             self._wake_pending = False
         for subscriber in dirty:
             if not subscriber.closed and subscriber.ready:
@@ -913,24 +869,26 @@ class TelemetryServer:
         policy = self.batch
         batching = (subscriber.version >= wire.BATCH_VERSION
                     and policy.max_frames > 1)
+        queue = subscriber.queue
         while subscriber.outbuf_bytes < _OUTBUF_LIMIT:
-            if (batching and policy.max_latency_s > 0.0
-                    and not subscriber.queue.closed
-                    and len(subscriber.queue) < policy.max_frames):
-                # Not enough for a full batch: spend the latency
-                # budget accumulating before flushing a partial one.
-                now = time.monotonic()
-                if subscriber.flush_deadline is None:
-                    if len(subscriber.queue) == 0:
+            with self._cond:
+                if (batching and policy.max_latency_s > 0.0
+                        and len(queue) < policy.max_frames):
+                    # Not enough for a full batch: spend the latency
+                    # budget accumulating before flushing a partial one.
+                    now = time.monotonic()
+                    if subscriber.flush_deadline is None:
+                        if not queue:
+                            break
+                        subscriber.flush_deadline = (
+                            now + policy.max_latency_s)
+                        self._deadlines.add(subscriber)
                         break
-                    subscriber.flush_deadline = (
-                        now + policy.max_latency_s)
-                    self._deadlines.add(subscriber)
-                    break
-                if now < subscriber.flush_deadline:
-                    break
-            items = subscriber.queue.pop_many_nowait(
-                policy.max_frames, policy.max_bytes)
+                    if now < subscriber.flush_deadline:
+                        break
+                items = queue.pop_many(policy.max_frames, policy.max_bytes)
+                if items:
+                    self._cond.notify_all()  # a block publisher may wait
             if subscriber.flush_deadline is not None:
                 subscriber.flush_deadline = None
                 self._deadlines.discard(subscriber)
@@ -1036,13 +994,10 @@ class TelemetryServer:
     def _replay_to(self, subscriber: _Subscriber, last_seq: int) -> None:
         """Serve one RESUME: replay held frames, mark evictions.
 
-        Runs under ``_cond``; enqueues via the queue's non-blocking
-        ``force`` (the fresh queue has no blocked publishers, so taking
-        its lock here cannot deadlock).  Replayed frames pass through
-        the same pid/kind/downsample predicate as live frames — a
-        resumed subscriber never sees a frame its subscription would
-        have suppressed live (entries recorded without payload metadata
-        fall back to kind-only filtering).
+        Runs under ``_cond``.  Each held frame passes through
+        :meth:`_Subscription.frame_for`, exactly like a live one.  The
+        subscriber's queue is still empty, and the replay is cut to fit
+        it.
         """
         self.resumes_served += 1
         if self._replay is not None:
@@ -1051,21 +1006,11 @@ class TelemetryServer:
             held = []
             evicted_through = (self._seq - 1
                                if self._seq - 1 > last_seq else None)
-        subscription = subscriber.subscription
         admitted: List[Tuple[int, FrameKind, bytes]] = []
         for seq, kind, data, meta in held:
-            if subscription is not None:
-                if meta is None:
-                    if not subscription.wants_kind(kind):
-                        continue
-                elif not subscription.admit_payload(kind, meta):
-                    continue
-                elif (kind is FrameKind.REPORT
-                        and subscription.pids is not None):
-                    data = wire.encode_frame(
-                        kind, subscription.restrict_payload(meta),
-                        version=wire.STREAM_VERSION)
-            admitted.append((seq, kind, data))
+            chunk = subscriber.subscription.frame_for(kind, meta, data)
+            if chunk is not None:
+                admitted.append((seq, kind, chunk))
         # Reserve one queue slot for the eviction gap marker: frames
         # that cannot fit extend the evicted range instead of silently
         # evicting each other inside the queue.
@@ -1079,9 +1024,9 @@ class TelemetryServer:
             gap = wire.eviction_gap_frame(
                 evicted_from=last_seq + 1, evicted_through=evicted_through,
                 time_s=0.0, host=self.host_label)
-            subscriber.queue.force(FrameKind.GAP, gap)
+            subscriber.queue.offer(FrameKind.GAP, gap)
         for _seq, kind, data in admitted:
-            subscriber.queue.force(kind, data)
+            subscriber.queue.offer(kind, data)
         subscriber.frames_replayed += len(admitted)
         self.frames_replayed += len(admitted)
 
@@ -1122,69 +1067,66 @@ class TelemetryServer:
         body = dict(payload)
         if not body.get("host"):
             body["host"] = self.host_label
-        with self._publish_lock:
-            with self._cond:
-                seq = self._seq
-                self._seq += 1
-                setattr(self, counter, getattr(self, counter) + 1)
-                targets = list(self._subscribers)
-                body["seq"] = seq
-                data = wire.encode_frame(kind, body,
-                                         version=wire.STREAM_VERSION)
-                if self._replay is not None:
-                    # Seq assignment + ring append are atomic with the
-                    # targets snapshot, so a concurrent resume replays
-                    # exactly the frames its owner will not receive
-                    # live.  The payload rides along as replay
-                    # metadata so resumes re-apply subscription
-                    # filters.
-                    self._replay.append(seq, kind, data, meta=body)
-            offered = 0
-            for subscriber in targets:
-                subscription = subscriber.subscription
-                if (subscription is None
-                        or not subscription.admit_payload(kind, body)):
-                    continue
-                if (kind is FrameKind.REPORT
-                        and subscription.pids is not None):
-                    chunk = wire.encode_frame(
-                        kind, subscription.restrict_payload(body),
-                        version=wire.STREAM_VERSION)
-                else:
-                    chunk = data
-                offered += subscriber.queue.offer(kind, chunk)
-            if kind is FrameKind.REPORT:
-                self._maybe_heartbeat(float(body.get("time_s", 0.0)))
-        self._notify()
+        with self._publish_lock, self._cond:
+            seq = self._seq
+            self._seq += 1
+            setattr(self, counter, getattr(self, counter) + 1)
+            body["seq"] = seq
+            data = wire.encode_frame(kind, body,
+                                     version=wire.STREAM_VERSION)
+            if self._replay is not None:
+                # Seq assignment + ring append are atomic with the
+                # targets snapshot, so a concurrent resume replays
+                # exactly the frames its owner will not receive live.
+                self._replay.append(seq, kind, data, body)
+            targets = list(self._subscribers)
+            offered = self._deliver(targets, kind, body, data)
+            if (kind is FrameKind.REPORT and self.heartbeat_every
+                    and self.reports_published % self.heartbeat_every
+                    == 0):
+                self.heartbeats_published += 1
+                beat = {"seq": self.heartbeats_published,
+                        "time_s": float(body.get("time_s", 0.0)),
+                        "host": self.host_label}
+                self._deliver(targets, FrameKind.HEARTBEAT, beat,
+                              wire.encode_frame(
+                                  FrameKind.HEARTBEAT, beat,
+                                  version=wire.STREAM_VERSION))
+            self._cond.notify_all()  # wait_for() may watch the counters
+            wake = self._claim_wake()
+        if wake:
+            self._wake()
         return offered
 
-    def _maybe_heartbeat(self, time_s: float) -> None:
-        if (self.heartbeat_every <= 0
-                or self.reports_published % self.heartbeat_every != 0):
-            return
-        with self._cond:
-            self.heartbeats_published += 1
-            seq = self.heartbeats_published
-            targets = list(self._subscribers)
-        data = wire.heartbeat_frame(seq, time_s, host=self.host_label)
+    def _deliver(self, targets: List[_Subscriber], kind: FrameKind,
+                 payload: Mapping[str, object], data: bytes) -> int:
+        """Offer one frame to every target that admits it; returns
+        queues offered to.
+
+        Runs under ``_cond``.  On a full ``block`` queue the publisher
+        counts a stall and waits on ``_cond`` until the loop drains the
+        queue or closes it.  It keeps ``_publish_lock`` meanwhile, so no
+        later frame overtakes this one.
+        """
+        offered = 0
         for subscriber in targets:
-            if (subscriber.subscription is not None
-                    and subscriber.subscription.wants_kind(
-                        FrameKind.HEARTBEAT)):
-                subscriber.queue.offer(FrameKind.HEARTBEAT, data)
-
-    def _count_stall(self) -> None:
-        # Called from inside a queue's lock, so the order here is
-        # queue -> server ``_cond``.  Every other server path must
-        # therefore release ``_cond`` before touching any queue lock
-        # (see ``stats()``) or it deadlocks against a stalled publisher.
-        with self._cond:
-            self.stalls += 1
-            self._cond.notify_all()
-
-    def _notify(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
+            chunk = subscriber.subscription.frame_for(kind, payload, data)
+            if chunk is None:
+                continue
+            queue = subscriber.queue
+            if (queue.policy == OverflowPolicy.BLOCK and queue.full
+                    and not queue.closed):
+                queue.blocked += 1
+                self.stalls += 1
+                self._cond.notify_all()
+                if self._claim_wake():
+                    self._wake()  # the loop must drain what is owed
+                while queue.full and not queue.closed:
+                    self._cond.wait()
+            if queue.offer(kind, chunk):
+                offered += 1
+                self._dirty.add(subscriber)
+        return offered
 
     # -- introspection -------------------------------------------------
 
@@ -1200,32 +1142,25 @@ class TelemetryServer:
 
     def stats(self) -> Dict[str, object]:
         """Server-wide and per-subscriber delivery counters."""
-        # Snapshot the list under ``_cond`` but collect each
-        # subscriber's counters only after releasing it: ``sub.stats()``
-        # takes that subscriber's queue lock, while a block-policy
-        # publisher stalled in ``offer()`` holds the queue lock and
-        # waits for ``_cond`` in ``_count_stall`` — holding both here
-        # would be an ABBA deadlock.
-        targets = self.subscribers()
-        subscribers = [sub.stats() for sub in targets]
-        return {
-            "host_label": self.host_label,
-            "overflow": self.overflow,
-            "queue_capacity": self.queue_capacity,
-            "reports_published": self.reports_published,
-            "health_published": self.health_published,
-            "gaps_published": self.gaps_published,
-            "heartbeats_published": self.heartbeats_published,
-            "stalls": self.stalls,
-            "replay_window": self.replay_window,
-            "stream_epoch": self.stream_epoch,
-            "resumes_served": self.resumes_served,
-            "resumes_rejected": self.resumes_rejected,
-            "connections_refused": self.connections_refused,
-            "frames_replayed": self.frames_replayed,
-            "replay_evictions": self.replay_evictions,
-            "subscribers": subscribers,
-        }
+        with self._cond:
+            return {
+                "host_label": self.host_label,
+                "overflow": self.overflow,
+                "queue_capacity": self.queue_capacity,
+                "reports_published": self.reports_published,
+                "health_published": self.health_published,
+                "gaps_published": self.gaps_published,
+                "heartbeats_published": self.heartbeats_published,
+                "stalls": self.stalls,
+                "replay_window": self.replay_window,
+                "stream_epoch": self.stream_epoch,
+                "resumes_served": self.resumes_served,
+                "resumes_rejected": self.resumes_rejected,
+                "connections_refused": self.connections_refused,
+                "frames_replayed": self.frames_replayed,
+                "replay_evictions": self.replay_evictions,
+                "subscribers": [sub.stats() for sub in self._subscribers],
+            }
 
     def wait_for(self, predicate: Callable[[], bool],
                  timeout: float = 5.0) -> bool:

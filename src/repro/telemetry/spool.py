@@ -39,7 +39,7 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import Iterator, List, Optional, Union
+from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import SpoolError
 
@@ -52,6 +52,30 @@ RECORD_HEADER_SIZE = _RECORD_HEADER.size
 #: Hard per-record bound; a corrupt length field is treated as a torn
 #: tail instead of attempting a gigabyte read.
 MAX_RECORD_BYTES = 64 * 1024 * 1024
+
+
+def _walk(file: BinaryIO) -> Iterator[Tuple[bytes, int]]:
+    """Yield ``(payload, end_offset)`` per intact record from *file*'s
+    current position.
+
+    The one reader of the record framing, for recovery and iteration
+    alike.  It stops at the torn tail: a short header, a length over
+    ``MAX_RECORD_BYTES``, a short payload or a CRC mismatch.
+    """
+    offset = file.tell()
+    while True:
+        header = file.read(RECORD_HEADER_SIZE)
+        if len(header) < RECORD_HEADER_SIZE:
+            return
+        length, crc = _RECORD_HEADER.unpack(header)
+        if length > MAX_RECORD_BYTES:
+            return  # corrupt length: treat as torn tail
+        payload = file.read(length)
+        if (len(payload) < length
+                or zlib.crc32(payload) & 0xFFFFFFFF != crc):
+            return
+        offset += RECORD_HEADER_SIZE + length
+        yield payload, offset
 
 
 class Spool:
@@ -97,7 +121,9 @@ class Spool:
                 file.write(MAGIC)
                 file.flush()
                 return file
-            good_end = self._scan(file)
+            good_end = len(MAGIC)
+            for _payload, good_end in _walk(file):
+                self.recovered_records += 1
             size = file.seek(0, 2)
             if size > good_end:
                 self.truncated_bytes = size - good_end
@@ -108,25 +134,6 @@ class Spool:
         except BaseException:
             file.close()
             raise
-
-    def _scan(self, file) -> int:
-        """Walk records from the magic; return the end of the last good one."""
-        offset = len(MAGIC)
-        file.seek(offset)
-        while True:
-            header = file.read(RECORD_HEADER_SIZE)
-            if len(header) < RECORD_HEADER_SIZE:
-                return offset
-            length, crc = _RECORD_HEADER.unpack(header)
-            if length > MAX_RECORD_BYTES:
-                return offset  # corrupt length: treat as torn tail
-            payload = file.read(length)
-            if len(payload) < length:
-                return offset
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                return offset
-            offset += RECORD_HEADER_SIZE + length
-            self.recovered_records += 1
 
     # -- appending ----------------------------------------------------
 
@@ -196,21 +203,9 @@ class Spool:
         reaches the current end are not yielded).
         """
         with self.path.open("rb") as file:
-            head = file.read(len(MAGIC))
-            if head != MAGIC:
+            if file.read(len(MAGIC)) != MAGIC:
                 return
-            while True:
-                header = file.read(RECORD_HEADER_SIZE)
-                if len(header) < RECORD_HEADER_SIZE:
-                    return
-                length, crc = _RECORD_HEADER.unpack(header)
-                if length > MAX_RECORD_BYTES:
-                    return
-                payload = file.read(length)
-                if len(payload) < length:
-                    return
-                if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                    return
+            for payload, _end in _walk(file):
                 yield payload
 
     # -- telemetry-aware helpers --------------------------------------

@@ -59,7 +59,7 @@ class TestReplayBuffer:
     def test_everything_held_no_eviction(self):
         ring = ReplayBuffer(8)
         for seq in range(4):
-            ring.append(seq, FrameKind.REPORT, b"%d" % seq)
+            ring.append(seq, FrameKind.REPORT, b"%d" % seq, {"seq": seq})
         frames, evicted = ring.since(1)
         assert [item[0] for item in frames] == [2, 3]
         assert evicted is None
@@ -67,7 +67,7 @@ class TestReplayBuffer:
     def test_eviction_detected(self):
         ring = ReplayBuffer(2)
         for seq in range(5):  # ring holds seqs 3, 4
-            ring.append(seq, FrameKind.REPORT, b"%d" % seq)
+            ring.append(seq, FrameKind.REPORT, b"%d" % seq, {"seq": seq})
         frames, evicted = ring.since(0)
         assert [item[0] for item in frames] == [3, 4]
         assert evicted == 2  # seqs 1..2 scrolled out
@@ -75,7 +75,7 @@ class TestReplayBuffer:
     def test_fully_evicted(self):
         ring = ReplayBuffer(2)
         for seq in range(10):  # holds 8, 9
-            ring.append(seq, FrameKind.REPORT, b"%d" % seq)
+            ring.append(seq, FrameKind.REPORT, b"%d" % seq, {"seq": seq})
         frames, evicted = ring.since(9)
         assert frames == [] and evicted is None  # nothing was missed
 

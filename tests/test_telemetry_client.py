@@ -82,6 +82,45 @@ class TestClientBasics:
         assert list(events) == []  # clean end, not an error
         client.close()
 
+    def test_close_during_read_ends_iteration(self):
+        # Regression: close() on another thread cleared _sock/_decoder
+        # while events() sat between recv() and feed(), and the
+        # iterating thread died with an AttributeError.  The transport
+        # replays that interleaving deterministically: its recv() runs
+        # close() before handing the bytes back.
+        class CloseOnRecv:
+            def __init__(self, sock):
+                self.sock = sock
+                self.client = None  # armed once the handshake is done
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
+            def recv(self, size):
+                data = self.sock.recv(size)
+                if self.client is not None:
+                    self.client.close()
+                return data
+
+        wrappers = []
+
+        def wrap(sock):
+            wrappers.append(CloseOnRecv(sock))
+            return wrappers[-1]
+
+        server = TelemetryServer(port=0).start()
+        try:
+            client = TelemetryClient("127.0.0.1", server.port,
+                                     read_timeout_s=10.0,
+                                     transport=wrap).connect()
+            assert server.wait_for_subscribers(1)
+            wrappers[0].client = client
+            server.publish_report(report(time_s=1.0))
+            assert list(client.events()) == []  # ends, does not raise
+            assert not client.connected
+        finally:
+            server.stop()
+
 
 class TestEventBatching:
     def test_max_events_mid_batch_keeps_decoded_tail(self):

@@ -6,6 +6,7 @@ condition-based waits — no sleeps anywhere.
 """
 
 import socket
+import sys
 import threading
 
 import pytest
@@ -14,10 +15,10 @@ from repro.actors.system import ActorSystem
 from repro.core.messages import AggregatedPowerReport, GapMarker, HealthEvent
 from repro.errors import ConfigurationError, WireProtocolError
 from repro.telemetry import wire
-from repro.telemetry.client import TelemetryClient
+from repro.telemetry.client import ReconnectPolicy, TelemetryClient
 from repro.telemetry.server import (BatchPolicy, BoundedFrameQueue,
                                     OverflowPolicy, TelemetryBridge,
-                                    TelemetryServer)
+                                    TelemetryServer, _Subscription)
 from repro.telemetry.wire import (FrameKind, GapTelemetry, Heartbeat,
                                   HealthTelemetry, ReportEvent)
 
@@ -47,7 +48,7 @@ def make_client(server, **kwargs):
 
 def pop_one(queue):
     """Dequeue at most one frame the way the server's event loop does."""
-    return queue.pop_many_nowait(1, 1 << 20)
+    return queue.pop_many(1, 1 << 20)
 
 
 class TestBoundedFrameQueue:
@@ -92,50 +93,12 @@ class TestBoundedFrameQueue:
         assert queue.dropped == 1
         assert pop_one(queue) == [(FrameKind.HEALTH, b"h1")]
 
-    def test_block_waits_for_space(self):
-        stalled = threading.Event()
-        queue = BoundedFrameQueue(1, policy=OverflowPolicy.BLOCK,
-                                  on_block=stalled.set)
-        queue.offer(FrameKind.REPORT, b"0")
-        done = threading.Event()
-
-        def produce():
-            queue.offer(FrameKind.REPORT, b"1")
-            done.set()
-
-        producer = threading.Thread(target=produce, daemon=True)
-        producer.start()
-        assert stalled.wait(timeout=5.0)  # producer is provably blocked
-        assert not done.is_set()
-        # Dequeuing frees space and unblocks the producer.
-        assert pop_one(queue) == [(FrameKind.REPORT, b"0")]
-        assert done.wait(timeout=5.0)
-        assert pop_one(queue) == [(FrameKind.REPORT, b"1")]
-        assert queue.blocked == 1
-
-    def test_close_unblocks_producer_and_consumer(self):
-        queue = BoundedFrameQueue(1, policy=OverflowPolicy.BLOCK)
-        queue.offer(FrameKind.REPORT, b"0")
-        results = []
-
-        def produce():
-            results.append(queue.offer(FrameKind.REPORT, b"1"))
-
-        producer = threading.Thread(target=produce, daemon=True)
-        producer.start()
-        queue.close()
-        producer.join(timeout=5.0)
-        assert results == [False]
-        assert pop_one(queue) == [(FrameKind.REPORT, b"0")]  # drains
-        assert pop_one(queue) == []  # then ends
-        assert queue.closed
-
     def test_pause_holds_consumer(self):
         queue = BoundedFrameQueue(4)
-        queue.pause()
+        queue.paused = True
         queue.offer(FrameKind.REPORT, b"0")
         assert pop_one(queue) == []
-        queue.resume()
+        queue.paused = False
         assert pop_one(queue) == [(FrameKind.REPORT, b"0")]
 
 
@@ -260,15 +223,15 @@ class TestFilters:
 class TestOverflow:
     """Slow-subscriber behaviour for all three policies.
 
-    The subscriber's writer is paused through its queue — the
-    deterministic stand-in for a subscriber that stopped reading.
+    The subscriber is paused server-side — the deterministic stand-in
+    for a subscriber that stopped reading.
     """
 
     def _paused_subscriber(self, server):
         client = make_client(server)
         assert server.wait_for_subscribers(1)
         (subscriber,) = server.subscribers()
-        subscriber.queue.pause()
+        subscriber.pause()
         return client, subscriber
 
     def test_drop_oldest_sheds_without_stalling(self):
@@ -281,7 +244,7 @@ class TestOverflow:
             assert server.stalls == 0
             assert subscriber.queue.dropped == 16
             assert subscriber.queue.high_water == 4
-            subscriber.queue.resume()
+            subscriber.resume()
             events = client.collect(4)
             assert [e.report.time_s for e in events] == [16.0, 17.0,
                                                          18.0, 19.0]
@@ -300,7 +263,7 @@ class TestOverflow:
                 server.publish_report(report(time_s=float(index)))
             assert server.stalls == 0
             assert subscriber.queue.dropped == 49
-            subscriber.queue.resume()
+            subscriber.resume()
             health, latest = client.collect(2)
             assert isinstance(health, HealthTelemetry)
             assert latest.report.time_s == 49.0
@@ -322,48 +285,13 @@ class TestOverflow:
             stats = server.stats()  # must stay live mid-stall
             assert stats["stalls"] == 1
             assert stats["subscribers"][0]["blocked"] == 1
-            subscriber.queue.resume()
+            subscriber.resume()
             blocked_publish.join(timeout=5.0)
             assert not blocked_publish.is_alive()
             client.collect(2)
             client.close()
         finally:
             server.stop()
-
-    def test_stats_releases_server_lock_before_queue_counters(self, server):
-        # Regression: stats() used to call each subscriber's stats()
-        # (which takes the queue lock) while holding ``_cond``.  A
-        # block-policy publisher stalled in offer() holds the queue
-        # lock while _count_stall waits for ``_cond`` — the opposite
-        # order — so the two ABBA-deadlocked.  Probe from another
-        # thread that ``_cond`` is free when per-subscriber stats run.
-        client = make_client(server)
-        assert server.wait_for_subscribers(1)
-        (subscriber,) = server.subscribers()
-        original = subscriber.stats
-        cond_free = []
-
-        def probing_stats():
-            acquired = []
-
-            def probe():
-                got = server._cond.acquire(blocking=False)
-                if got:
-                    server._cond.release()
-                acquired.append(got)
-
-            prober = threading.Thread(target=probe)
-            prober.start()
-            prober.join(timeout=5.0)
-            cond_free.append(acquired == [True])
-            return original()
-
-        subscriber.stats = probing_stats
-        stats = server.stats()
-        assert cond_free == [True], \
-            "stats() held the server lock while reading queue counters"
-        assert stats["subscribers"][0]["frames_sent"] == 0
-        client.close()
 
     def test_block_policy_stalls_the_publisher(self):
         server = TelemetryServer(port=0, queue_capacity=2,
@@ -377,7 +305,7 @@ class TestOverflow:
                 daemon=True)
             blocked_publish.start()
             assert server.wait_for(lambda: server.stalls >= 1)
-            subscriber.queue.resume()
+            subscriber.resume()
             blocked_publish.join(timeout=5.0)
             assert not blocked_publish.is_alive()
             events = client.collect(3)
@@ -385,6 +313,178 @@ class TestOverflow:
             assert subscriber.queue.dropped == 0
             client.close()
         finally:
+            server.stop()
+
+    def test_stop_releases_a_stalled_publisher(self):
+        server = TelemetryServer(port=0, queue_capacity=1,
+                                 overflow=OverflowPolicy.BLOCK).start()
+        try:
+            client, _subscriber = self._paused_subscriber(server)
+            server.publish_report(report(time_s=0.0))
+            offered = []
+            blocked_publish = threading.Thread(
+                target=lambda: offered.append(
+                    server.publish_report(report(time_s=1.0))),
+                daemon=True)
+            blocked_publish.start()
+            assert server.wait_for(lambda: server.stalls >= 1)
+            server.stop()
+            blocked_publish.join(timeout=5.0)
+            assert not blocked_publish.is_alive()
+            assert offered == [0]  # the closed queue refused the frame
+            client.close()
+        finally:
+            server.stop()
+
+
+class TestConcurrentPublishers:
+    """Three publishers into one ``block`` server, the way relay uplinks
+    and a bridge share one, against every kind of subscriber at once."""
+
+    PER_PUBLISHER = 40
+    CAPACITY = 8
+    KINDS = {AggregatedPowerReport: FrameKind.REPORT,
+             HealthEvent: FrameKind.HEALTH, GapMarker: FrameKind.GAP}
+
+    @staticmethod
+    def _message(index, tag):
+        """The index-th bus message of one publisher."""
+        if index % 5 == 4:
+            return GapMarker(time_s=float(index), period_s=1.0,
+                             pid=(100, 200, -1)[index % 3], source=tag)
+        if index % 7 == 6:
+            return HealthEvent(time_s=float(index), component=tag,
+                               kind="degraded")
+        by_pid = ({100: 1.0}, {200: 2.0}, {100: 1.0, 200: 2.0},
+                  None)[index % 4]
+        return report(time_s=float(index), by_pid=by_pid,
+                      gap=by_pid is None)
+
+    def _publish_like_an_uplink(self, server, tag):
+        for index in range(self.PER_PUBLISHER):
+            message = self._message(index, tag)
+            server.publish_frame(self.KINDS[type(message)],
+                                 message.to_wire())
+
+    def _publish_like_a_bridge(self, server):
+        system = ActorSystem()
+        system.spawn(TelemetryBridge(server), name="bridge")
+        for index in range(self.PER_PUBLISHER):
+            system.event_bus.publish(self._message(index, "bridge"))
+            system.dispatch()
+
+    def test_three_publishers_against_every_subscriber_kind(self):
+        server = TelemetryServer(port=0, queue_capacity=self.CAPACITY,
+                                 overflow=OverflowPolicy.BLOCK,
+                                 replay_window=1024).start()
+        sockets = []
+
+        def keep(sock):
+            sockets.append(sock)
+            return sock
+
+        def dial(agent, **kwargs):
+            return TelemetryClient("127.0.0.1", server.port, agent=agent,
+                                   read_timeout_s=30.0, **kwargs).connect()
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            clients = {
+                "all": dial("all"),
+                "paused": dial("paused"),
+                "pid": dial("pid", pids=[100]),
+                "sampled": dial("sampled", downsample=2),
+                "resumed": dial("resumed", transport=keep,
+                                reconnect=ReconnectPolicy(base_s=0.01,
+                                                          max_s=0.05)),
+            }
+            assert server.wait_for_subscribers(len(clients))
+            (paused,) = [sub for sub in server.subscribers()
+                         if sub.agent == "paused"]
+            paused.pause()
+
+            received = {name: [] for name in clients}
+            errors = []
+            resumed_has_two = threading.Event()
+
+            def read(name):
+                try:
+                    for event in clients[name].events():
+                        if (isinstance(event, HealthTelemetry)
+                                and event.event.kind == "end"):
+                            return
+                        received[name].append(event.seq)
+                        if name == "resumed" and len(received[name]) >= 2:
+                            resumed_has_two.set()
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append((name, exc))
+
+            stop_stats = threading.Event()
+            stats_calls = []
+
+            def poll_stats():
+                while not stop_stats.is_set():
+                    stats_calls.append(server.stats()["stalls"])
+
+            readers = [threading.Thread(target=read, args=(name,),
+                                        daemon=True) for name in clients]
+            publishers = [
+                threading.Thread(target=self._publish_like_an_uplink,
+                                 args=(server, "uplink-0"), daemon=True),
+                threading.Thread(target=self._publish_like_an_uplink,
+                                 args=(server, "uplink-1"), daemon=True),
+                threading.Thread(target=self._publish_like_a_bridge,
+                                 args=(server,), daemon=True),
+            ]
+            statser = threading.Thread(target=poll_stats, daemon=True)
+            for thread in readers + publishers + [statser]:
+                thread.start()
+
+            # While "paused" holds the publishers at its full queue no
+            # more than CAPACITY + 1 seqs exist, so the resumed client,
+            # two seqs in, misses at most CAPACITY - 1: all replayable.
+            assert server.wait_for(lambda: server.stalls >= 1,
+                                   timeout=30.0)
+            assert resumed_has_two.wait(timeout=30.0)
+            sockets[0].shutdown(socket.SHUT_RDWR)
+            assert server.wait_for(lambda: server.resumes_served >= 1,
+                                   timeout=30.0)
+            paused.resume()
+
+            for thread in publishers:
+                thread.join(timeout=60.0)
+            server.publish_health(HealthEvent(
+                time_s=0.0, component="test", kind="end"))
+            for thread in readers:
+                thread.join(timeout=60.0)
+            stop_stats.set()
+            statser.join(timeout=60.0)
+            assert not any(thread.is_alive()
+                           for thread in readers + publishers + [statser])
+            assert errors == []
+            assert stats_calls
+
+            total = 3 * self.PER_PUBLISHER
+            held, _evicted = server._replay.since(-1)
+            assert [entry[0] for entry in held] == list(range(total + 1))
+            for name, seqs in received.items():
+                assert all(a < b for a, b in zip(seqs, seqs[1:])), name
+            for name in ("all", "paused", "resumed"):
+                assert received[name] == list(range(total)), name
+            # Exactly once on the wire too, not only after client dedup.
+            assert clients["resumed"].duplicates_dropped == 0
+            for name, subscription in (
+                    ("pid", _Subscription(pids=frozenset({100}))),
+                    ("sampled", _Subscription(downsample=2))):
+                expected = [seq for seq, kind, _data, meta in held[:-1]
+                            if subscription.admit_payload(kind, meta)]
+                assert received[name] == expected, name
+            assert server.stalls >= 1
+            for client in clients.values():
+                client.close()
+        finally:
+            sys.setswitchinterval(switch_interval)
             server.stop()
 
 
