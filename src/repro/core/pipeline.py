@@ -415,7 +415,8 @@ class PipelineSpec:
     def from_file(cls, path: Any) -> "PipelineSpec":
         """Load a spec from a ``.json`` or ``.toml`` file."""
         import os
-        text = open(os.fspath(path), "r", encoding="utf-8").read()
+        with open(os.fspath(path), "r", encoding="utf-8") as handle:
+            text = handle.read()
         name = os.fspath(path).lower()
         if name.endswith(".json"):
             return cls.from_json(text)

@@ -1,4 +1,9 @@
-"""Simulated operating-system layer: processes, scheduling, cpufreq, procfs."""
+"""Simulated operating-system layer: processes, scheduling, cpufreq, procfs.
+
+:mod:`repro.os.virt` builds on :mod:`repro.workloads`, which builds on
+:mod:`repro.os.process`, so its names load on first access: importing
+this package must not import the workloads.
+"""
 
 from repro.os.actuation import FrequencyCapActuator, ProcessThrottle
 from repro.os.cgroups import ROOT, CgroupTree
@@ -11,7 +16,6 @@ from repro.os.procfs import ProcFs
 from repro.os.scheduler import (EnergyAwareScheduler, PackScheduler,
                                 PinnedScheduler, Scheduler, SpreadScheduler)
 from repro.os.sysfs import SysFs
-from repro.os.virt import VirtualMachine, split_vm_power
 
 __all__ = [
     "CgroupTree", "ConservativeGovernor",
@@ -23,3 +27,10 @@ __all__ = [
     "SpreadScheduler", "SysFs", "UserspaceGovernor", "VirtualMachine",
     "split_vm_power",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("VirtualMachine", "split_vm_power"):
+        from repro.os import virt
+        return getattr(virt, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

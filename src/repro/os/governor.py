@@ -9,7 +9,7 @@ frequency/energy trade-off.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from repro.errors import ConfigurationError, FrequencyError
 from repro.simcpu.frequency import FrequencyDomain
@@ -18,7 +18,7 @@ from repro.simcpu.topology import Topology
 
 
 class Governor:
-    """Base class: called once per quantum with per-CPU utilisation."""
+    """Base class: called on each polled quantum with per-CPU utilisation."""
 
     def __init__(self, spec: CpuSpec, topology: Topology,
                  domain: FrequencyDomain) -> None:
@@ -29,6 +29,39 @@ class Governor:
     def update(self, cpu_busy: Mapping[int, float]) -> None:
         """Adjust per-core frequency targets for the next quantum."""
         raise NotImplementedError
+
+    def is_fixed_point(self, cpu_busy: Mapping[int, float]) -> bool:
+        """Whether ``update(cpu_busy)`` would change nothing.
+
+        True only if no target and no state of the governor's own would
+        move, so every later update with the same busy map is a no-op
+        too; the kernel then accounts a steady run without calling
+        :meth:`update` again.  This base says False, so a governor that
+        does not override it is updated every quantum.
+        """
+        return False
+
+    def _holds(self, requests: Iterable[Tuple[Tuple[int, int], int]]
+               ) -> bool:
+        """Whether each core already has what its request is granted.
+
+        *requests* yields ``((package_id, core_id), frequency_hz)``; the
+        grant is the request lowered to the domain's ceiling, as
+        :meth:`~repro.simcpu.frequency.FrequencyDomain.set_target` does.
+        """
+        domain = self.domain
+        ceiling = domain.ceiling_hz
+        for (package_id, core_id), frequency_hz in requests:
+            if ceiling is not None and frequency_hz > ceiling:
+                frequency_hz = ceiling
+            if domain.target(package_id, core_id) != frequency_hz:
+                return False
+        return True
+
+    def _holds_everywhere(self, frequency_hz: int) -> bool:
+        """:meth:`_holds` for one request made on every core."""
+        return self._holds((core, frequency_hz)
+                           for core in self.topology.cores())
 
     def _core_utilisation(self, cpu_busy: Mapping[int, float]
                           ) -> Dict[Tuple[int, int], float]:
@@ -44,10 +77,15 @@ class Governor:
 class PerformanceGovernor(Governor):
     """Always run at the maximum sustained frequency (turbo if present)."""
 
+    def _target(self) -> int:
+        return (self.spec.turbo_frequencies_hz[-1]
+                if self.spec.turbo_enabled else self.spec.max_frequency_hz)
+
     def update(self, cpu_busy: Mapping[int, float]) -> None:
-        target = (self.spec.turbo_frequencies_hz[-1]
-                  if self.spec.turbo_enabled else self.spec.max_frequency_hz)
-        self.domain.set_all_targets(target)
+        self.domain.set_all_targets(self._target())
+
+    def is_fixed_point(self, cpu_busy: Mapping[int, float]) -> bool:
+        return self._holds_everywhere(self._target())
 
 
 class PowersaveGovernor(Governor):
@@ -55,6 +93,9 @@ class PowersaveGovernor(Governor):
 
     def update(self, cpu_busy: Mapping[int, float]) -> None:
         self.domain.set_all_targets(self.spec.min_frequency_hz)
+
+    def is_fixed_point(self, cpu_busy: Mapping[int, float]) -> bool:
+        return self._holds_everywhere(self.spec.min_frequency_hz)
 
 
 class UserspaceGovernor(Governor):
@@ -82,6 +123,9 @@ class UserspaceGovernor(Governor):
     def update(self, cpu_busy: Mapping[int, float]) -> None:
         self.domain.set_all_targets(self._frequency_hz)
 
+    def is_fixed_point(self, cpu_busy: Mapping[int, float]) -> bool:
+        return self._holds_everywhere(self._frequency_hz)
+
 
 class OndemandGovernor(Governor):
     """Linux ondemand: jump to max when busy, decay proportionally when not.
@@ -98,9 +142,11 @@ class OndemandGovernor(Governor):
             raise FrequencyError("up_threshold must be within (0, 1]")
         self.up_threshold = up_threshold
 
-    def update(self, cpu_busy: Mapping[int, float]) -> None:
+    def _requests(self, cpu_busy: Mapping[int, float]
+                  ) -> Iterable[Tuple[Tuple[int, int], int]]:
+        """The P-state each core asks for at its utilisation."""
         ladder = self.spec.frequencies_hz
-        for (package_id, core_id), util in self._core_utilisation(cpu_busy).items():
+        for core, util in self._core_utilisation(cpu_busy).items():
             if util >= self.up_threshold:
                 target = self.spec.max_frequency_hz
             else:
@@ -112,7 +158,14 @@ class OndemandGovernor(Governor):
                         break
                 else:
                     target = ladder[-1]
+            yield core, target
+
+    def update(self, cpu_busy: Mapping[int, float]) -> None:
+        for (package_id, core_id), target in self._requests(cpu_busy):
             self.domain.set_target(package_id, core_id, target)
+
+    def is_fixed_point(self, cpu_busy: Mapping[int, float]) -> bool:
+        return self._holds(self._requests(cpu_busy))
 
 
 class ConservativeGovernor(Governor):
@@ -138,15 +191,29 @@ class ConservativeGovernor(Governor):
             ((p, c) for p in range(spec.packages)
              for c in range(spec.cores_per_package))}
 
+    def _step(self, index: int, util: float) -> int:
+        """The ladder index one update moves a core at *util* to."""
+        if util >= self.up_threshold and index < len(self._ladder) - 1:
+            return index + 1
+        if util <= self.down_threshold and index > 0:
+            return index - 1
+        return index
+
     def update(self, cpu_busy: Mapping[int, float]) -> None:
         for core, util in self._core_utilisation(cpu_busy).items():
-            index = self._index[core]
-            if util >= self.up_threshold and index < len(self._ladder) - 1:
-                index += 1
-            elif util <= self.down_threshold and index > 0:
-                index -= 1
-            self._index[core] = index
+            index = self._index[core] = self._step(self._index[core], util)
             self.domain.set_target(core[0], core[1], self._ladder[index])
+
+    def is_fixed_point(self, cpu_busy: Mapping[int, float]) -> bool:
+        # Under a ceiling the index can climb while the granted target
+        # stays put: that is a move too.
+        requests = []
+        for core, util in self._core_utilisation(cpu_busy).items():
+            index = self._index[core]
+            if self._step(index, util) != index:
+                return False
+            requests.append((core, self._ladder[index]))
+        return self._holds(requests)
 
 
 GOVERNORS = {

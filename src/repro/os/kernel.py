@@ -5,14 +5,16 @@ every live process for its demand, lets the governor adjust P-states from
 the previous quantum's utilisation, lets the scheduler produce
 assignments, advances the machine and updates process accounting.
 
-:meth:`run_span` is the one loop: it runs a span of quanta, still polling
-processes, governor and scheduler every quantum, but holds the compiled
-engine program while the assignments and the frequency domain's
-generation repeat, and replays each run of identical quanta with one
-engine call when the run ends.  :meth:`tick` is a span of one quantum,
-:meth:`run` a span for a duration; :meth:`run_until_idle` ticks until
-every process exits.  :class:`~repro.core.monitor.PowerAPI` cuts its runs
-into spans at the quanta its actors must see.
+:meth:`run_span` is the one loop.  It polls processes, governor and
+scheduler once per steady run of quanta: when every polled program's
+demand holds for several quanta (its demand horizon) and the governor's
+update is a fixed point, the run is accounted after that one poll.  It
+holds the compiled engine program while the assignments and the
+frequency domain's generation repeat, and replays each run of identical
+quanta with one engine call when the run ends.  :meth:`tick` is a span
+of one quantum, :meth:`run` a span for a duration; :meth:`run_until_idle`
+ticks until every process exits.  :class:`~repro.core.monitor.PowerAPI`
+cuts its runs into spans at the quanta its actors must see.
 """
 
 from __future__ import annotations
@@ -89,6 +91,11 @@ class SimKernel:
     def run_span(self, n_quanta: int, until_idle: bool = False) -> int:
         """Run up to *n_quanta* quanta; returns how many ran.
 
+        A poll covers the smallest demand horizon over the polled
+        processes and the quanta left, or one quantum unless the
+        governor's update is a fixed point: the quanta it covers would
+        poll the same demands, move no governor state and get the same
+        assignments (the scheduler is a pure function of the demands).
         Machine state (time, energy, counters) moves only when a run of
         identical quanta is replayed, the last one before this returns.
         The program replayed is the one compiled on the run's first
@@ -98,6 +105,7 @@ class SimKernel:
         """
         engine = self.machine.engine
         domain = self.machine.frequency
+        governor = self.governor
         quantum = self.quantum_s
         processes = self._processes.values()
         program = held = None
@@ -113,7 +121,7 @@ class SimKernel:
                         if demand is not None:
                             demands.append((process, demand))
 
-                self.governor.update(self._last_busy)
+                governor.update(self._last_busy)
                 assignments = self.scheduler.assign(demands)
                 if assignments != held or domain.generation != generation:
                     if count:
@@ -126,16 +134,25 @@ class SimKernel:
                         granted[assignment.pid] = (
                             granted.get(assignment.pid, 0.0)
                             + assignment.busy_fraction)
-                count += 1
                 # The program owns its busy map and nothing mutates it;
                 # it is the map this quantum's record carries.
                 self._last_busy = program.cpu_busy
 
+                idle = until_idle and not demands
+                quanta = 1 if idle else n_quanta - ran
                 for process, _demand in demands:
-                    process.account(
-                        granted.get(process.pid, 0.0) * quantum, quantum)
-                ran += 1
-                if until_idle and not demands:
+                    if quanta == 1:
+                        break
+                    quanta = process.demand_horizon(quantum, quanta)
+                if quanta > 1 and not governor.is_fixed_point(
+                        program.cpu_busy):
+                    quanta = 1
+                count += quanta
+                for process, _demand in demands:
+                    process.account(granted.get(process.pid, 0.0) * quantum,
+                                    quantum, quanta)
+                ran += quanta
+                if idle:
                     break
         finally:
             if count:

@@ -4,7 +4,9 @@ A :class:`SimProcess` wraps a *program*: any object implementing the
 :class:`Program` protocol, i.e. a ``demand(local_time_s)`` method returning
 the process's resource :class:`Demand` for the next scheduling quantum (or
 ``None`` when the program has finished).  Workloads
-(:mod:`repro.workloads`) are programs.
+(:mod:`repro.workloads`) are programs; a program that also has
+``demand_horizon`` (see :meth:`repro.workloads.base.Workload.demand_horizon`)
+lets the kernel poll it once per steady run of quanta.
 """
 
 from __future__ import annotations
@@ -102,12 +104,31 @@ class SimProcess:
         self._pending = demand
         return demand
 
-    def account(self, granted_cpu_s: float, dt_s: float) -> None:
-        """Record one quantum of wall time and granted CPU time."""
+    def demand_horizon(self, quantum_s: float, limit: int) -> int:
+        """Polls from now on, this one included, that return its demand.
+
+        Asks the program's ``demand_horizon`` at the current
+        ``wall_time_s``; a program without one gets 1.
+        """
+        horizon = getattr(self.program, "demand_horizon", None)
+        if horizon is None:
+            return 1
+        return horizon(self.wall_time_s, quantum_s, limit)
+
+    def account(self, granted_cpu_s: float, dt_s: float,
+                quanta: int = 1) -> None:
+        """Record *quanta* quanta of wall time and granted CPU time.
+
+        Each quantum adds its own share, so the totals are the ones that
+        many one-quantum calls leave.
+        """
         if granted_cpu_s < 0 or dt_s < 0:
             raise ConfigurationError("time accounting must be >= 0")
-        self.cpu_time_s += granted_cpu_s
-        self.wall_time_s += dt_s
+        cpu_time_s, wall_time_s = self.cpu_time_s, self.wall_time_s
+        for _ in range(quanta):
+            cpu_time_s += granted_cpu_s
+            wall_time_s += dt_s
+        self.cpu_time_s, self.wall_time_s = cpu_time_s, wall_time_s
 
     @property
     def alive(self) -> bool:

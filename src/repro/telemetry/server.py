@@ -557,10 +557,14 @@ class TelemetryServer:
         if self._running:
             return self
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self._requested_port))
-        listener.listen(128)
-        listener.setblocking(False)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self.host, self._requested_port))
+            listener.listen(128)
+            listener.setblocking(False)
+        except BaseException:
+            listener.close()
+            raise
         self._listener = listener
         self._selector = selectors.DefaultSelector()
         self._selector.register(listener, selectors.EVENT_READ, "listener")

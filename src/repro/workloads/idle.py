@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.os.process import Demand
@@ -23,6 +24,16 @@ class IdleWorkload(Workload):
         if self.duration_s is not None and local_time_s >= self.duration_s:
             return None
         return Demand(utilization=0.0)
+
+    def demand_horizon(self, local_time_s: float, quantum_s: float,
+                       limit: int) -> int:
+        return self._stepped_horizon(local_time_s, quantum_s, limit,
+                                     self._edge)
+
+    def _edge(self, time_s: float) -> float:
+        if self.duration_s is None or time_s >= self.duration_s:
+            return math.inf
+        return self.duration_s
 
 
 class BackgroundNoise(ConstantWorkload):

@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError
 from repro.os.process import Demand
 from repro.simcpu.caches import MemoryProfile
 from repro.simcpu.pipeline import InstructionMix
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, edge_slack
 
 #: Default trace length, matching the x-axis of Figure 3 (seconds).
 DEFAULT_DURATION_S = 2500.0
@@ -108,9 +108,12 @@ class SpecJbbWorkload(Workload):
         if time_s < self._gc_interval_s:
             return False
         cycle = int(time_s / self._gc_interval_s)
-        offset = self._gc_offsets[min(cycle, len(self._gc_offsets) - 1)]
-        burst_start = cycle * self._gc_interval_s + offset
+        burst_start = self._burst_start(cycle)
         return burst_start <= time_s < burst_start + self._gc_duration_s
+
+    def _burst_start(self, cycle: int) -> float:
+        offset = self._gc_offsets[min(cycle, len(self._gc_offsets) - 1)]
+        return cycle * self._gc_interval_s + offset
 
     # -- Program protocol ---------------------------------------------------
 
@@ -133,3 +136,39 @@ class SpecJbbWorkload(Workload):
             memory=self._transaction_memory,
             threads=self.threads,
         )
+
+    def demand_horizon(self, local_time_s: float, quantum_s: float,
+                       limit: int) -> int:
+        if local_time_s < self._ramp_s:
+            return 1  # the ramp moves the utilisation on every poll
+        return self._stepped_horizon(local_time_s, quantum_s, limit,
+                                     self._edge)
+
+    def _edge(self, time_s: float) -> float:
+        """The next local time past the ramp at which the demand can move.
+
+        The end of the trace, the whole second that draws a new jitter
+        factor and the current GC cycle's burst start and end are tested
+        by :meth:`demand` with plain comparisons, so those edges are
+        exact.  The staircase step and the GC cycle come from a division,
+        so their edges are estimated, less :func:`edge_slack`.
+        """
+        if time_s >= self.duration_s:
+            return math.inf
+        slack = edge_slack(time_s, self.duration_s)
+        edges = [self.duration_s, float(int(time_s) + 1)]
+        step_length = (self.duration_s - self._ramp_s) / len(RT_CURVE_STEPS)
+        step = int((time_s - self._ramp_s) / step_length)
+        if step < len(RT_CURVE_STEPS) - 1:
+            edges.append(self._ramp_s + (step + 1) * step_length - slack)
+        if time_s < self._gc_interval_s:
+            edges.append(self._gc_interval_s)
+        else:
+            cycle = int(time_s / self._gc_interval_s)
+            edges.append((cycle + 1) * self._gc_interval_s - slack)
+            burst_start = self._burst_start(cycle)
+            if time_s < burst_start:
+                edges.append(burst_start)
+            elif time_s < burst_start + self._gc_duration_s:
+                edges.append(burst_start + self._gc_duration_s)
+        return min(edges)

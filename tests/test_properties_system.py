@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.traces import PowerTrace, align
+from repro.os.governor import GOVERNORS, UserspaceGovernor
 from repro.os.kernel import SimKernel
 from repro.os.process import Demand
 from repro.os.virt import VirtualMachine, split_vm_power
@@ -16,12 +17,41 @@ from repro.simcpu.caches import MemoryProfile
 from repro.simcpu.machine import Machine, ThreadAssignment
 from repro.simcpu.pipeline import InstructionMix
 from repro.simcpu.spec import intel_i3_2120
-from repro.workloads.base import ConstantWorkload, cpu_demand
+from repro.workloads.base import (ConstantWorkload, Phase, PhasedWorkload,
+                                  cpu_demand)
+from repro.workloads.idle import IdleWorkload
 from repro.workloads.specjbb import SpecJbbWorkload
+from tests.strategies import default_settings
 
 SPEC = intel_i3_2120()
 
 utilization = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+#: All five governors; userspace pinned below the top P-state.
+ALL_GOVERNORS = dict(GOVERNORS, userspace=lambda spec, topology, domain:
+                     UserspaceGovernor(spec, topology, domain,
+                                       spec.frequencies_hz[3]))
+
+
+@st.composite
+def tenants(draw):
+    """A phased, SPECjbb-like or idle program, short-lived or not."""
+    kind = draw(st.sampled_from(["phased", "specjbb", "idle"]))
+    if kind == "phased":
+        phases = draw(st.lists(st.tuples(
+            st.sampled_from([0.013, 0.1, 0.3, 0.7]),
+            st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(1, 2)),
+            min_size=1, max_size=4))
+        return PhasedWorkload(
+            [Phase(seconds, Demand(util, threads=threads))
+             for seconds, util, threads in phases],
+            repeat=draw(st.booleans()))
+    if kind == "specjbb":
+        return SpecJbbWorkload(
+            duration_s=draw(st.sampled_from([1.5, 4.0, 20.0])),
+            threads=draw(st.integers(1, 2)), seed=draw(st.integers(0, 9)),
+            ramp_fraction=0.05, gc_interval_s=0.4, gc_duration_s=0.1)
+    return IdleWorkload(draw(st.sampled_from([None, 0.25])))
 
 
 class TestKernelProperties:
@@ -60,6 +90,33 @@ class TestKernelProperties:
             kernel.tick()
             assert kernel.machine.energy_j > previous
             previous = kernel.machine.energy_j
+
+
+class TestAccountingLaws:
+    @given(programs=st.lists(tenants(), min_size=1, max_size=4),
+           governor=st.sampled_from(sorted(ALL_GOVERNORS)),
+           quantum=st.sampled_from([0.001, 0.002, 0.005]),
+           spans=st.lists(st.integers(1, 600), min_size=1, max_size=6))
+    @default_settings
+    def test_process_ledgers_match_the_machine(self, programs, governor,
+                                               quantum, spans):
+        """After every span a live process's wall time is the kernel's
+        time, and the CPU time the kernel granted each pid is the CPU
+        time procfs recovers from the replayed cycles."""
+        kernel = SimKernel(SPEC, governor_factory=ALL_GOVERNORS[governor],
+                           quantum_s=quantum)
+        pids = [kernel.spawn(program) for program in programs]
+        for quanta in spans:
+            kernel.run_span(quanta)
+            measured = dict.fromkeys(pids, 0.0)
+            measured.update((pid, kernel.procfs.process_cpu_time_s(pid))
+                            for pid in kernel.procfs.known_pids())
+            for pid in pids:
+                process = kernel.process(pid)
+                if process.alive:
+                    assert process.wall_time_s == kernel.time_s
+                assert abs(process.cpu_time_s - measured[pid]) <= 1e-9 * max(
+                    process.cpu_time_s, measured[pid])
 
 
 class TestAttributionProperties:

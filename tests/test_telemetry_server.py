@@ -802,6 +802,22 @@ class TestServerLifecycle:
         server.stop()
         assert list(client.events()) == []  # clean end, no exception
 
+    def test_failed_bind_closes_the_listener(self, server, monkeypatch):
+        """A port in use makes ``start()`` raise, and the listening
+        socket it opened is closed, not left to the garbage collector."""
+        opened = []
+
+        class Recorded(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(socket, "socket", Recorded)
+        with pytest.raises(OSError):
+            TelemetryServer(port=server.port).start()
+        assert len(opened) == 1
+        assert opened[0].fileno() == -1
+
     def test_ephemeral_ports_are_distinct(self):
         one = TelemetryServer(port=0).start()
         two = TelemetryServer(port=0).start()
