@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 #: Higher-is-better metrics diffed between baseline and current.
-THROUGHPUT_METRICS = ("ticks_per_sec", "batched_ticks_per_sec")
+THROUGHPUT_METRICS = ("steady_quanta_per_sec", "ramp_quanta_per_sec")
 #: Lower-is-better metrics diffed between baseline and current.
 WALL_METRICS = ("campaign_wall_s", "campaign_wall_serial_s")
 

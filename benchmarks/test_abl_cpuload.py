@@ -18,6 +18,8 @@ from repro.core.sampling import (SamplingCampaign, learn_power_model,
 from repro.simcpu.counters import CYCLES, GENERIC_TRIO
 from repro.workloads.stress import CpuStress, MemoryStress
 
+pytestmark = pytest.mark.paper
+
 MIB = 1024 ** 2
 
 

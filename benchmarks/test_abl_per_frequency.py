@@ -16,6 +16,8 @@ from repro.core.sampling import learn_power_model, run_windows
 from repro.simcpu.counters import CACHE_MISSES, CACHE_REFERENCES, CYCLES
 from repro.workloads.mix import RandomWorkload
 
+pytestmark = pytest.mark.paper
+
 #: Both structures get the same adequate event set (busy time + caches),
 #: so the ablation isolates the per-frequency-vs-pooled choice rather
 #: than re-testing the trio's known weaknesses.

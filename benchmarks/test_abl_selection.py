@@ -27,6 +27,8 @@ from repro.simcpu.counters import GENERIC_TRIO
 from repro.workloads.mix import RandomWorkload
 from repro.workloads.stress import CpuStress, MemoryStress, MixedStress
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def rich_dataset(i3_spec):

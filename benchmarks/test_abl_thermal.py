@@ -18,6 +18,8 @@ from repro.core.sampling import (SamplingCampaign, learn_power_model,
                                  run_windows)
 from repro.workloads.stress import CpuStress, MemoryStress
 
+pytestmark = pytest.mark.paper
+
 #: Settle times to sweep: cold (the paper's style), warm, steady-state.
 SETTLES_S = (0.5, 30.0, 100.0)
 

@@ -25,6 +25,8 @@ from repro.simcpu.spec import intel_core2duo_e6600
 from repro.workloads.speccpu import APP_NAMES, spec_cpu_app
 from repro.workloads.stress import CpuStress, MemoryStress, MixedStress
 
+pytestmark = pytest.mark.paper
+
 #: Steady-state settle (past the thermal time constant).
 SETTLE_S = 100.0
 

@@ -24,6 +24,8 @@ from repro.simcpu.spec import intel_xeon_smt
 from repro.workloads.mix import colocated_pair
 from repro.workloads.stress import CpuStress, MemoryStress
 
+pytestmark = pytest.mark.paper
+
 SETTLE_S = 100.0
 
 

@@ -20,6 +20,8 @@ from repro.analysis.report import render_grid
 from repro.core.model import published_i3_2120_model
 from repro.units import ghz
 
+pytestmark = pytest.mark.paper
+
 PUBLISHED = {
     "instructions": 2.22e-9,
     "cache-references": 2.48e-8,

@@ -23,6 +23,8 @@ from repro.os.kernel import SimKernel
 from repro.simcpu.attribution import TrueProcessPower
 from repro.workloads.stress import CpuStress, MemoryStress
 
+pytestmark = pytest.mark.paper
+
 
 @pytest.fixture(scope="module")
 def attribution_run(i3_spec, paper_model):

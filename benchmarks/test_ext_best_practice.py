@@ -26,6 +26,8 @@ from repro.powermeter.powerspy import PowerSpy
 from repro.workloads.specjbb import SpecJbbWorkload
 from repro.workloads.stress import CpuStress, MemoryStress, MixedStress
 
+pytestmark = pytest.mark.paper
+
 TRACE_S = 600.0
 
 

@@ -21,6 +21,8 @@ from repro.core.sampling import learn_power_model
 from repro.os.kernel import SimKernel
 from repro.workloads.stress import CpuStress
 
+pytestmark = pytest.mark.paper
+
 PERIOD_S = 0.5
 # Re-set the solar budget every 1 s, not every period: each SetCap resets
 # the dead-band up_patience streak, so the loop would never step back up.

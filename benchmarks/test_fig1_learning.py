@@ -6,11 +6,15 @@ regression, one model per frequency.  The benchmark times one complete
 (workload, frequency) sampling run — the unit the campaign repeats.
 """
 
+import pytest
+
 from conftest import paper_campaign, paper_style_workloads
 
 from repro.analysis.report import render_grid
 from repro.core.sampling import SamplingCampaign
 from repro.simcpu.counters import GENERIC_TRIO
+
+pytestmark = pytest.mark.paper
 
 
 def test_fig1_sampling_run(benchmark, i3_spec):

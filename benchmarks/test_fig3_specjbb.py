@@ -23,6 +23,8 @@ from repro.os.kernel import SimKernel
 from repro.powermeter.powerspy import PowerSpy
 from repro.workloads.specjbb import SpecJbbWorkload
 
+pytestmark = pytest.mark.paper
+
 TRACE_DURATION_S = 2500.0
 
 

@@ -4,9 +4,13 @@ Regenerates the paper's Table 1 from the simulated machine description
 and verifies every row against the published values.
 """
 
+import pytest
+
 from repro.analysis.report import render_table
 from repro.simcpu.machine import Machine
 from repro.units import ghz
+
+pytestmark = pytest.mark.paper
 
 
 def test_table1_specifications(benchmark, i3_spec, save_result):

@@ -228,7 +228,7 @@ def _hpc_sensor(ctx: BuildContext, events: Sequence[str] = GENERIC_TRIO):
 
 
 def _procfs_sensor(ctx: BuildContext):
-    return ProcFsSensor(ctx.procfs, ctx.pids, num_cpus=ctx.num_cpus)
+    return ProcFsSensor(ctx.procfs, ctx.pids)
 
 
 def _hpc_formula(ctx: BuildContext):

@@ -51,8 +51,6 @@ class ProcFsReport(SensorReport):
 
     #: CPU seconds consumed by the pid during the period.
     cpu_time_delta_s: float = 0.0
-    #: Machine-wide load in [0, 1] during the period.
-    machine_load: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,11 @@ from repro.powermeter.base import PowerMeter
 
 
 class MonitorHandle:
-    """A running pipeline: its actors, reporters, health log and mode."""
+    """A running pipeline: its actors, reporters, health log and mode.
+
+    A :class:`PowerAPI` runs one pipeline at a time, so this handle's
+    pipeline owns every report on the API's bus until :meth:`stop`.
+    """
 
     def __init__(self, pids: Sequence[int], reporter: Actor,
                  actor_refs: Sequence[ActorRef],
@@ -289,23 +293,6 @@ class PowerAPI:
                 pids.update(handle.pids)
         return tuple(sorted(pids))
 
-    def _check_period(self, period_s: Optional[float]) -> None:
-        if (period_s is not None
-                and abs(period_s - self.clock.period_s) > 1e-12):
-            # One clock per API instance: every pipeline shares its
-            # period.  Retuning is only legal before the first pipeline
-            # starts; afterwards it would silently change the sampling
-            # rate of every already-running pipeline.
-            running = [h for h in self._handles if h._refs]
-            if running:
-                raise ConfigurationError(
-                    f"cannot set period {period_s}s: this PowerAPI's "
-                    f"clock already drives {len(running)} pipeline(s) "
-                    f"at {self.clock.period_s}s (one clock per API "
-                    "instance; use a separate PowerAPI for a "
-                    "different period)")
-            self.clock.period_s = period_s
-
     def start_pipeline(self, spec: PipelineSpec,
                        reporters: Sequence[Actor] = (),
                        registry=None) -> MonitorHandle:
@@ -316,12 +303,23 @@ class PowerAPI:
         files and programmatic callers all end up here.  *reporters*
         are pre-built reporter actors appended after the spec's
         declarative ones (at least one of the two must be present).
-        The spec's fault plan is armed and its telemetry export
-        started as part of pipeline start-up; if either fails (a busy
-        telemetry port, say) the pipeline is torn down again before the
-        error propagates, so nothing is left half-started.
+        One pipeline runs per API instance: its stages subscribe to the
+        bus by message class, so a second one would answer the first
+        one's sensors too.  Starting a pipeline while another runs raises
+        :class:`ConfigurationError`; a stopped one may be replaced, and
+        the replacement may retune the clock's period.  The spec's fault
+        plan is armed and its telemetry export started as part of
+        pipeline start-up; if either fails (a busy telemetry port, say)
+        the pipeline is torn down again before the error propagates, so
+        nothing is left half-started.
         """
-        self._check_period(spec.period_s)
+        if any(handle._refs for handle in self._handles):
+            raise ConfigurationError(
+                "this PowerAPI already runs a pipeline; stop it first "
+                "(one pipeline per API instance: a second one would "
+                "answer the first one's sensors)")
+        if spec.period_s is not None:
+            self.clock.period_s = spec.period_s
         built = PipelineBuilder(registry).build(
             self, spec, extra_reporters=reporters)
         handle = MonitorHandle(
@@ -337,8 +335,7 @@ class PowerAPI:
             if spec.telemetry is not None:
                 self.serve_telemetry(
                     host=spec.telemetry.host, port=spec.telemetry.port,
-                    pids=spec.pids, spec=spec,
-                    **spec.telemetry.server_kwargs())
+                    spec=spec, **spec.telemetry.server_kwargs())
         except BaseException:
             handle.stop()
             self._handles.remove(handle)
@@ -357,7 +354,6 @@ class PowerAPI:
     # -- telemetry service ------------------------------------------------
 
     def serve_telemetry(self, host: str = "127.0.0.1", port: int = 0,
-                        pids: Optional[Sequence[int]] = None,
                         name: Optional[str] = None,
                         spec: Optional[PipelineSpec] = None,
                         uplinks: Optional[Sequence[Tuple[str, int]]] = None,
@@ -368,10 +364,10 @@ class PowerAPI:
         spawns the bridge actor forwarding every
         :class:`~repro.core.messages.AggregatedPowerReport`,
         :class:`~repro.core.messages.HealthEvent` and
-        :class:`~repro.core.messages.GapMarker` on the bus to it.  Pass
-        ``pids=handle.pids`` to scope the stream to one pipeline, and
-        ``spec=`` to advertise the running pipeline's description to
-        subscribers in the handshake.  ``uplinks`` is a sequence of
+        :class:`~repro.core.messages.GapMarker` on the bus to it, which
+        is the stream of the API's one running pipeline.  Pass ``spec=``
+        to advertise that pipeline's description to subscribers in the
+        handshake.  ``uplinks`` is a sequence of
         upstream ``(host, port)`` pairs to relay into the same stream
         (a tree junction: local pipeline frames and upstream frames
         merge into one fan-out).  Extra keyword arguments
@@ -388,7 +384,7 @@ class PowerAPI:
         server.start()
         self._telemetry_servers.append(server)
         n = len(self._telemetry_servers) - 1
-        self.system.spawn(TelemetryBridge(server, pids=pids),
+        self.system.spawn(TelemetryBridge(server),
                           name=name or f"telemetry-bridge-{n}")
         if uplinks:
             from repro.telemetry.relay import TelemetryRelay

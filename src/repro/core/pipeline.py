@@ -507,8 +507,7 @@ class PipelineBuilder:
             # The degradation ladder's standby rung: a cpu-load path
             # that publishes only while the pipeline is degraded.
             refs.append(api.system.spawn(
-                ProcFsSensor(api.kernel.procfs, spec.pids,
-                             num_cpus=num_cpus, mode=mode),
+                ProcFsSensor(api.kernel.procfs, spec.pids, mode=mode),
                 name=f"standby-sensor-{n}"))
             refs.append(api.system.spawn(
                 CpuLoadFormula(active_range_w=active_range,

@@ -257,20 +257,16 @@ class ProcFsSensor(PipelineStage):
     """
 
     def __init__(self, procfs: ProcFs, pids: Sequence[int],
-                 num_cpus: int, mode: Optional[PipelineMode] = None,
+                 mode: Optional[PipelineMode] = None,
                  active_mode: str = PipelineMode.CPU_LOAD) -> None:
         super().__init__(component="procfs-sensor")
         if not pids:
             raise ConfigurationError("ProcFsSensor needs at least one pid")
-        if num_cpus < 1:
-            raise ConfigurationError("num_cpus must be >= 1")
         self.procfs = procfs
         self.pids = tuple(pids)
-        self.num_cpus = num_cpus
         self.mode = mode
         self.active_mode = active_mode
         self._previous_cpu_s: Dict[int, float] = {}
-        self._previous_busy_s: Optional[float] = None
 
     subscribes_to = (ClockTick,)
 
@@ -286,16 +282,6 @@ class ProcFsSensor(PipelineStage):
     def handle(self, message) -> None:
         if not isinstance(message, ClockTick):
             return
-        total_busy = sum(self.procfs.cpu_busy_time_s(cpu)
-                         for cpu in range(self.num_cpus))
-        if self._previous_busy_s is None:
-            busy_delta = total_busy
-        else:
-            busy_delta = total_busy - self._previous_busy_s
-        self._previous_busy_s = total_busy
-        machine_load = min(1.0, max(
-            0.0, busy_delta / (self.num_cpus * message.period_s)))
-
         active = self._active()
         for pid in self.pids:
             now = self._pid_cpu_time(pid)
@@ -308,7 +294,6 @@ class ProcFsSensor(PipelineStage):
                 period_s=message.period_s,
                 pid=pid,
                 cpu_time_delta_s=delta,
-                machine_load=machine_load,
             ))
 
 

@@ -122,7 +122,7 @@ def _execute(cell: MatrixCell, with_telemetry: bool) -> _SimArtifacts:
         handle = builder.to(memory)
         session = None
         if with_telemetry and cell.pipeline.telemetry:
-            session = _TelemetrySession(api, kernel, cell, pid)
+            session = _TelemetrySession(api, kernel, cell)
         if session is None:
             api.run(cell.duration_s)
             api.flush()
@@ -156,15 +156,15 @@ class _TelemetrySession:
     have been delivered for exactly-once to hold.
     """
 
-    def __init__(self, api: PowerAPI, kernel: SimKernel, cell: MatrixCell,
-                 pid: int) -> None:
+    def __init__(self, api: PowerAPI, kernel: SimKernel,
+                 cell: MatrixCell) -> None:
         from repro.telemetry.client import ReconnectPolicy, TelemetryClient
 
         self._api = api
         self._kernel = kernel
         self._cell = cell
         self._server = api.serve_telemetry(
-            host="127.0.0.1", port=0, pids=(pid,),
+            host="127.0.0.1", port=0,
             replay_window=cell.pipeline.replay_window)
         plan = (NetworkFaultPlan.parse(cell.net_faults)
                 if cell.net_faults else NetworkFaultPlan())

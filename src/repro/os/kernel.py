@@ -8,13 +8,14 @@ assignments, advances the machine and updates process accounting.
 :meth:`run_span` is the one loop.  It polls processes, governor and
 scheduler once per steady run of quanta: when every polled program's
 demand holds for several quanta (its demand horizon) and the governor's
-update is a fixed point, the run is accounted after that one poll.  It
-holds the compiled engine program while the assignments and the
-frequency domain's generation repeat, and replays each run of identical
-quanta with one engine call when the run ends.  :meth:`tick` is a span
-of one quantum, :meth:`run` a span for a duration; :meth:`run_until_idle`
-ticks until every process exits.  :class:`~repro.core.monitor.PowerAPI`
-cuts its runs into spans at the quanta its actors must see.
+update is a fixed point, the run is accounted after that one poll.  A
+run of identical quanta lasts while the engine hands back the same
+program object (it keeps its last one while the assignments and the
+frequency domain's generation repeat), and is replayed with one engine
+call when it ends.  :meth:`tick` is a span of one quantum, :meth:`run`
+a span for a duration; :meth:`run_until_idle` ticks until every process
+exits.  :class:`~repro.core.monitor.PowerAPI` cuts its runs into spans
+at the quanta its actors must see.
 """
 
 from __future__ import annotations
@@ -104,12 +105,10 @@ class SimKernel:
         ends after the quantum in which the last live process exited.
         """
         engine = self.machine.engine
-        domain = self.machine.frequency
         governor = self.governor
         quantum = self.quantum_s
         processes = self._processes.values()
-        program = held = None
-        generation = -1
+        held = None
         granted: Dict[int, float] = {}
         count = ran = 0
         try:
@@ -123,12 +122,12 @@ class SimKernel:
 
                 governor.update(self._last_busy)
                 assignments = self.scheduler.assign(demands)
-                if assignments != held or domain.generation != generation:
+                program = engine.program(assignments, quantum)
+                if program is not held:
                     if count:
                         replayed, count = count, 0
-                        engine.replay(program, replayed)
-                    program = engine.program(assignments, quantum)
-                    held, generation = assignments, domain.generation
+                        engine.replay(held, replayed)
+                    held = program
                     granted = {}
                     for assignment in assignments:
                         granted[assignment.pid] = (
@@ -156,7 +155,7 @@ class SimKernel:
                     break
         finally:
             if count:
-                engine.replay(program, count)
+                engine.replay(held, count)
         return ran
 
     def tick(self) -> TickRecord:

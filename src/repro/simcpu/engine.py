@@ -47,7 +47,7 @@ ends bit-identical to *n_ticks* one-tick calls.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.simcpu import counters as ev
 from repro.simcpu.counters import EventDelta
@@ -84,44 +84,36 @@ class TickProgram:
         "dt_s", "cpu_busy", "core_freqs", "events", "cells",
         "grouped_cells", "current_states", "has_counters", "idle_w",
         "cores_w", "uncore_w", "dram_w", "wakeup_w", "base_w", "dynamic_w",
-        "bank", "cstates",
     )
 
 
 class BatchEngine:
     """Compiles steady occupancies into tick programs and replays them."""
 
-    #: Cap on cached programs; a campaign sees a handful per run, an
-    #: open-ended monitor with a churning scheduler should not leak.
-    _PROGRAM_CACHE_LIMIT = 256
-
     def __init__(self, machine: "Machine") -> None:
         self._machine = machine
-        self._programs: Dict[tuple, TickProgram] = {}
+        self._key: tuple = ()
+        self._program: Optional[TickProgram] = None
 
     # -- compilation ---------------------------------------------------
 
     def program(self, assignments: Sequence["ThreadAssignment"],
                 dt_s: float) -> TickProgram:
-        """The compiled program for (*assignments*, *dt_s*), cached.
+        """The compiled program for (*assignments*, *dt_s*).
 
-        The cache key includes the frequency domain's change generation,
-        so any governor request that actually moves a P-state target
-        invalidates affected programs; re-requests of the current target
-        (what every governor does each quantum in steady state) do not.
+        The engine keeps the last program only: asked again with equal
+        assignments, the same dt and the same frequency-domain change
+        generation, it returns that very object, so a caller can tell a
+        changed quantum by identity.  A governor request that moves a
+        P-state target bumps the generation; re-requests of the current
+        target (what every governor does each quantum in steady state) do
+        not.  An occupancy that recurs after another is compiled afresh.
         """
-        machine = self._machine
-        key = (tuple(assignments), dt_s, machine.frequency.generation)
-        program = self._programs.get(key)
-        if program is not None and (program.bank is not machine.counters
-                                    or program.cstates is not machine.cstates):
-            program = None  # counters/cstates were swapped out under us
-        if program is None:
-            program = self._compile(key[0], dt_s)
-            if len(self._programs) >= self._PROGRAM_CACHE_LIMIT:
-                self._programs.clear()
-            self._programs[key] = program
-        return program
+        key = (tuple(assignments), dt_s, self._machine.frequency.generation)
+        if key != self._key:
+            self._program = self._compile(key[0], dt_s)
+            self._key = key
+        return self._program
 
     def _compile(self, assignments: Tuple["ThreadAssignment", ...],
                  dt_s: float) -> TickProgram:
@@ -191,8 +183,6 @@ class BatchEngine:
                              + breakdown.dram + breakdown.wakeup)
         program.base_w = (((breakdown.idle + breakdown.cores)
                            + breakdown.uncore) + breakdown.dram)
-        program.bank = machine.counters
-        program.cstates = machine.cstates
         return program
 
     def _activities(self, cpu_busy, core_freqs, core_weights, dt_s):
@@ -304,9 +294,9 @@ class BatchEngine:
                 container[index] = fold_add(container[index], addends,
                                             n_ticks)
         if program.has_counters:
-            program.bank.mark_dirty()
+            machine.counters.mark_dirty()
         for cpu_id, state_name in program.current_states.items():
-            program.cstates.set_current_state(cpu_id, state_name)
+            machine.cstates.set_current_state(cpu_id, state_name)
 
         record = TickRecord(
             time_s=time_s,

@@ -55,17 +55,6 @@ class ThreadAssignment:
             raise ConfigurationError(
                 f"busy_fraction must be within [0, 1], got {self.busy_fraction}")
 
-    def __hash__(self) -> int:
-        # The batched engine hashes every assignment on every step to key
-        # its program cache; all fields are immutable, so compute the
-        # (nested-dataclass) hash once and memoise it on the instance.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.pid, self.cpu_id, self.busy_fraction,
-                           self.mix, self.memory))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
 
 @dataclass(frozen=True)
 class TickRecord:
@@ -132,7 +121,7 @@ class Machine:
         self._line_bytes_cached = (spec.caches[-1].line_bytes
                                    if spec.caches else 64)
         #: Compiles occupancies into programs and replays them; the
-        #: kernel holds a program across a run of identical quanta.
+        #: kernel replays a program once per run of identical quanta.
         self.engine = BatchEngine(self)
 
     # -- subscribers ---------------------------------------------------
@@ -200,7 +189,7 @@ class Machine:
         """Advance simulated time by *dt_s* with the given CPU occupancy.
 
         A thin façade over the batched engine: the occupancy is compiled
-        once (cached across ticks while assignments, dt and P-state
+        once (the engine keeps it while assignments, dt and P-state
         targets hold) and replayed for a single tick.
         """
         if dt_s <= 0:
@@ -253,10 +242,6 @@ class Machine:
         return cached
 
     # -- internals --------------------------------------------------------
-
-    def _line_bytes(self) -> int:
-        """Cache-line size of the last-level cache (DRAM transfer unit)."""
-        return self._line_bytes_cached
 
     def _validate_occupancy(
             self, assignments: Sequence[ThreadAssignment]) -> Dict[int, float]:

@@ -33,7 +33,7 @@ import uuid
 from collections import deque
 from dataclasses import dataclass
 from typing import (Callable, Deque, Dict, FrozenSet, List, Mapping,
-                    Optional, Sequence, Set, Tuple)
+                    Optional, Set, Tuple)
 
 from repro.actors.actor import Actor
 from repro.core.messages import AggregatedPowerReport, GapMarker, HealthEvent
@@ -1191,16 +1191,12 @@ class TelemetryBridge(Actor):
     """The actor gluing the event bus to a :class:`TelemetryServer`.
 
     Subscribes to :class:`AggregatedPowerReport`, :class:`HealthEvent`
-    and :class:`GapMarker` and forwards each to the server, optionally
-    restricted to one pipeline's pids — which is what scopes a server
-    to a single :class:`~repro.core.monitor.MonitorHandle`.
+    and :class:`GapMarker` and forwards each to the server.
     """
 
-    def __init__(self, server: TelemetryServer,
-                 pids: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, server: TelemetryServer) -> None:
         super().__init__()
         self.server = server
-        self.pids = None if pids is None else frozenset(pids)
         self.forwarded = 0
 
     def pre_start(self) -> None:
@@ -1211,16 +1207,10 @@ class TelemetryBridge(Actor):
 
     def receive(self, message) -> None:
         if isinstance(message, AggregatedPowerReport):
-            if (self.pids is not None and not message.gap
-                    and self.pids.isdisjoint(message.by_pid)):
-                return
             self.server.publish_report(message)
         elif isinstance(message, HealthEvent):
             self.server.publish_health(message)
         elif isinstance(message, GapMarker):
-            if (self.pids is not None and message.pid != -1
-                    and message.pid not in self.pids):
-                return
             self.server.publish_gap(message)
         else:
             return

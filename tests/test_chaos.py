@@ -229,7 +229,8 @@ class TestResumeReplay:
         client.collect(2)
         client.close()
         first_server.stop()
-        assert Spool(tmp_path / "telemetry.spool").last_seq() == 1
+        with Spool(tmp_path / "telemetry.spool") as spool:
+            assert spool.last_seq() == 1
 
         second_server = TelemetryServer(port=0, replay_window=16).start()
         try:

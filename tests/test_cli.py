@@ -485,9 +485,11 @@ class TestGracefulSignals:
             os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         out_path = tmp_path / "stdout.txt"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro"] + argv,
-            stdout=out_path.open("w"), stderr=subprocess.STDOUT, env=env)
+        # The child holds its own copy of the descriptor.
+        with out_path.open("w") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro"] + argv,
+                stdout=out, stderr=subprocess.STDOUT, env=env)
         return proc, out_path
 
     def _wait_for_output(self, proc, out_path, needle, timeout=60.0):

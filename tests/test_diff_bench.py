@@ -10,21 +10,22 @@ _spec = importlib.util.spec_from_file_location(
 diff_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_spec and diff_bench)
 
-BASE = {"ticks_per_sec": 100_000.0, "batched_ticks_per_sec": 1_000_000.0,
+BASE = {"steady_quanta_per_sec": 100_000.0, "ramp_quanta_per_sec": 5_000.0,
         "campaign_wall_s": 2.0, "campaign_wall_serial_s": 4.0}
 
 
 class TestDiffBenchmarks:
     def test_no_regression_on_improvement(self):
-        current = {**BASE, "ticks_per_sec": 150_000.0, "campaign_wall_s": 1.0}
+        current = {**BASE, "steady_quanta_per_sec": 150_000.0,
+                   "campaign_wall_s": 1.0}
         _rows, regressions = diff_bench.diff_benchmarks(BASE, current, 10.0)
         assert regressions == []
 
     def test_throughput_drop_is_a_regression(self):
-        current = {**BASE, "ticks_per_sec": 80_000.0}
+        current = {**BASE, "steady_quanta_per_sec": 80_000.0}
         _rows, regressions = diff_bench.diff_benchmarks(BASE, current, 10.0)
         assert len(regressions) == 1
-        assert "ticks_per_sec" in regressions[0]
+        assert "steady_quanta_per_sec" in regressions[0]
 
     def test_wall_time_growth_is_a_regression(self):
         current = {**BASE, "campaign_wall_s": 2.5}
@@ -33,24 +34,24 @@ class TestDiffBenchmarks:
         assert "campaign_wall_s" in regressions[0]
 
     def test_within_threshold_passes(self):
-        current = {**BASE, "ticks_per_sec": 95_000.0,
+        current = {**BASE, "steady_quanta_per_sec": 95_000.0,
                    "campaign_wall_s": 2.1}
         _rows, regressions = diff_bench.diff_benchmarks(BASE, current, 10.0)
         assert regressions == []
 
     def test_missing_metric_is_not_a_regression(self):
-        base = {"ticks_per_sec": 100_000.0}
-        current = {"ticks_per_sec": 100_000.0}
+        base = {"steady_quanta_per_sec": 100_000.0}
+        current = {"steady_quanta_per_sec": 100_000.0}
         rows, regressions = diff_bench.diff_benchmarks(base, current, 10.0)
         assert regressions == []
         assert any(change == "n/a" for _m, _b, _n, change, _f in rows)
 
     def test_markdown_mentions_regressions(self):
-        current = {**BASE, "ticks_per_sec": 50_000.0}
+        current = {**BASE, "steady_quanta_per_sec": 50_000.0}
         rows, regressions = diff_bench.diff_benchmarks(BASE, current, 10.0)
         markdown = diff_bench.render_markdown(rows, regressions, 10.0)
         assert "regressed more than 10%" in markdown
-        assert "| ticks_per_sec |" in markdown
+        assert "| steady_quanta_per_sec |" in markdown
 
 
 class TestMain:
@@ -59,7 +60,8 @@ class TestMain:
         current = tmp_path / "current.json"
         summary = tmp_path / "summary.md"
         baseline.write_text(json.dumps(BASE))
-        current.write_text(json.dumps({**BASE, "ticks_per_sec": 50_000.0}))
+        current.write_text(json.dumps(
+            {**BASE, "steady_quanta_per_sec": 50_000.0}))
         monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
         assert diff_bench.main([str(baseline), str(current)]) == 1
         assert "regression" in summary.read_text()
@@ -98,7 +100,7 @@ class TestCustomMetricLists:
 
     def test_default_metrics_unchanged(self):
         # The positional call the CI sim-diff uses keeps its behaviour.
-        current = {**BASE, "ticks_per_sec": 80_000.0}
+        current = {**BASE, "steady_quanta_per_sec": 80_000.0}
         _rows, regressions = diff_bench.diff_benchmarks(BASE, current, 10.0)
         assert len(regressions) == 1
 

@@ -398,8 +398,28 @@ class TestLifecycleRegressions:
             api.monitor(b).every(0.5).to(InMemoryReporter())
         # The shared clock must not have been silently retuned.
         assert api.clock.period_s == 1.0
-        # The same period is fine.
-        api.monitor(b).every(1.0).to(InMemoryReporter())
+        # The same period is refused too: one pipeline runs at a time.
+        with pytest.raises(ConfigurationError):
+            api.monitor(b).every(1.0).to(InMemoryReporter())
+
+    def test_second_running_pipeline_is_refused(self, model):
+        """Stages subscribe to the bus by message class, so a second
+        pipeline's formula would answer the first one's sensor as well
+        and double pid A's estimate.  Refused, A's reports stay those of
+        a lone pipeline."""
+        def reports(second):
+            kernel = SimKernel(intel_i3_2120(), quantum_s=0.02)
+            a = kernel.spawn(CpuStress(duration_s=20.0))
+            b = kernel.spawn(CpuStress(duration_s=20.0))
+            api = PowerAPI(kernel, model)
+            handle = api.monitor(a).every(1.0).to(InMemoryReporter())
+            if second:
+                with pytest.raises(ConfigurationError, match="already runs"):
+                    api.monitor(b).every(1.0).to(InMemoryReporter())
+            api.run(3.0)
+            return handle.reporter.aggregated
+
+        assert reports(second=True) == reports(second=False)
 
     def test_period_retune_allowed_once_pipelines_stop(self, kernel, model):
         pid = kernel.spawn(CpuStress(duration_s=20.0))

@@ -1,5 +1,8 @@
 """Unit tests for repro.simcpu.machine (the integrated simulator)."""
 
+import gc
+import types
+
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
@@ -18,6 +21,20 @@ def assignment(pid=100, cpu=0, busy=1.0, ws=8 * 1024, locality=0.99,
         mix=InstructionMix(),
         memory=MemoryProfile(mem_ops_per_instruction=mem_ops,
                              working_set_bytes=ws, locality=locality))
+
+
+def reachable_ids(root):
+    """Ids of every object reachable from *root* through instance state
+    (classes, modules and functions are not followed)."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) not in seen and not isinstance(
+                    ref, (type, types.ModuleType, types.FunctionType)):
+                seen.add(id(ref))
+                stack.append(ref)
+    return seen
 
 
 class TestStepBasics:
@@ -206,6 +223,17 @@ class TestBatchedStepping:
         assert fast.events.keys() == slow.events.keys()
         for key, delta in fast.events.items():
             assert delta[ev.INSTRUCTIONS] > slow.events[key][ev.INSTRUCTIONS]
+
+    def test_engine_keeps_only_the_last_program(self, machine):
+        """A program lives as long as its occupancy: once a second one
+        compiles, nothing the engine owns still references the first."""
+        engine = machine.engine
+        first = engine.program([assignment(busy=1.0)], 0.01)
+        assert engine.program([assignment(busy=1.0)], 0.01) is first
+        second = engine.program([assignment(busy=0.5)], 0.01)
+        owned = reachable_ids(engine)
+        assert id(second) in owned
+        assert id(first) not in owned
 
     def test_dominant_frequency_is_cached_on_record(self, machine):
         machine.step([assignment(cpu=0)], 0.1)

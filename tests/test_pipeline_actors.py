@@ -117,8 +117,7 @@ class TestCpuLoadFormula:
         system.spawn(CpuLoadFormula(active_range_w=40.0, num_cpus=4),
                      "formula")
         system.event_bus.publish(ProcFsReport(
-            time_s=1.0, period_s=1.0, pid=1, cpu_time_delta_s=1.0,
-            machine_load=0.25))
+            time_s=1.0, period_s=1.0, pid=1, cpu_time_delta_s=1.0))
         system.dispatch()
         # One CPU fully busy of four: a quarter of the range.
         assert reports[0].power_w == pytest.approx(10.0)

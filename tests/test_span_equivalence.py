@@ -213,6 +213,12 @@ class TestSpanEquivalence:
                "starve@0.04:0.01:0;meter-dropout@0.05:0.003",
         backoff_s=0.0071, extra_events=("branches", "bus-cycles"),
         cap_w=None, segments=((90, None),)))
+    @example(scenario=Scenario(  # occupancy A, B, then A again mid-span
+        quantum_s=0.001, period_s=0.01, governor="performance",
+        tenants=(((0.013, 1.0, 1, 16 * 1024), (0.013, 0.3, 1, 16 * 1024),
+                  (0.013, 1.0, 1, 16 * 1024)),),
+        specjbb=False, meter=False, faults="", backoff_s=0.0,
+        extra_events=(), cap_w=None, segments=((45, None),)))
     @default_settings
     def test_spans_match_one_quantum_spans(self, scenario):
         spans = observe(*_drive(scenario, one_quantum=False))

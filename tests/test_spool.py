@@ -90,7 +90,8 @@ class TestValidation:
             for index in range(5):
                 spool.append(b"%d" % index)
             spool.sync()
-        assert Spool(tmp_path / "s.spool").recovered_records == 5
+        with Spool(tmp_path / "s.spool") as spool:
+            assert spool.recovered_records == 5
 
 
 class TestTornWrites:

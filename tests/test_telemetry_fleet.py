@@ -130,8 +130,7 @@ class TestEndToEnd:
         pid = kernel.spawn(CpuStress(duration_s=10.0))
         api = PowerAPI(kernel, model)
         handle = api.monitor(pid).every(1.0).to(InMemoryReporter())
-        server = api.serve_telemetry(pids=handle.pids,
-                                     host_label="sim-0")
+        server = api.serve_telemetry(host_label="sim-0")
         fleet = FleetAggregator()
         fleet.add_host("sim-0", "127.0.0.1", server.port)
         assert server.wait_for_subscribers(1)

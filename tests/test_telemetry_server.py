@@ -579,25 +579,6 @@ class TestBridge:
         assert kinds == ["ReportEvent", "HealthTelemetry", "GapTelemetry"]
         client.close()
 
-    def test_bridge_pid_scope(self, server):
-        client = make_client(server)
-        assert server.wait_for_subscribers(1)
-        system = ActorSystem()
-        system.spawn(TelemetryBridge(server, pids=[100]), name="bridge")
-        system.event_bus.publish(report(time_s=1.0, by_pid={200: 3.0}))
-        system.event_bus.publish(report(time_s=2.0, by_pid={100: 4.0}))
-        system.event_bus.publish(GapMarker(
-            time_s=3.0, period_s=1.0, pid=200, source="hpc"))
-        system.event_bus.publish(GapMarker(
-            time_s=4.0, period_s=1.0, pid=100, source="hpc"))
-        system.dispatch()
-        events = client.collect(2)
-        assert isinstance(events[0], ReportEvent)
-        assert events[0].report.time_s == 2.0
-        assert isinstance(events[1], GapTelemetry)
-        assert events[1].marker.pid == 100
-        client.close()
-
 
 def _raw_subscribe(server, versions=(1, 2)):
     """Handshake a raw socket; returns (sock, decoder, leftover raw)."""
