@@ -307,12 +307,18 @@ class PowerAPI:
         bus by message class, so a second one would answer the first
         one's sensors too.  Starting a pipeline while another runs raises
         :class:`ConfigurationError`; a stopped one may be replaced, and
-        the replacement may retune the clock's period.  The spec's fault
-        plan is armed and its telemetry export started as part of
-        pipeline start-up; if either fails (a busy telemetry port, say)
-        the pipeline is torn down again before the error propagates, so
-        nothing is left half-started.
+        the replacement may retune the clock's period.  After
+        :meth:`shutdown`, which closes the perf session, it raises too.
+        The spec's fault plan is armed and its telemetry export started
+        as part of pipeline start-up; if either fails (a busy telemetry
+        port, say) the pipeline is torn down again before the error
+        propagates, so nothing is left half-started.
         """
+        if self._shut_down:
+            raise ConfigurationError(
+                "this PowerAPI has shut down: its perf session is closed, "
+                "so a new pipeline would report nothing; build a new "
+                "PowerAPI")
         if any(handle._refs for handle in self._handles):
             raise ConfigurationError(
                 "this PowerAPI already runs a pipeline; stop it first "
@@ -491,12 +497,15 @@ class PowerAPI:
         self.system.dispatch()
 
     def shutdown(self) -> None:
-        """Stop all actors, close perf, disconnect meters (idempotent)."""
+        """Stop all actors and pipelines, close perf, disconnect meters
+        (idempotent).  A shut-down API starts no further pipeline."""
         if self._shut_down:
             return
         self._shut_down = True
         self.flush()
         self.system.shutdown()
+        for handle in self._handles:
+            handle.stop()
         self.perf.close()
         for meter in self._meters:
             meter.disconnect()

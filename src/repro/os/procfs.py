@@ -29,8 +29,8 @@ class ProcFs:
         # One tick's addends, derived from the last event map folded: a
         # held engine program hands every replay the same maps.
         self._events = None
-        self._dt: Tuple[float] = (0.0,)
-        self._busy_addends: List[Tuple[int, Tuple[float]]] = []
+        self._dt = 0.0
+        self._busy_addends: List[Tuple[int, float]] = []
         self._pid_addends: List[Tuple[int, List[float]]] = []
         machine.add_fold(self._fold)
 
@@ -38,27 +38,40 @@ class ProcFs:
               leaks: Sequence[float], start_s: float) -> None:
         if record.events is not self._events:
             self._derive_addends(record)
-        self._total_time_s = fold_add(self._total_time_s, self._dt, n_ticks)
         busy_s = self._cpu_busy_s
-        for cpu_id, addend in self._busy_addends:
-            busy_s[cpu_id] = fold_add(busy_s[cpu_id], addend, n_ticks)
         cpu_time_s = self._pid_cpu_time_s
+        if n_ticks == 1:
+            # One tick: the additions themselves, no fold loop.
+            self._total_time_s += self._dt
+            for cpu_id, addend in self._busy_addends:
+                busy_s[cpu_id] += addend
+            for pid, addends in self._pid_addends:
+                value = cpu_time_s[pid]
+                for addend in addends:
+                    value += addend
+                cpu_time_s[pid] = value
+            return
+        self._total_time_s = fold_add(self._total_time_s, (self._dt,),
+                                      n_ticks)
+        for cpu_id, addend in self._busy_addends:
+            busy_s[cpu_id] = fold_add(busy_s[cpu_id], (addend,), n_ticks)
         for pid, addends in self._pid_addends:
             cpu_time_s[pid] = fold_add(cpu_time_s[pid], addends, n_ticks)
 
     def _derive_addends(self, record: TickRecord) -> None:
         dt = record.dt_s
         self._events = record.events
-        self._dt = (dt,)
-        self._busy_addends = [(cpu_id, (busy * dt,))
+        self._dt = dt
+        self._busy_addends = [(cpu_id, busy * dt)
                               for cpu_id, busy in record.cpu_busy.items()]
         # Per-pid CPU time is busy_fraction * dt; recover it from retired
         # cycles at the core's granted frequency.  A pid on several CPUs
         # gets one addend per CPU each tick, in event order.
+        core_key = self._machine._cpu_core_key
+        frequencies = record.core_frequencies_hz
         addends: Dict[int, List[float]] = {}
         for (pid, cpu_id), delta in record.events.items():
-            core = self._machine.topology.cpu(cpu_id)
-            frequency = record.core_frequencies_hz[(core.package_id, core.core_id)]
+            frequency = frequencies[core_key[cpu_id]]
             if frequency > 0:
                 addends.setdefault(pid, []).append(
                     delta.get("cycles", 0.0) / frequency)

@@ -36,10 +36,14 @@ class Scheduler:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         # cpu_preference() runs once per placed thread per quantum; resolve
-        # the (immutable) sibling sets once instead of per call.
+        # the (immutable) core groups once instead of per call: each CPU's
+        # siblings are its core's CPUs, so a core's busy is summed once.
         self._cpu_ids: Tuple[int, ...] = topology.cpu_ids
-        self._siblings: Dict[int, Tuple[int, ...]] = {
-            cpu_id: topology.siblings(cpu_id) for cpu_id in self._cpu_ids}
+        self._core_groups: Tuple[Tuple[int, ...], ...] = tuple(
+            topology.core_cpus(*core) for core in topology.cores())
+        self._core_index: Tuple[int, ...] = tuple(
+            self._core_groups.index(topology.siblings(cpu_id))
+            for cpu_id in self._cpu_ids)
         # Placement is a pure function of the demand set, which is
         # constant for thousands of consecutive quanta under a steady
         # workload; memoise the last quantum's decision.
@@ -69,7 +73,7 @@ class Scheduler:
             for process, demand in demands)
         if signature == self._last_signature:
             return list(self._last_assignments)
-        busy: Dict[int, float] = {cpu_id: 0.0 for cpu_id in self.topology.cpu_ids}
+        busy: Dict[int, float] = dict.fromkeys(self._cpu_ids, 0.0)
         assignments: List[ThreadAssignment] = []
 
         # Heaviest demands first gives better bin-packing.
@@ -90,8 +94,10 @@ class Scheduler:
     def _place(self, process: SimProcess, demand: Demand,
                busy: Dict[int, float]) -> Optional[ThreadAssignment]:
         """Place one thread of *process*, preferring this policy's order."""
-        candidates = [cpu_id for cpu_id in self.cpu_preference(busy)
-                      if process.allowed_on(cpu_id)]
+        candidates = self.cpu_preference(busy)
+        if process.affinity is not None:
+            candidates = [cpu_id for cpu_id in candidates
+                          if process.allowed_on(cpu_id)]
         if not candidates:
             raise SchedulerError(
                 f"pid {process.pid} has an affinity excluding every CPU")
@@ -119,28 +125,31 @@ class Scheduler:
             memory=demand.memory,
         )
 
+    def _core_busy(self, busy: Dict[int, float]) -> List[float]:
+        """Summed busy of each CPU's core, indexed like ``_cpu_ids``."""
+        get = busy.__getitem__
+        per_core = [sum(map(get, group)) for group in self._core_groups]
+        return [per_core[index] for index in self._core_index]
+
 
 class SpreadScheduler(Scheduler):
     """Spread across physical cores first, SMT siblings last."""
 
     def cpu_preference(self, busy: Dict[int, float]) -> List[int]:
-        siblings = self._siblings
-        def key(cpu_id: int) -> Tuple[float, float, int]:
-            core_busy = sum(busy[s] for s in siblings[cpu_id])
-            return (busy[cpu_id], core_busy, cpu_id)
-        return sorted(self._cpu_ids, key=key)
+        keys = sorted(zip(map(busy.__getitem__, self._cpu_ids),
+                          self._core_busy(busy), self._cpu_ids))
+        return [key[2] for key in keys]
 
 
 class PackScheduler(Scheduler):
     """Fill one core (and its siblings) completely before waking the next."""
 
     def cpu_preference(self, busy: Dict[int, float]) -> List[int]:
-        siblings = self._siblings
-        def key(cpu_id: int) -> Tuple[float, float, int]:
-            core_busy = sum(busy[s] for s in siblings[cpu_id])
-            # Prefer cores already awake (negative busy sorts busiest first).
-            return (-core_busy, busy[cpu_id], cpu_id)
-        return sorted(self._cpu_ids, key=key)
+        # Prefer cores already awake (negative busy sorts busiest first).
+        keys = sorted(zip([-core_busy for core_busy in self._core_busy(busy)],
+                          map(busy.__getitem__, self._cpu_ids),
+                          self._cpu_ids))
+        return [key[2] for key in keys]
 
 
 class PinnedScheduler(Scheduler):
@@ -150,7 +159,9 @@ class PinnedScheduler(Scheduler):
     """
 
     def cpu_preference(self, busy: Dict[int, float]) -> List[int]:
-        return sorted(self._cpu_ids, key=lambda c: (busy[c], c))
+        keys = sorted(zip(map(busy.__getitem__, self._cpu_ids),
+                          self._cpu_ids))
+        return [key[1] for key in keys]
 
 
 class EnergyAwareScheduler(Scheduler):

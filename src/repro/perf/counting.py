@@ -64,8 +64,9 @@ class PerfCounter:
         self.raw = 0.0
         self.time_enabled_s = 0.0
         self.time_running_s = 0.0
-        # The per-tick addends of the last event map folded: a held
-        # engine program hands every replay the same map.
+        # The per-tick addends of the last event map folded while the
+        # counter ran: a held engine program hands every replay the
+        # same map.
         self._events = None
         self._addends: List[float] = []
 
@@ -123,23 +124,14 @@ class PerfCounter:
 
     # -- session internals ---------------------------------------------
 
-    def _accumulate(self, dt: Tuple[float], events: Mapping,
-                    n_ticks: int, n_running: int) -> None:
-        """Fold *n_ticks* enabled ticks of ``dt[0]`` seconds and *events*,
-        *n_running* of them on the PMU."""
+    def _accumulate(self, dt: Tuple[float], n_ticks: int,
+                    n_running: int) -> None:
+        """Fold *n_ticks* enabled ticks of ``dt[0]`` seconds, *n_running*
+        of them on the PMU, adding the current addends per running tick."""
         self.time_enabled_s = fold_add(self.time_enabled_s, dt, n_ticks)
         if not n_running:
             return
         self.time_running_s = fold_add(self.time_running_s, dt, n_running)
-        if events is not self._events:
-            # One addend per (pid, cpu) delta this counter's target
-            # covers, in the order a tick folds them.
-            pid, cpu, event = self.pid, self.cpu, self.event
-            self._events = events
-            self._addends = [delta.get(event, 0.0)
-                             for (delta_pid, delta_cpu), delta in events.items()
-                             if (pid < 0 or delta_pid == pid)
-                             and (cpu < 0 or delta_cpu == cpu)]
         self.raw = fold_add(self.raw, self._addends, n_running)
 
 
@@ -154,6 +146,10 @@ class PerfSession:
         self._dead_pids: set = set()
         self._sample_loss = False
         self._closed = False
+        # The last event map folded and, per (pid, cpu) target read
+        # from it, the deltas the target covers.
+        self._events = None
+        self._covered: Dict[Tuple[int, int], list] = {}
         machine.add_fold(self._fold)
 
     @property
@@ -225,10 +221,46 @@ class PerfSession:
         active = [counter for counter in self._counters.values()
                   if counter.enabled]
         running = self._mux.running_ticks(active, n_ticks)
-        dt = (record.dt_s,)
+        events = record.events
+        if events is not self._events:
+            self._cover(events, active)
+        dt = record.dt_s
         for counter in active:
-            counter._accumulate(dt, record.events, n_ticks,
-                                running.get(counter.counter_id, 0))
+            n_running = running.get(counter.counter_id, 0)
+            if n_running and counter._events is not events:
+                deltas = self._covered.get((counter.pid, counter.cpu))
+                if deltas is None:  # enabled since the map was indexed
+                    self._cover(events, active)
+                    deltas = self._covered[(counter.pid, counter.cpu)]
+                event = counter.event
+                counter._addends = [delta.get(event, 0.0) for delta in deltas]
+                counter._events = events
+            if n_ticks == 1:
+                # One tick: the additions themselves, no fold loop.
+                counter.time_enabled_s += dt
+                if n_running:
+                    counter.time_running_s += dt
+                    raw = counter.raw
+                    for addend in counter._addends:
+                        raw += addend
+                    counter.raw = raw
+            else:
+                counter._accumulate((dt,), n_ticks, n_running)
+
+    def _cover(self, events: Mapping, counters: Sequence[PerfCounter]
+               ) -> None:
+        """Index a new event map in one pass: for each counter's (pid,
+        cpu) target, the deltas it covers in event order, which is the
+        order a tick folds its addends."""
+        covered: Dict[Tuple[int, int], list] = {
+            (counter.pid, counter.cpu): [] for counter in counters}
+        for (pid, cpu), delta in events.items():
+            for target in ((pid, -1), (pid, cpu), (-1, cpu), (-1, -1)):
+                deltas = covered.get(target)
+                if deltas is not None:
+                    deltas.append(delta)
+        self._events = events
+        self._covered = covered
 
     def __enter__(self) -> "PerfSession":
         return self

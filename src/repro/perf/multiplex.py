@@ -32,6 +32,9 @@ class MultiplexScheduler:
         #: model complete PMU starvation); None means use ``slots``.
         self.slot_override: Optional[int] = None
         self._rotation: Dict[Tuple[int, int], int] = defaultdict(int)
+        # (usable slots, counters, scheduled ids) of the last schedule
+        # in which no target rotates: repeating it changes nothing.
+        self._held: Optional[tuple] = None
 
     @property
     def effective_slots(self) -> int:
@@ -49,6 +52,7 @@ class MultiplexScheduler:
         targets no longer present (closed counters, exited pids) is pruned
         here, so long-running sessions under pid churn stay bounded.
         """
+        self._held = None
         groups: Dict[Tuple[int, int], List] = defaultdict(list)
         for counter in counters:
             groups[(counter.pid, counter.cpu)].append(counter)
@@ -79,11 +83,17 @@ class MultiplexScheduler:
         Keyed by ``counter_id`` (counters never scheduled are absent);
         leaves the rotation state exactly as *n_ticks* :meth:`schedule`
         calls would.  A schedule in which every group fits (or no slot
-        is usable) repeats unchanged, so only a rotating group costs one
-        :meth:`schedule` call per tick.
+        is usable) repeats unchanged, so it is kept and reused while the
+        counters and the usable slots hold; only a rotating group costs
+        one :meth:`schedule` call per tick.
         """
+        slots = self.effective_slots
+        held = self._held
+        if held is not None and held[0] == slots and held[1] == counters:
+            return dict.fromkeys(held[2], n_ticks)
         scheduled = self.schedule(counters)
-        if n_ticks == 1 or not self._rotates(counters):
+        if not self._rotates(counters):
+            self._held = (slots, list(counters), scheduled)
             return dict.fromkeys(scheduled, n_ticks)
         running = dict.fromkeys(scheduled, 1)
         for _ in repeat(None, n_ticks - 1):

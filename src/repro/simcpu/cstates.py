@@ -13,7 +13,7 @@ residency bookkeeping feeds both the hidden ground-truth power model and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 from repro.simcpu.spec import CpuSpec
@@ -112,33 +112,17 @@ class CStateController:
         """Power fraction of the state chosen for *expected_idle_s*."""
         return self.deepest_for(expected_idle_s).power_fraction
 
-    def accounting_cells(self, cpu_id: int, busy_fraction: float, dt_s: float,
-                         expected_idle_s: float):
-        """Compile one :meth:`account` call into replayable residency cells.
+    def residency_table(self) -> Dict[Tuple[int, str], float]:
+        """The residency table itself, keyed ``(cpu_id, state name)``.
 
-        Returns ``(cells, state_name)`` where *cells* is a list of
-        ``(residency_dict, key, addend)`` triples; adding every addend to
-        its cell once, in order, performs exactly the float additions one
-        :meth:`account` call would, and *state_name* is what
-        :meth:`current_state` must report afterwards.  The batched engine
-        replays the cells once per tick without re-running the governor
-        decision, which is constant for a steady occupancy.
+        The batched engine adds each tick's residency seconds into it
+        directly, the additions :meth:`account` would make.
         """
-        if not 0.0 <= busy_fraction <= 1.0:
-            raise ConfigurationError(
-                f"busy_fraction must be within [0, 1], got {busy_fraction}")
-        residency = self._residency_s
-        cells = [(residency, (cpu_id, "C0"), busy_fraction * dt_s)]
-        idle_s = (1.0 - busy_fraction) * dt_s
-        if idle_s <= 0.0:
-            return cells, "C0"
-        state = self.deepest_for(expected_idle_s)
-        cells.append((residency, (cpu_id, state.name), idle_s))
-        return cells, state.name
+        return self._residency_s
 
-    def set_current_state(self, cpu_id: int, state_name: str) -> None:
-        """Record the state *cpu_id* ended the last step in (batched path)."""
-        self._current[cpu_id] = state_name
+    def set_current_states(self, states: Mapping[int, str]) -> None:
+        """Record the state each CPU ended the last step in (batched path)."""
+        self._current.update(states)
 
     def residency(self, cpu_id: int, state_name: str) -> float:
         """Accumulated seconds *cpu_id* has spent in *state_name*."""

@@ -15,15 +15,28 @@ This module splits the step into the two halves the tick loop conflates:
   loop invariant of a steady occupancy into a :class:`TickProgram`:
   the per-(pid, cpu) event deltas, the shared events/busy/frequency
   mappings of the eventual :class:`~repro.simcpu.machine.TickRecord`,
-  the constant components of the power breakdown, and a flat list of
-  *accumulation cells* — ``(container, index, addend)`` triples, in the
-  order one tick adds them, over the struct-of-arrays
+  the constant components of the power breakdown, and the addends one
+  tick makes into the struct-of-arrays
   :class:`~repro.simcpu.counters.CounterBank` columns and the C-state
   residency table.
 * **replay** — :meth:`BatchEngine.replay` advances N ticks by replaying
   only the data-dependent state updates: the first-order thermal
   relaxation, the energy and time integrals, and one float addition per
   accumulation cell per tick.
+
+A compile itself comes in two parts.  The *layout* (:class:`_Layout`)
+is what the occupancy's shape fixes: which assignments run where, the
+counter slot and columns each one adds into, its SMT siblings, its
+cache behaviour next to the other working sets on its package, the
+granted core frequencies and the instruction power weights.  The
+*values* are what the busy fractions and dt fix: each assignment's 14
+event counts, the C-state cells and the power breakdown.  The engine
+keeps one layout, keyed on each assignment's (pid, cpu, mix, memory,
+busy > 0) and the frequency generation, so a quantum whose demand moved
+without moving its shape (a SPECjbb ramp) fills in values only.  Each
+layout row keeps its last values: its execution rates while its
+sibling's busy holds, and its event counts while its own busy and dt
+hold too.
 
 Bit-identity is the hard contract (the golden dataset tests pin it):
 replaying a program performs exactly the float operations, in exactly
@@ -56,6 +69,18 @@ from repro.simcpu.power import CoreActivity, PowerBreakdown
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (machine -> engine)
     from repro.simcpu.machine import Machine, ThreadAssignment, TickRecord
 
+#: Bus cycles tick at roughly one tenth of the core clock.
+BUS_CYCLE_RATIO = 0.1
+
+#: The events one running assignment produces, in the key order of its
+#: :class:`EventDelta` and of its layout row's counter columns.
+ROW_EVENTS: Tuple[str, ...] = (
+    ev.INSTRUCTIONS, ev.CYCLES, ev.REF_CYCLES, ev.BUS_CYCLES, ev.BRANCHES,
+    ev.BRANCH_MISSES, ev.CACHE_REFERENCES, ev.CACHE_MISSES, ev.LLC_LOADS,
+    ev.LLC_LOAD_MISSES, ev.L1_DCACHE_LOADS, ev.L1_DCACHE_LOAD_MISSES,
+    ev.STALLED_CYCLES_BACKEND, ev.STALLED_CYCLES_FRONTEND,
+)
+
 
 def fold_add(value: float, addends: Sequence[float], n_ticks: int) -> float:
     """*value* after *n_ticks* rounds of adding each of *addends* in order.
@@ -81,10 +106,27 @@ class TickProgram:
     that does not change from tick to tick."""
 
     __slots__ = (
-        "dt_s", "cpu_busy", "core_freqs", "events", "cells",
-        "grouped_cells", "current_states", "has_counters", "idle_w",
-        "cores_w", "uncore_w", "dram_w", "wakeup_w", "base_w", "dynamic_w",
+        "dt_s", "cpu_busy", "core_freqs", "events", "rows", "residency",
+        "residency_cells", "grouped_cells", "current_states",
+        "has_counters", "idle_w", "cores_w", "uncore_w", "dram_w",
+        "wakeup_w", "base_w", "dynamic_w",
     )
+
+
+class _Row:
+    """One running assignment's place in a layout, and its last values."""
+
+    __slots__ = (
+        "index", "key", "others", "frequency_hz", "mix", "behaviour",
+        "weight", "columns", "slot", "sibling_busy", "rates", "busy",
+        "dt_s", "delta",
+    )
+
+
+class _Layout:
+    """What an occupancy's shape and the frequency targets fix."""
+
+    __slots__ = ("key", "rows", "cores", "core_freqs")
 
 
 class BatchEngine:
@@ -94,6 +136,7 @@ class BatchEngine:
         self._machine = machine
         self._key: tuple = ()
         self._program: Optional[TickProgram] = None
+        self._layout: Optional[_Layout] = None
 
     # -- compilation ---------------------------------------------------
 
@@ -111,51 +154,40 @@ class BatchEngine:
         """
         key = (tuple(assignments), dt_s, self._machine.frequency.generation)
         if key != self._key:
-            self._program = self._compile(key[0], dt_s)
+            self._program = self._compile(key[0], dt_s, key[2])
             self._key = key
         return self._program
 
     def _compile(self, assignments: Tuple["ThreadAssignment", ...],
-                 dt_s: float) -> TickProgram:
-        """Run the full per-tick derivation once and freeze the invariants."""
+                 dt_s: float, generation: int) -> TickProgram:
+        """Fill this occupancy's values into its (cached) layout."""
         machine = self._machine
         cpu_busy = machine._validate_occupancy(assignments)
-        core_freqs = machine._effective_frequencies(cpu_busy)
+        key = (tuple([(a.pid, a.cpu_id, a.mix, a.memory,
+                       a.busy_fraction > 0.0) for a in assignments]),
+               generation)
+        layout = self._layout
+        if layout is None or layout.key != key:
+            layout = self._layout = self._lay_out(assignments, cpu_busy, key)
 
         events: Dict[Tuple[int, int], EventDelta] = {}
         llc_refs = 0.0
         dram_bytes = 0.0
-        core_weights: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
-        raw_cells: list = []
         line_bytes = machine._line_bytes_cached
-
-        machine._current_assignments = assignments
-        try:
-            for assignment in assignments:
-                if assignment.busy_fraction == 0.0:
-                    continue
-                core_key = machine._cpu_core_key[assignment.cpu_id]
-                frequency_hz = core_freqs[core_key]
-                delta = machine._execute(assignment, cpu_busy, frequency_hz,
-                                         dt_s)
-                key = (assignment.pid, assignment.cpu_id)
-                existing = events.get(key)
-                events[key] = (delta if existing is None
+        rows = []
+        for row in layout.rows:
+            delta = self._row_values(row, assignments[row.index].busy_fraction,
+                                     cpu_busy, dt_s)
+            existing = events.get(row.key)
+            events[row.key] = (delta if existing is None
                                else existing.merged_with(delta))
-                raw_cells.extend(machine.counters.accumulation_cells(
-                    assignment.pid, assignment.cpu_id, delta))
-                llc_refs += delta.get(ev.CACHE_REFERENCES, 0.0)
-                dram_bytes += delta.get(ev.CACHE_MISSES, 0.0) * line_bytes
-                core_weights.setdefault(core_key, []).append(
-                    (assignment.busy_fraction, assignment.mix.power_weight()))
-        finally:
-            machine._current_assignments = ()
+            rows.append((row.columns, row.slot, delta))
+            llc_refs += delta[ev.CACHE_REFERENCES]
+            dram_bytes += delta[ev.CACHE_MISSES] * line_bytes
 
-        has_counters = bool(raw_cells)
-        activities, cstate_cells, current_states = self._activities(
-            cpu_busy, core_freqs, core_weights, dt_s)
-        raw_cells.extend(cstate_cells)
-
+        program = TickProgram()
+        activities = self._activities(program, layout, assignments, cpu_busy,
+                                      dt_s)
         breakdown = machine.power_model.wall_power(
             activities,
             llc_references_per_s=llc_refs / dt_s,
@@ -163,15 +195,13 @@ class BatchEngine:
             thermal=None,
         )
 
-        program = TickProgram()
         program.dt_s = dt_s
         program.cpu_busy = cpu_busy
-        program.core_freqs = core_freqs
+        program.core_freqs = layout.core_freqs
         program.events = events
-        program.cells = raw_cells
+        program.rows = rows
         program.grouped_cells = None  # grouped on the first longer replay
-        program.current_states = current_states
-        program.has_counters = has_counters
+        program.has_counters = bool(rows)
         program.idle_w = breakdown.idle
         program.cores_w = breakdown.cores
         program.uncore_w = breakdown.uncore
@@ -185,23 +215,120 @@ class BatchEngine:
                            + breakdown.uncore) + breakdown.dram)
         return program
 
-    def _activities(self, cpu_busy, core_freqs, core_weights, dt_s):
-        """Per-core activity records plus compiled C-state accounting.
+    def _lay_out(self, assignments, cpu_busy, key) -> _Layout:
+        """Derive what *key* fixes: rows, per-core groups, frequencies.
 
-        The side-effect-free half of what the tick loop used to do in
-        ``Machine._core_activities``: the governor's idle-state choice is
-        a pure function of the expected idle window, so it compiles to
-        residency cells and a final per-CPU state name.
+        An assignment's co-residents are the other running assignments
+        on its package, in list order; its counter slot is created here,
+        in the order the assignments run.
         """
         machine = self._machine
-        cstates = machine.cstates
+        core_freqs = machine._effective_frequencies(cpu_busy)
+        cpu_core_key = machine._cpu_core_key
+        zero_row = dict.fromkeys(ROW_EVENTS, 0.0)
+        running = [(index, assignment)
+                   for index, assignment in enumerate(assignments)
+                   if assignment.busy_fraction > 0.0]
+        rows: List[_Row] = []
+        core_rows: Dict[Tuple[int, int], List[_Row]] = {}
+        for index, assignment in running:
+            cpu_id = assignment.cpu_id
+            core_key = cpu_core_key[cpu_id]
+            coresident_sets = [
+                other.memory.working_set_bytes
+                for other_index, other in running
+                if other_index != index
+                and cpu_core_key[other.cpu_id][0] == core_key[0]]
+            cells = machine.counters.accumulation_cells(
+                assignment.pid, cpu_id, zero_row)
+            row = _Row()
+            row.index = index
+            row.key = (assignment.pid, cpu_id)
+            row.others = machine._other_siblings[cpu_id]
+            row.frequency_hz = core_freqs[core_key]
+            row.mix = assignment.mix
+            row.behaviour = machine.caches.behaviour(assignment.memory,
+                                                     coresident_sets)
+            row.weight = assignment.mix.power_weight()
+            row.columns = tuple(column for column, _slot, _zero in cells)
+            row.slot = cells[0][1]
+            row.sibling_busy = None  # equals no busy: the first fill derives
+            rows.append(row)
+            core_rows.setdefault(core_key, []).append(row)
+
+        layout = _Layout()
+        layout.key = key
+        layout.rows = tuple(rows)
+        layout.cores = tuple(
+            (machine._core_cpus[core_key], core_freqs[core_key],
+             tuple(core_rows.get(core_key, ())))
+            for core_key in machine._cores)
+        layout.core_freqs = core_freqs
+        return layout
+
+    def _row_values(self, row: _Row, busy: float,
+                    cpu_busy: Dict[int, float], dt_s: float) -> EventDelta:
+        """One assignment's event counts for a tick of *dt_s*.
+
+        Execution rates follow the busiest SMT sibling, so they are
+        re-derived only when that busy moved; the counts only when the
+        rates, the assignment's own busy or dt moved.
+        """
+        machine = self._machine
+        sibling_busy = max([cpu_busy[sibling] for sibling in row.others],
+                           default=0.0)
+        if sibling_busy != row.sibling_busy:
+            row.rates = machine.pipeline.rates(row.mix, row.behaviour,
+                                               sibling_busy)
+            row.sibling_busy = sibling_busy
+        elif busy == row.busy and dt_s == row.dt_s:
+            return row.delta
+        rates = row.rates
+        behaviour = row.behaviour
+        frequency_hz = row.frequency_hz
+        busy_seconds = busy * dt_s
+        instructions = machine.pipeline.instructions_in(
+            rates, frequency_hz, busy_seconds)
+        cycles = frequency_hz * busy_seconds
+        delta = EventDelta({
+            ev.INSTRUCTIONS: instructions,
+            ev.CYCLES: cycles,
+            ev.REF_CYCLES: machine.spec.max_frequency_hz * busy_seconds,
+            ev.BUS_CYCLES: cycles * BUS_CYCLE_RATIO,
+            ev.BRANCHES: instructions * rates.branches_per_instruction,
+            ev.BRANCH_MISSES:
+                instructions * rates.branch_misses_per_instruction,
+            ev.CACHE_REFERENCES: instructions * behaviour.llc_references,
+            ev.CACHE_MISSES: instructions * behaviour.llc_misses,
+            ev.LLC_LOADS: instructions * behaviour.llc_references,
+            ev.LLC_LOAD_MISSES: instructions * behaviour.llc_misses,
+            ev.L1_DCACHE_LOADS: instructions * behaviour.l1_references,
+            ev.L1_DCACHE_LOAD_MISSES: instructions * behaviour.l1_misses,
+            ev.STALLED_CYCLES_BACKEND: cycles * rates.backend_stall_fraction,
+            ev.STALLED_CYCLES_FRONTEND:
+                cycles * rates.frontend_stall_fraction,
+        })
+        row.busy = busy
+        row.dt_s = dt_s
+        row.delta = delta
+        return delta
+
+    def _activities(self, program: TickProgram, layout: _Layout,
+                    assignments, cpu_busy, dt_s) -> List[CoreActivity]:
+        """Per-core activity records; fills the program's C-state cells.
+
+        The governor's idle-state choice is a pure function of the
+        expected idle window, so it compiles to residency cells and a
+        final per-CPU state name.
+        """
+        cstates = self._machine.cstates
         activities: List[CoreActivity] = []
         cells: list = []
         current_states: Dict[int, str] = {}
-        for core_key in machine._cores:
-            core_cpus = machine._core_cpus[core_key]
-            thread_busy = tuple(cpu_busy[cpu_id] for cpu_id in core_cpus)
-            weights = core_weights.get(core_key, [])
+        for core_cpus, frequency_hz, core_rows in layout.cores:
+            thread_busy = tuple([cpu_busy[cpu_id] for cpu_id in core_cpus])
+            weights = [(assignments[row.index].busy_fraction, row.weight)
+                       for row in core_rows]
             total_busy = sum(busy for busy, _weight in weights)
             if total_busy > 0:
                 weight = sum(busy * w for busy, w in weights) / total_busy
@@ -209,23 +336,29 @@ class BatchEngine:
                 weight = 1.0
             busiest = max(thread_busy, default=0.0)
             expected_idle_s = (1.0 - busiest) * dt_s
-            idle_fraction = cstates.idle_power_fraction(expected_idle_s)
-            for cpu_id in core_cpus:
-                cpu_cells, state_name = cstates.accounting_cells(
-                    cpu_id, cpu_busy[cpu_id], dt_s, expected_idle_s)
-                cells.extend(cpu_cells)
-                current_states[cpu_id] = state_name
+            state = cstates.deepest_for(expected_idle_s)
+            for cpu_id, busy in zip(core_cpus, thread_busy):
+                cells.append(((cpu_id, "C0"), busy * dt_s))
+                idle_s = (1.0 - busy) * dt_s
+                if idle_s <= 0.0:
+                    current_states[cpu_id] = "C0"
+                else:
+                    cells.append(((cpu_id, state.name), idle_s))
+                    current_states[cpu_id] = state.name
             activities.append(CoreActivity(
-                frequency_hz=core_freqs[core_key],
+                frequency_hz=frequency_hz,
                 thread_busy=thread_busy,
                 power_weight=weight,
-                idle_power_fraction=idle_fraction,
+                idle_power_fraction=state.power_fraction,
             ))
-        return activities, cells, current_states
+        program.residency = cstates.residency_table()
+        program.residency_cells = cells
+        program.current_states = current_states
+        return activities
 
     @staticmethod
-    def _group_cells(raw_cells):
-        """Group (container, index, addend) triples by cell, keeping order.
+    def _group_cells(program: TickProgram):
+        """The program's (container, index, addends) cells, one per cell.
 
         Cells are independent memory locations, so replay order *across*
         cells is free; order of repeated addends *within* one cell (two
@@ -235,7 +368,8 @@ class BatchEngine:
         """
         grouped: Dict[Tuple[int, object], list] = {}
         order: List[list] = []
-        for container, index, addend in raw_cells:
+
+        def add(container, index, addend):
             group_key = (id(container), index)
             entry = grouped.get(group_key)
             if entry is None:
@@ -243,6 +377,12 @@ class BatchEngine:
                 grouped[group_key] = entry
                 order.append(entry)
             entry[2].append(addend)
+
+        for columns, slot, delta in program.rows:
+            for column, addend in zip(columns, delta.values()):
+                add(column, slot, addend)
+        for key, addend in program.residency_cells:
+            add(program.residency, key, addend)
         return [(container, index, tuple(addends))
                 for container, index, addends in order]
 
@@ -252,10 +392,11 @@ class BatchEngine:
         """Advance *n_ticks* of the program; returns the final tick's record.
 
         The thermal, energy and time recurrences run tick by tick and
-        record each tick's leakage.  A one-tick replay then adds the raw
-        cells in compile order; a longer one adds each grouped cell in
-        its own ``fold_add`` loop, the identical additions in a
-        cell-local order.  Each fold then sees the final record once.
+        record each tick's leakage.  A one-tick replay then adds each
+        row's counts and each residency addend in compile order; a
+        longer one adds each grouped cell in its own ``fold_add`` loop,
+        the identical additions in a cell-local order.  Each fold then
+        sees the final record once.
         """
         from repro.simcpu.machine import TickRecord
 
@@ -283,20 +424,22 @@ class BatchEngine:
         machine._time_s = time_s
 
         if n_ticks == 1:
-            for container, index, addend in program.cells:
-                container[index] += addend
+            for columns, slot, delta in program.rows:
+                for column, addend in zip(columns, delta.values()):
+                    column[slot] += addend
+            residency = program.residency
+            for key, addend in program.residency_cells:
+                residency[key] += addend
         else:
             cells = program.grouped_cells
             if cells is None:
-                cells = program.grouped_cells = self._group_cells(
-                    program.cells)
+                cells = program.grouped_cells = self._group_cells(program)
             for container, index, addends in cells:
                 container[index] = fold_add(container[index], addends,
                                             n_ticks)
         if program.has_counters:
             machine.counters.mark_dirty()
-        for cpu_id, state_name in program.current_states.items():
-            machine.cstates.set_current_state(cpu_id, state_name)
+        machine.cstates.set_current_states(program.current_states)
 
         record = TickRecord(
             time_s=time_s,

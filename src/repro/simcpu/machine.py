@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, TopologyError
-from repro.simcpu import counters as ev
 from repro.simcpu.caches import CacheModel, MemoryProfile
 from repro.simcpu.counters import CounterBank, EventDelta
 from repro.simcpu.cstates import CStateController
@@ -33,9 +32,6 @@ from repro.simcpu.pipeline import InstructionMix, PipelineModel
 from repro.simcpu.power import GroundTruthPower, PowerBreakdown, ThermalModel
 from repro.simcpu.spec import CpuSpec
 from repro.simcpu.topology import Topology
-
-#: Bus cycles tick at roughly one tenth of the core clock.
-BUS_CYCLE_RATIO = 0.1
 
 
 @dataclass(frozen=True)
@@ -104,8 +100,8 @@ class Machine:
         self._observer_folds: Dict[TickObserver, TickFold] = {}
         #: The most recent tick record (None before the first step).
         self.last_record: Optional[TickRecord] = None
-        # Hot-path lookups resolved once: the topology is immutable, and
-        # step() consults these for every assignment of every tick.
+        # Lookups resolved once: the topology is immutable, and the
+        # engine consults these on every compile.
         topology = self.topology
         self._cores: Tuple[Tuple[int, int], ...] = tuple(topology.cores())
         self._core_cpus: Dict[Tuple[int, int], Tuple[int, ...]] = {
@@ -273,62 +269,6 @@ class Machine:
                 package_id, core_id,
                 active_cores_in_package=active_per_package.get(package_id, 0))
         return frequencies
-
-    def _execute(self, assignment: ThreadAssignment,
-                 cpu_busy: Mapping[int, float], frequency_hz: int,
-                 dt_s: float) -> EventDelta:
-        """Run one assignment through the cache and pipeline models."""
-        cpu_id = assignment.cpu_id
-        sibling_busy = max(
-            (cpu_busy[sibling] for sibling in self._other_siblings[cpu_id]),
-            default=0.0)
-
-        package_id = self._cpu_core_key[cpu_id][0]
-        coresident_sets = self._coresident_working_sets(assignment, package_id)
-        behaviour = self.caches.behaviour(assignment.memory, coresident_sets)
-        rates = self.pipeline.rates(assignment.mix, behaviour, sibling_busy)
-
-        busy_seconds = assignment.busy_fraction * dt_s
-        instructions = self.pipeline.instructions_in(rates, frequency_hz, busy_seconds)
-        cycles = frequency_hz * busy_seconds
-
-        # Every key is distinct and every count non-negative by
-        # construction, so build the delta in one shot instead of going
-        # through the validating add() path 14 times per assignment.
-        return EventDelta({
-            ev.INSTRUCTIONS: instructions,
-            ev.CYCLES: cycles,
-            ev.REF_CYCLES: self.spec.max_frequency_hz * busy_seconds,
-            ev.BUS_CYCLES: cycles * BUS_CYCLE_RATIO,
-            ev.BRANCHES: instructions * rates.branches_per_instruction,
-            ev.BRANCH_MISSES:
-                instructions * rates.branch_misses_per_instruction,
-            ev.CACHE_REFERENCES: instructions * behaviour.llc_references,
-            ev.CACHE_MISSES: instructions * behaviour.llc_misses,
-            ev.LLC_LOADS: instructions * behaviour.llc_references,
-            ev.LLC_LOAD_MISSES: instructions * behaviour.llc_misses,
-            ev.L1_DCACHE_LOADS: instructions * behaviour.l1_references,
-            ev.L1_DCACHE_LOAD_MISSES: instructions * behaviour.l1_misses,
-            ev.STALLED_CYCLES_BACKEND: cycles * rates.backend_stall_fraction,
-            ev.STALLED_CYCLES_FRONTEND:
-                cycles * rates.frontend_stall_fraction,
-        })
-
-    def _coresident_working_sets(self, assignment: ThreadAssignment,
-                                 package_id: int) -> List[int]:
-        """Working sets of the other assignments on the same package."""
-        sets: List[int] = []
-        for other in self._current_assignments:
-            if other is assignment:
-                continue
-            other_cpu = self.topology.cpu(other.cpu_id)
-            if other_cpu.package_id == package_id and other.busy_fraction > 0.0:
-                sets.append(other.memory.working_set_bytes)
-        return sets
-
-    # step() needs the full assignment list while executing each one (for
-    # cache co-residency); stash it for the duration of the call.
-    _current_assignments: Sequence[ThreadAssignment] = ()
 
     def run(self, assignments: Sequence[ThreadAssignment], duration_s: float,
             dt_s: float = 0.01) -> List[TickRecord]:

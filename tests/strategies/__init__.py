@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, settings
 
 from tests.strategies.assignments import (assignment_lists, dts,
                                           event_deltas, instruction_mixes,
-                                          memory_profiles, schedules,
+                                          memory_profiles, ramps, schedules,
                                           thread_assignments)
 from tests.strategies.faultplans import fault_events, fault_plans
 from tests.strategies.matrices import (invariant_configs, matrix_specs,
@@ -38,7 +38,7 @@ __all__ = [
     "default_settings",
     # simulator occupancies
     "assignment_lists", "dts", "event_deltas", "instruction_mixes",
-    "memory_profiles", "schedules", "thread_assignments",
+    "memory_profiles", "ramps", "schedules", "thread_assignments",
     # telemetry wire
     "aggregated_reports", "chunkings", "frame_payloads",
     "header_corruptions", "report_frames",

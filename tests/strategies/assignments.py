@@ -1,5 +1,7 @@
 """Generators for machine occupancies, schedules and counter deltas."""
 
+from dataclasses import replace
+
 from hypothesis import strategies as st
 
 from repro.simcpu.caches import MemoryProfile
@@ -72,6 +74,34 @@ def schedules(draw, spec, max_segments=4, max_ticks=12):
             draw(st.integers(1, max_ticks)),
         ))
     return segments
+
+
+@st.composite
+def ramps(draw, spec):
+    """One occupancy shape whose busy fractions move on every quantum.
+
+    Returns ``(quanta, move_at, frequency_hz)``: ``quanta`` holds 2–12
+    assignment lists that share one :func:`assignment_lists` draw's
+    (pid, cpu, mix, memory) in order, each with fresh busy fractions
+    within its CPU's headroom (0 included, so a row may stop and
+    restart), and the P-state target moves to ``frequency_hz`` just
+    before quantum ``move_at``.  Pids come from a small range, so two
+    assignments on one CPU sometimes share a (pid, cpu) counter slot.
+    """
+    shape = draw(assignment_lists(spec, pids=st.integers(1, 4)))
+    quanta = []
+    for _ in range(draw(st.integers(2, 12))):
+        headroom = [1.0] * spec.num_threads
+        quantum = []
+        for assignment in shape:
+            busy = draw(st.floats(0.0, headroom[assignment.cpu_id],
+                                  allow_nan=False))
+            headroom[assignment.cpu_id] -= busy
+            quantum.append(replace(assignment, busy_fraction=busy))
+        quanta.append(quantum)
+    move_at = draw(st.integers(0, len(quanta) - 1))
+    frequency_hz = draw(st.sampled_from(spec.all_frequencies_hz))
+    return quanta, move_at, frequency_hz
 
 
 @st.composite

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simcpu import counters as ev
-from repro.simcpu.counters import ALL_EVENTS, CounterBank
+from repro.simcpu.counters import ALL_EVENTS, CounterBank, EventDelta
 from repro.simcpu.machine import Machine
 from repro.simcpu.power import CoreActivity
 from repro.simcpu.spec import intel_i3_2120, intel_xeon_smt
@@ -208,12 +208,16 @@ class TestBatchedEquivalence:
 class ReferenceTickLoop:
     """Dict-based reimplementation of the pre-engine ``Machine.step``.
 
-    Drives a :class:`Machine`'s pure helpers (`_execute`, frequency
-    arbitration, the power and thermal models) exactly as the original
-    tick loop did — per-tick dict folds, `cstates.account` side effects,
-    `thermal.step` inside `wall_power` — while keeping its own dict
-    counter totals.  The engine must match this, float for float.
+    Drives a :class:`Machine`'s pure helpers (frequency arbitration, the
+    cache, pipeline, power and thermal models) exactly as the original
+    tick loop did — per-tick execution of every assignment, per-tick
+    dict folds, `cstates.account` side effects, `thermal.step` inside
+    `wall_power` — while keeping its own dict counter totals.  The
+    engine must match this, float for float.
     """
+
+    #: Bus cycles per core cycle, as the original tick loop used it.
+    BUS_CYCLE_RATIO = 0.1
 
     def __init__(self, spec):
         self.machine = Machine(spec)  # engine never invoked on this one
@@ -221,10 +225,52 @@ class ReferenceTickLoop:
         self.time_s = 0.0
         self.energy_j = 0.0
 
+    def _execute(self, assignments, assignment, cpu_busy, frequency_hz,
+                 dt_s):
+        """The original ``Machine._execute``: one assignment through the
+        cache and pipeline models, its co-residents the other running
+        assignments on its package."""
+        machine = self.machine
+        cpu_id = assignment.cpu_id
+        sibling_busy = max(
+            (cpu_busy[sibling] for sibling in machine._other_siblings[cpu_id]),
+            default=0.0)
+        package_id = machine._cpu_core_key[cpu_id][0]
+        coresident_sets = [
+            other.memory.working_set_bytes for other in assignments
+            if other is not assignment
+            and machine.topology.cpu(other.cpu_id).package_id == package_id
+            and other.busy_fraction > 0.0]
+        behaviour = machine.caches.behaviour(assignment.memory,
+                                             coresident_sets)
+        rates = machine.pipeline.rates(assignment.mix, behaviour,
+                                       sibling_busy)
+        busy_seconds = assignment.busy_fraction * dt_s
+        instructions = machine.pipeline.instructions_in(
+            rates, frequency_hz, busy_seconds)
+        cycles = frequency_hz * busy_seconds
+        return EventDelta({
+            ev.INSTRUCTIONS: instructions,
+            ev.CYCLES: cycles,
+            ev.REF_CYCLES: machine.spec.max_frequency_hz * busy_seconds,
+            ev.BUS_CYCLES: cycles * self.BUS_CYCLE_RATIO,
+            ev.BRANCHES: instructions * rates.branches_per_instruction,
+            ev.BRANCH_MISSES:
+                instructions * rates.branch_misses_per_instruction,
+            ev.CACHE_REFERENCES: instructions * behaviour.llc_references,
+            ev.CACHE_MISSES: instructions * behaviour.llc_misses,
+            ev.LLC_LOADS: instructions * behaviour.llc_references,
+            ev.LLC_LOAD_MISSES: instructions * behaviour.llc_misses,
+            ev.L1_DCACHE_LOADS: instructions * behaviour.l1_references,
+            ev.L1_DCACHE_LOAD_MISSES: instructions * behaviour.l1_misses,
+            ev.STALLED_CYCLES_BACKEND: cycles * rates.backend_stall_fraction,
+            ev.STALLED_CYCLES_FRONTEND:
+                cycles * rates.frontend_stall_fraction,
+        })
+
     def step(self, assignments, dt_s):
         machine = self.machine
         cpu_busy = machine._validate_occupancy(assignments)
-        machine._current_assignments = assignments
         core_freqs = machine._effective_frequencies(cpu_busy)
         events = {}
         llc_refs = 0.0
@@ -234,8 +280,8 @@ class ReferenceTickLoop:
             if assignment.busy_fraction == 0.0:
                 continue
             core_key = machine._cpu_core_key[assignment.cpu_id]
-            delta = machine._execute(assignment, cpu_busy,
-                                     core_freqs[core_key], dt_s)
+            delta = self._execute(assignments, assignment, cpu_busy,
+                                  core_freqs[core_key], dt_s)
             key = (assignment.pid, assignment.cpu_id)
             events[key] = (delta if key not in events
                            else events[key].merged_with(delta))
@@ -274,7 +320,6 @@ class ReferenceTickLoop:
             thermal=machine.thermal,
             dt_s=dt_s,
         )
-        machine._current_assignments = ()
         self.time_s += dt_s
         self.energy_j += breakdown.total * dt_s
         return breakdown, events

@@ -163,6 +163,19 @@ class TestMonitoring:
         api.shutdown()
         assert api.system.actor_names() == ()
 
+    def test_shutdown_releases_the_pipeline(self, kernel, model):
+        """After shutdown nothing is monitored, and the API, whose perf
+        session is closed, refuses a pipeline it could not feed."""
+        pid = kernel.spawn(CpuStress(duration_s=10.0))
+        api = PowerAPI(kernel, model)
+        handle = api.monitor(pid).every(1.0).to(InMemoryReporter())
+        api.shutdown()
+        assert api.monitored_pids() == ()
+        assert handle._refs == []
+        with pytest.raises(ConfigurationError, match="shut down"):
+            api.monitor(pid).every(1.0).to(InMemoryReporter())
+        api.shutdown()  # still idempotent
+
     def test_handle_stop_halts_reporting(self, kernel, model):
         pid = kernel.spawn(CpuStress(duration_s=10.0))
         api = PowerAPI(kernel, model)
