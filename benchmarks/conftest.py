@@ -9,7 +9,10 @@ echoed to stdout for the record.
 
 from __future__ import annotations
 
+import importlib.util
+import time
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -18,6 +21,29 @@ from repro.simcpu.spec import intel_i3_2120
 from repro.workloads.stress import CpuStress, MemoryStress
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The repo benchmark's host-speed probes (``perf/`` is not a package, so
+# load the module by path).  The BENCH_*.json microbenchmarks probe the
+# host around each timed region and record seconds divided by the host
+# factor, as ``perf/bench.py`` does, so a trend compares code, not hosts.
+_HOSTSPEED = importlib.util.spec_from_file_location(
+    "hostspeed", Path(__file__).parent / "perf" / "hostspeed.py")
+_hostspeed = importlib.util.module_from_spec(_HOSTSPEED)
+_HOSTSPEED.loader.exec_module(_hostspeed)
+HostSpeed = _hostspeed.HostSpeed
+
+#: Host probes taken on each side of a timed region.
+REGION_PROBES = 5
+
+
+def probed_seconds(host: HostSpeed, run: Callable[[], object]) -> float:
+    """Wall seconds of ``run()``, with host probes on each side of it."""
+    host.sample(REGION_PROBES)
+    start = time.perf_counter()
+    run()
+    elapsed = time.perf_counter() - start
+    host.sample(REGION_PROBES)
+    return elapsed
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,11 @@ records the monitor's cost in its own terms, as the RAPL-overhead study
 seconds ``monitored - bare`` per simulated second (the share of one
 core it would take on a host running in real time), and
 ``monitor_us_per_period``, those seconds per report (one pid here).
-The headlines ``overhead_at_1s_pct`` / ``overhead_at_1ms_pct`` and
+Every timed run is bracketed by host-speed probes
+(``perf/hostspeed.py``), and every time is at the reference host speed:
+measured seconds are divided by the recorded ``host_factor``, as the
+repo benchmark does (the overhead ratio is unaffected).  The headlines
+``overhead_at_1s_pct`` / ``overhead_at_1ms_pct`` and
 ``core_share_at_1s`` / ``core_share_at_1ms`` are diffed by CI against
 the committed ``BENCH_overhead.json`` baseline.  Marked ``perf``: run
 explicitly with
@@ -26,10 +30,10 @@ from __future__ import annotations
 
 import json
 import platform
-import time
 from pathlib import Path
 
 import pytest
+from conftest import HostSpeed, probed_seconds
 
 from repro.core.model import FrequencyFormula, PowerModel
 from repro.core.monitor import PowerAPI
@@ -70,16 +74,14 @@ def _median(values):
     return ordered[len(ordered) // 2]
 
 
-def run_bare():
+def run_bare(host):
     kernel = SimKernel(intel_i3_2120(), quantum_s=QUANTUM_S)
     kernel.spawn(CpuStress(utilization=1.0, threads=4,
                            duration_s=DURATION_S * 2), name="workload")
-    start = time.perf_counter()
-    kernel.run(DURATION_S)
-    return time.perf_counter() - start
+    return probed_seconds(host, lambda: kernel.run(DURATION_S))
 
 
-def run_monitored(model, period_s):
+def run_monitored(model, period_s, host):
     kernel = SimKernel(intel_i3_2120(), quantum_s=QUANTUM_S)
     pid = kernel.spawn(CpuStress(utilization=1.0, threads=4,
                                  duration_s=DURATION_S * 2),
@@ -87,9 +89,7 @@ def run_monitored(model, period_s):
     api = PowerAPI(kernel, model, period_s=period_s)
     memory = InMemoryReporter()
     api.monitor(pid).every(period_s).to(memory)
-    start = time.perf_counter()
-    api.run(DURATION_S)
-    elapsed = time.perf_counter() - start
+    elapsed = probed_seconds(host, lambda: api.run(DURATION_S))
     reports = len(memory.total_series())
     api.shutdown()
     return elapsed, reports
@@ -97,18 +97,27 @@ def run_monitored(model, period_s):
 
 def test_monitoring_overhead_curve(save_result):
     model = frequency_model(intel_i3_2120())
-    bare_wall_s = _median([run_bare() for _ in range(REPEATS)])
+    host = HostSpeed()
+    bare_raw_s = _median([run_bare(host) for _ in range(REPEATS)])
+    monitored = {}
+    for period_s in PERIODS_S:
+        samples = [run_monitored(model, period_s, host)
+                   for _ in range(REPEATS)]
+        monitored[period_s] = (_median([wall for wall, _ in samples]),
+                               samples[0][1])
+    factor = host.factor
+    bare_wall_s = bare_raw_s / factor
 
     curve = []
     lines = [f"bare kernel: {bare_wall_s:.3f}s wall for {DURATION_S:.0f}s "
-             f"simulated (quantum {QUANTUM_S * 1000:.0f} ms)",
+             f"simulated (quantum {QUANTUM_S * 1000:.0f} ms), at the "
+             f"reference host speed (host factor {factor:.3f})",
              "",
              f"{'period':>8} {'monitored s':>12} {'overhead %':>11} "
              f"{'reports':>8} {'core share':>11} {'us/period':>10}"]
     for period_s in PERIODS_S:
-        samples = [run_monitored(model, period_s) for _ in range(REPEATS)]
-        monitored_wall_s = _median([wall for wall, _ in samples])
-        reports = samples[0][1]
+        monitored_raw_s, reports = monitored[period_s]
+        monitored_wall_s = monitored_raw_s / factor
         monitor_s = monitored_wall_s - bare_wall_s
         overhead_pct = monitor_s / bare_wall_s * 100.0
         core_share = monitor_s / DURATION_S
@@ -137,6 +146,7 @@ def test_monitoring_overhead_curve(save_result):
         "duration_s": DURATION_S,
         "quantum_s": QUANTUM_S,
         "bare_wall_s": round(bare_wall_s, 4),
+        "host_factor": round(factor, 4),
         "overhead_at_1s_pct": at[1.0],
         "overhead_at_1ms_pct": at[0.001],
         "core_share_at_1s": share[1.0],

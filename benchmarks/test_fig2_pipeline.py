@@ -45,6 +45,7 @@ def test_fig2_actor_message_throughput(benchmark, save_result):
     assert counter.count >= 10_000
 
 
+@pytest.mark.paper
 def test_fig2_pipeline_structure(i3_spec, paper_model, benchmark):
     """The assembled pipeline contains the four Figure 2 components."""
     kernel = SimKernel(i3_spec, quantum_s=0.02)

@@ -14,6 +14,10 @@ is tracked by:
   sampling campaign (840 runs) at 1, 2 and 4 pool workers, with the
   chunked per-worker dispatch.
 
+Every timed region is bracketed by host-speed probes
+(``perf/hostspeed.py``), and every figure is at the reference host
+speed: measured seconds are divided by the recorded ``host_factor``, as
+the repo benchmark does, so a trend compares code rather than hosts.
 Results are written to ``BENCH_sim.json`` at the repository root so
 future PRs can diff the perf trajectory (``benchmarks/diff_bench.py``
 does exactly that in CI).  Marked ``perf``: the tier-1 suite
@@ -26,10 +30,10 @@ from __future__ import annotations
 import json
 import os
 import platform
-import time
 from pathlib import Path
 
 import pytest
+from conftest import HostSpeed, probed_seconds
 
 from repro.core.sampling import SamplingCampaign
 from repro.os.kernel import SimKernel
@@ -49,31 +53,37 @@ STEADY_S = 100.0
 RAMP_S = 5.0
 
 
-def _quanta_per_sec(workload: Workload, duration_s: float) -> float:
-    """:meth:`SimKernel.run` quanta per wall second on one tenant."""
+def _run_seconds(workload: Workload, duration_s: float,
+                 host: HostSpeed) -> float:
+    """Wall seconds of one :meth:`SimKernel.run` on one tenant."""
     kernel = SimKernel(intel_i3_2120(), quantum_s=QUANTUM_S)
     kernel.spawn(workload)
     kernel.run(10 * QUANTUM_S)  # lazy set-up happens before timing
-    start = time.perf_counter()
-    kernel.run(duration_s)
-    return round(duration_s / QUANTUM_S) / (time.perf_counter() - start)
+    return probed_seconds(host, lambda: kernel.run(duration_s))
 
 
 def test_perf_sim_microbench():
-    steady = _quanta_per_sec(CpuStress(threads=4), STEADY_S)
-    ramp = _quanta_per_sec(SpecJbbWorkload(duration_s=180.0, threads=2),
-                           RAMP_S)
+    host = HostSpeed()
+    steady_s = _run_seconds(CpuStress(threads=4), STEADY_S, host)
+    ramp_s = _run_seconds(SpecJbbWorkload(duration_s=180.0, threads=2),
+                          RAMP_S, host)
 
     # -- default campaign wall time at 1/2/4 workers --------------------
     campaign = SamplingCampaign(intel_i3_2120(), window_s=1.0,
                                 windows_per_run=2)
-    wall_by_workers = {}
+    seconds_by_workers = {}
     datasets = {}
     for workers in (1, 2, 4):
-        start = time.perf_counter()
-        datasets[workers] = campaign.run(workers=workers)
-        wall_by_workers[str(workers)] = round(time.perf_counter() - start, 3)
+        def run(workers=workers):
+            datasets[workers] = campaign.run(workers=workers)
+        seconds_by_workers[workers] = probed_seconds(host, run)
     assert len(datasets[1]) == len(datasets[2]) == len(datasets[4]) > 0
+
+    factor = host.factor
+    steady = round(STEADY_S / QUANTUM_S) / (steady_s / factor)
+    ramp = round(RAMP_S / QUANTUM_S) / (ramp_s / factor)
+    wall_by_workers = {str(workers): round(seconds / factor, 3)
+                       for workers, seconds in seconds_by_workers.items()}
     assert steady > 0 and ramp > 0
 
     results = {
@@ -88,10 +98,12 @@ def test_perf_sim_microbench():
         "campaign_workers": 4,
         "campaign_runs": len(campaign.run_plan()),
         "host_cpus": os.cpu_count(),
+        "host_factor": round(factor, 4),
         "python": platform.python_version(),
     }
     BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     print(f"\nquanta/sec steady: {steady:,.0f}  ramp: {ramp:,.0f}  "
           f"campaign workers 1/2/4: "
           f"{wall_by_workers['1']}/{wall_by_workers['2']}/"
-          f"{wall_by_workers['4']}s  -> {BENCH_PATH.name}")
+          f"{wall_by_workers['4']}s  (host factor {factor:.3f}) "
+          f"-> {BENCH_PATH.name}")

@@ -52,8 +52,8 @@ KINDS: Tuple[str, ...] = ("sensor", "formula", "aggregator", "reporter",
 class BuildContext:
     """Everything a component factory may need from the host pipeline.
 
-    Handed to every factory as its first positional argument.  ``mode``
-    and ``policy`` are only set while building an ``hpc`` sensor with a
+    Handed to every factory as its first positional argument.
+    ``policy`` is only set while building an ``hpc`` sensor with a
     degradation ladder; ``index`` is the pipeline's ordinal within its
     :class:`~repro.core.monitor.PowerAPI` (used for stable actor names).
     """
@@ -66,7 +66,6 @@ class BuildContext:
     period_s: float = 1.0
     num_cpus: int = 1
     active_range_w: float = 0.0
-    mode: Any = None
     policy: Any = None
     index: int = 0
 
@@ -223,7 +222,8 @@ class ComponentRegistry:
 
 def _hpc_sensor(ctx: BuildContext, events: Sequence[str] = GENERIC_TRIO):
     return HpcSensor(ctx.machine, ctx.perf, ctx.pids, events=tuple(events),
-                     mode=ctx.mode, policy=ctx.policy,
+                     policy=ctx.policy, procfs=ctx.procfs,
+                     active_range_w=ctx.active_range_w,
                      component=f"hpc-sensor-{ctx.index}")
 
 

@@ -42,6 +42,14 @@ class HpcFormula(PipelineStage):
         ))
 
 
+def cpu_load_w(cpu_time_delta_s: float, period_s: float, num_cpus: int,
+               active_range_w: float) -> float:
+    """A process's power from its CPU-time share of one period: the
+    fraction of total CPU capacity it used, times the active range."""
+    share = cpu_time_delta_s / (period_s * num_cpus)
+    return max(0.0, share) * active_range_w
+
+
 class CpuLoadFormula(PipelineStage):
     """Per-process power proportional to CPU-time share (Versick-style).
 
@@ -52,25 +60,23 @@ class CpuLoadFormula(PipelineStage):
 
     subscribes_to = (ProcFsReport,)
 
-    def __init__(self, active_range_w: float, num_cpus: int,
-                 name: str = "cpu-load") -> None:
-        super().__init__(component=name)
+    def __init__(self, active_range_w: float, num_cpus: int) -> None:
+        super().__init__(component="cpu-load")
         if active_range_w < 0:
             raise ConfigurationError("active_range_w must be >= 0")
         if num_cpus < 1:
             raise ConfigurationError("num_cpus must be >= 1")
         self.active_range_w = active_range_w
         self.num_cpus = num_cpus
-        self.name = name
 
     def handle(self, message) -> None:
         if not isinstance(message, ProcFsReport):
             return
-        share = message.cpu_time_delta_s / (message.period_s * self.num_cpus)
         self.publish(PowerReport(
             time_s=message.time_s,
             period_s=message.period_s,
             pid=message.pid,
-            power_w=max(0.0, share) * self.active_range_w,
-            formula=self.name,
+            power_w=cpu_load_w(message.cpu_time_delta_s, message.period_s,
+                               self.num_cpus, self.active_range_w),
+            formula="cpu-load",
         ))

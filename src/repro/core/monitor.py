@@ -108,6 +108,7 @@ class MonitorHandle:
         for ref in self._refs:
             self._system.stop(ref)
         self._refs.clear()
+        self._system.event_bus.unsubscribe(HealthEvent, self.health)
 
 
 class MonitorBuilder:

@@ -32,11 +32,10 @@ from repro.actors.actor import Actor, ActorRef
 from repro.configio import dumps_toml, loads_toml
 from repro.core.components import (BuildContext, ComponentRegistry,
                                    default_registry)
-from repro.core.sensors import (DegradationPolicy, PipelineMode,
-                                ProcFsSensor)
-from repro.core.formula import CpuLoadFormula
+from repro.core.messages import HealthEvent
+from repro.core.sensors import PipelineMode
 from repro.errors import ConfigurationError
-from repro.faults.health import HealthLog, HealthMonitor
+from repro.faults.health import HealthLog
 from repro.faults.plan import FaultPlan
 
 
@@ -97,8 +96,9 @@ class DegradationSpec:
     recover_after: int = 2
 
     def __post_init__(self) -> None:
-        # Reuse the runtime policy's validation at description time.
-        DegradationPolicy(self.degrade_after, self.recover_after)
+        if self.degrade_after < 1 or self.recover_after < 1:
+            raise ConfigurationError(
+                "degrade_after and recover_after must be >= 1")
 
     def to_dict(self) -> Dict[str, Any]:
         return {"degrade_after": self.degrade_after,
@@ -112,9 +112,6 @@ class DegradationSpec:
                 f"unknown degradation key(s): {', '.join(unknown)}")
         return cls(degrade_after=int(data.get("degrade_after", 3)),
                    recover_after=int(data.get("recover_after", 2)))
-
-    def to_policy(self) -> DegradationPolicy:
-        return DegradationPolicy(self.degrade_after, self.recover_after)
 
 
 def parse_uplink(spec: str) -> Tuple[str, int]:
@@ -450,11 +447,11 @@ class BuiltPipeline:
 class PipelineBuilder:
     """Turns a validated :class:`PipelineSpec` into live actors.
 
-    Reproduces the historical hand-wired graph exactly — same actor
-    names (``sensor-{n}``, ``formula-{n}``, ``ts-aggregator-{n}``, ...)
-    and same spawn order — so pipelines built from config files are
-    indistinguishable from fluently-built ones, fault plans that
-    address actors by name included.
+    Spawns Figure 2's graph under stable actor names (``sensor-{n}``,
+    ``formula-{n}``, ``ts-aggregator-{n}``, ``pid-aggregator-{n}``,
+    ``reporter-{n}``, ...) in a fixed order, so pipelines built from
+    config files are indistinguishable from fluently-built ones, fault
+    plans that address actors by name included.
     """
 
     def __init__(self, registry: Optional[ComponentRegistry] = None) -> None:
@@ -482,19 +479,14 @@ class PipelineBuilder:
         active_range = max(0.0,
                            api._full_load_estimate() - api.model.idle_w)
 
-        mode: Optional[PipelineMode] = None
-        policy: Optional[DegradationPolicy] = None
-        if spec.sensor.type == "hpc" and spec.degradation is not None:
-            policy = spec.degradation.to_policy()
-            mode = PipelineMode()
-
+        policy = spec.degradation if spec.sensor.type == "hpc" else None
         context = BuildContext(
             kernel=api.kernel, machine=api.kernel.machine, perf=api.perf,
             model=api.model, pids=spec.pids,
             period_s=(spec.period_s if spec.period_s is not None
                       else api.clock.period_s),
             num_cpus=num_cpus, active_range_w=active_range,
-            mode=mode, policy=policy, index=n)
+            policy=policy, index=n)
 
         sensor = self.registry.create("sensor", spec.sensor.type, context,
                                       spec.sensor.params)
@@ -503,17 +495,6 @@ class PipelineBuilder:
 
         refs: List[ActorRef] = []
         refs.append(api.system.spawn(sensor, name=f"sensor-{n}"))
-        if mode is not None:
-            # The degradation ladder's standby rung: a cpu-load path
-            # that publishes only while the pipeline is degraded.
-            refs.append(api.system.spawn(
-                ProcFsSensor(api.kernel.procfs, spec.pids, mode=mode),
-                name=f"standby-sensor-{n}"))
-            refs.append(api.system.spawn(
-                CpuLoadFormula(active_range_w=active_range,
-                               num_cpus=num_cpus,
-                               name="cpu-load-fallback"),
-                name=f"standby-formula-{n}"))
         refs.append(api.system.spawn(formula, name=f"formula-{n}"))
 
         pid_aggregator: Optional[Actor] = None
@@ -525,9 +506,9 @@ class PipelineBuilder:
             refs.append(api.system.spawn(
                 aggregator, name=self._aggregator_name(stage.type, n)))
 
-        health = HealthLog()
-        refs.append(api.system.spawn(HealthMonitor(health),
-                                     name=f"health-{n}"))
+        # Not an actor: the log records each HealthEvent as published.
+        health = HealthLog(name=f"health-{n}")
+        api.system.event_bus.subscribe(HealthEvent, health)
 
         control: Optional[Actor] = None
         if spec.control is not None:
@@ -554,4 +535,5 @@ class PipelineBuilder:
 
         return BuiltPipeline(index=n, refs=refs, reporters=reporters,
                              pid_aggregator=pid_aggregator, health=health,
-                             mode=mode, control=control)
+                             mode=getattr(sensor, "mode", None),
+                             control=control)

@@ -15,15 +15,17 @@ one report per monitored process per period:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.actors.clock import ClockTick
-from repro.core.messages import (GapMarker, HealthEvent, HpcReport,
-                                 PowerMeterReport, ProcFsReport)
+from repro.core.formula import cpu_load_w
+from repro.core.messages import (GapMarker, HpcReport, PowerMeterReport,
+                                 PowerReport, ProcFsReport)
 from repro.core.stage import PipelineStage
 from repro.errors import (ConfigurationError, CounterInvalidError,
                           CounterStateError, MeterConnectionError,
-                          SampleLossError)
+                          ProcessError, SampleLossError)
 from repro.faults.backoff import ExponentialBackoff
 from repro.os.procfs import ProcFs
 from repro.perf.counting import PerfCounter, PerfSession
@@ -31,16 +33,17 @@ from repro.powermeter.base import PowerMeter
 from repro.simcpu.counters import GENERIC_TRIO
 from repro.simcpu.machine import Machine
 
+if TYPE_CHECKING:
+    from repro.core.pipeline import DegradationSpec
+
 
 class PipelineMode:
-    """Shared estimation-mode switch for one pipeline.
+    """The estimation mode of one pipeline's degradation ladder.
 
-    The degradation ladder is HPC → cpu-load → gap markers: the primary
-    :class:`HpcSensor` flips this to ``"cpu-load"`` when counters go
-    silent and back to ``"hpc"`` on recovery; the standby
-    :class:`ProcFsSensor` and its formula only publish while degraded.
-    A plain shared object (not an actor) because both sensors must see
-    the flip within the same tick.
+    The ladder is HPC → cpu-load → gap markers.  Its :class:`HpcSensor`
+    owns this switch: it flips it to ``"cpu-load"`` when counters go
+    silent and back to ``"hpc"`` on recovery, and ``MonitorHandle``
+    reads it as ``mode``/``degraded``.
     """
 
     HPC = "hpc"
@@ -54,15 +57,19 @@ class PipelineMode:
         return self.mode != self.HPC
 
 
-class DegradationPolicy:
-    """When to fall back to cpu-load and when to climb back to HPC."""
-
-    def __init__(self, degrade_after: int = 3, recover_after: int = 2) -> None:
-        if degrade_after < 1 or recover_after < 1:
-            raise ConfigurationError(
-                "degrade_after and recover_after must be >= 1")
-        self.degrade_after = degrade_after
-        self.recover_after = recover_after
+def _cpu_time_deltas(procfs: ProcFs, pids: Sequence[int],
+                     previous: Dict[int, float]
+                     ) -> Iterator[Tuple[int, float]]:
+    """Each pid's procfs CPU seconds since the last read, taking the new
+    baselines into *previous*; a pid that has not run yet reads 0."""
+    for pid in pids:
+        try:
+            now_s = procfs.process_cpu_time_s(pid)
+        except ProcessError:
+            now_s = 0.0
+        delta_s = max(0.0, now_s - previous.get(pid, 0.0))
+        previous[pid] = now_s
+        yield pid, delta_s
 
 
 class HpcSensor(PipelineStage):
@@ -70,30 +77,41 @@ class HpcSensor(PipelineStage):
 
     Fault-aware: reads that fail (pid exited, sample loss) or return no
     PMU time (slot starvation) count as *misses*; the sensor publishes a
-    :class:`GapMarker` for the period, tries to reopen dead counters,
-    and — when a :class:`PipelineMode`/:class:`DegradationPolicy` pair
-    is wired — degrades the pipeline to the cpu-load formula after N
-    consecutive missing periods, recovering once HPC data returns.
+    :class:`GapMarker` for the period and tries to reopen dead counters.
+    With a *policy* it runs the degradation ladder: ``degrade_after``
+    missing periods in a row flip its :class:`PipelineMode` to cpu-load,
+    and until HPC data has been back for ``recover_after`` periods it
+    publishes each pid's ``cpu-load-fallback`` estimate from procfs.
     """
 
     def __init__(self, machine: Machine, perf: PerfSession,
                  pids: Sequence[int],
                  events: Sequence[str] = GENERIC_TRIO,
-                 mode: Optional[PipelineMode] = None,
-                 policy: Optional[DegradationPolicy] = None,
+                 policy: Optional[DegradationSpec] = None,
+                 procfs: Optional[ProcFs] = None,
+                 active_range_w: float = 0.0,
                  component: str = "hpc-sensor") -> None:
         super().__init__(component=component)
         if not pids:
             raise ConfigurationError("HpcSensor needs at least one pid")
+        if policy is not None and procfs is None:
+            raise ConfigurationError("the cpu-load fallback needs procfs")
         self.machine = machine
         self.perf = perf
         self.pids = tuple(pids)
         self.events = tuple(events)
-        self.mode = mode
-        self.policy = policy or DegradationPolicy()
+        self.policy = policy
+        self.procfs = procfs
+        self.active_range_w = active_range_w
+        #: The ladder's rung; None without a policy (no fallback).
+        self.mode = PipelineMode() if policy is not None else None
         self._counters: Dict[int, Tuple[PerfCounter, ...]] = {}
         #: pid -> event -> (raw, time_enabled_s, time_running_s) baseline.
         self._previous: Dict[int, Dict[str, Tuple[float, float, float]]] = {}
+        #: pid -> procfs CPU seconds at the fallback's last read, and
+        #: the tick time of that read.
+        self._cpu_s: Dict[int, float] = {}
+        self._cpu_read_s = 0.0
         self._lost_pids: Set[int] = set()
         self._miss_streak = 0
         self._good_streak = 0
@@ -103,6 +121,9 @@ class HpcSensor(PipelineStage):
     subscribes_to = (ClockTick,)
 
     def on_start(self) -> None:
+        # A supervised restart starts this same instance again: release
+        # the counters it still holds before opening fresh ones.
+        self.on_stop()
         for pid in self.pids:
             if pid in self._lost_pids:
                 continue  # a restart must not resurrect dead targets
@@ -216,6 +237,24 @@ class HpcSensor(PipelineStage):
                                f"HPC data back for {self._good_streak} "
                                "periods; resuming hpc formula")
 
+    def _fallback(self, message: ClockTick) -> None:
+        """Read procfs, publishing each pid's estimate while degraded.
+        Called only when the next period could be degraded too.  Past a
+        restart backoff it estimates the mean load since the last read."""
+        window_s = message.time_s - self._cpu_read_s
+        if window_s < 1.5 * message.period_s:
+            window_s = message.period_s
+        self._cpu_read_s = message.time_s
+        for pid, delta_s in _cpu_time_deltas(self.procfs, self.pids,
+                                             self._cpu_s):
+            if self.mode.degraded:
+                self.publish(PowerReport(
+                    time_s=message.time_s, period_s=message.period_s,
+                    pid=pid, formula="cpu-load-fallback",
+                    power_w=cpu_load_w(delta_s, window_s,
+                                       len(self.machine.topology),
+                                       self.active_range_w)))
+
     def handle(self, message) -> None:
         if not isinstance(message, ClockTick):
             return
@@ -226,17 +265,20 @@ class HpcSensor(PipelineStage):
             if deltas is not None:
                 sampled[pid] = deltas
 
-        tracked = any(pid in self._counters for pid in self.pids)
-        if tracked:
+        if any(pid in self._counters for pid in self.pids):
             self._update_health(period_missing=not sampled,
                                 time_s=message.time_s)
-        if tracked and not sampled:
-            self.publish(GapMarker(
-                time_s=message.time_s, period_s=message.period_s,
-                pid=-1, source="hpc"))
-            return
-        if self.mode is not None and self.mode.degraded:
-            return  # the standby cpu-load path owns this period
+            if not sampled:
+                self.publish(GapMarker(
+                    time_s=message.time_s, period_s=message.period_s,
+                    pid=-1, source="hpc"))
+        mode = self.mode
+        if mode is not None and (
+                mode.degraded
+                or self._miss_streak + 1 >= self.policy.degrade_after):
+            self._fallback(message)
+            if mode.degraded:
+                return  # the cpu-load rung owns this period
         for pid, deltas in sampled.items():
             self.publish(HpcReport(
                 time_s=message.time_s,
@@ -248,47 +290,23 @@ class HpcSensor(PipelineStage):
 
 
 class ProcFsSensor(PipelineStage):
-    """Publishes per-process CPU-time deltas on every clock tick.
+    """Publishes per-process CPU-time deltas on every clock tick."""
 
-    With a :class:`PipelineMode` it acts as the degradation standby: it
-    keeps its delta accounting warm every period but only *publishes*
-    while the pipeline is degraded to ``active_mode`` (default
-    ``"cpu-load"``), so handover from the HPC path has no warm-up hole.
-    """
-
-    def __init__(self, procfs: ProcFs, pids: Sequence[int],
-                 mode: Optional[PipelineMode] = None,
-                 active_mode: str = PipelineMode.CPU_LOAD) -> None:
+    def __init__(self, procfs: ProcFs, pids: Sequence[int]) -> None:
         super().__init__(component="procfs-sensor")
         if not pids:
             raise ConfigurationError("ProcFsSensor needs at least one pid")
         self.procfs = procfs
         self.pids = tuple(pids)
-        self.mode = mode
-        self.active_mode = active_mode
         self._previous_cpu_s: Dict[int, float] = {}
 
     subscribes_to = (ClockTick,)
 
-    def _active(self) -> bool:
-        return self.mode is None or self.mode.mode == self.active_mode
-
-    def _pid_cpu_time(self, pid: int) -> float:
-        try:
-            return self.procfs.process_cpu_time_s(pid)
-        except Exception:  # process has not run yet
-            return 0.0
-
     def handle(self, message) -> None:
         if not isinstance(message, ClockTick):
             return
-        active = self._active()
-        for pid in self.pids:
-            now = self._pid_cpu_time(pid)
-            delta = max(0.0, now - self._previous_cpu_s.get(pid, 0.0))
-            self._previous_cpu_s[pid] = now
-            if not active:
-                continue  # standby: keep baselines warm, publish nothing
+        for pid, delta in _cpu_time_deltas(self.procfs, self.pids,
+                                           self._previous_cpu_s):
             self.publish(ProcFsReport(
                 time_s=message.time_s,
                 period_s=message.period_s,

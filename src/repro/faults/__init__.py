@@ -8,8 +8,7 @@ multiplexing starves events, actors crash.  This package provides
   schedule of faults (parseable from a ``--faults`` CLI spec),
 * :class:`~repro.faults.injector.FaultInjector` — applies a plan to a
   running :class:`~repro.core.monitor.PowerAPI` in virtual time,
-* :class:`~repro.faults.health.HealthLog` /
-  :class:`~repro.faults.health.HealthMonitor` — the per-pipeline record
+* :class:`~repro.faults.health.HealthLog` — the per-pipeline record
   of every degradation and recovery (``MonitorHandle.health``).
 """
 
@@ -21,7 +20,7 @@ import repro.core.messages  # noqa: F401  (breaks the faults<->core cycle)
 
 from repro.faults.backoff import ExponentialBackoff
 from repro.faults.breaker import BreakerState, CircuitBreaker
-from repro.faults.health import HealthLog, HealthMonitor
+from repro.faults.health import HealthLog
 from repro.faults.injector import FaultInjector
 from repro.faults.network import (ByteCorruption, ConnectionReset,
                                   FaultyTransport, NetworkFaultInjector,
@@ -41,7 +40,6 @@ __all__ = [
     "FaultPlan",
     "FaultyTransport",
     "HealthLog",
-    "HealthMonitor",
     "MeterDropout",
     "NetworkFaultInjector",
     "NetworkFaultPlan",

@@ -1,21 +1,20 @@
 """Pipeline health: the observable log of degradations and recoveries.
 
 Sensors, the supervision layer and the fault injector publish
-:class:`~repro.core.messages.HealthEvent` messages on the event bus; a
-:class:`HealthMonitor` actor collects them onto a :class:`HealthLog`
-exposed as ``MonitorHandle.health``, so reporters and tests can assert
-on the exact sequence of transitions.  The log is deterministic: the
-same seed and workload reproduce it event for event.
+:class:`~repro.core.messages.HealthEvent` messages on the event bus; each
+pipeline's :class:`HealthLog` subscribes to them itself and is exposed
+as ``MonitorHandle.health``, so reporters and tests can assert on the
+exact sequence of transitions.  The log is deterministic: the same seed
+and workload reproduce it event for event.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter, deque
-from typing import Deque, Iterator, List, Tuple
+from typing import Any, Deque, Iterator, List, Optional, Tuple
 
 from repro.core.messages import HealthEvent
-from repro.core.stage import PipelineStage
 from repro.errors import ConfigurationError
 
 
@@ -27,21 +26,27 @@ class HealthLog:
     per-kind counts stay exact past the cap, ``__len__`` keeps counting
     every event ever recorded, and evicted events are folded into an
     incremental digest so :meth:`signature` still fingerprints the
-    complete history.
+    complete history.  Not an actor: the bus delivers to its ``name``
+    and :meth:`tell`, so it records each event as it is published.
     """
 
-    def __init__(self, cap: int = 4096) -> None:
+    def __init__(self, cap: int = 4096, name: str = "health") -> None:
         if cap < 1:
             raise ConfigurationError("health log cap must be >= 1")
         self.cap = cap
+        self.name = name
         self.events: Deque[HealthEvent] = deque()
         self._counts: Counter = Counter()
         self._total = 0
         self._evicted = 0
         self._evicted_digest = hashlib.blake2b(digest_size=16)
 
+    def tell(self, message: Any, sender: Optional[Any] = None) -> None:
+        """Record a :class:`HealthEvent` the event bus delivers."""
+        self.record(message)
+
     def record(self, event: HealthEvent) -> None:
-        """Append one event (called by the collecting actor)."""
+        """Append one event."""
         self.events.append(event)
         self._counts[event.kind] += 1
         self._total += 1
@@ -89,16 +94,3 @@ class HealthLog:
     def __iter__(self) -> Iterator[HealthEvent]:
         return iter(self.events)
 
-
-class HealthMonitor(PipelineStage):
-    """Subscribes to :class:`HealthEvent` and appends to a log."""
-
-    subscribes_to = (HealthEvent,)
-
-    def __init__(self, log: HealthLog) -> None:
-        super().__init__(component="health-monitor")
-        self.log = log
-
-    def handle(self, message) -> None:
-        if isinstance(message, HealthEvent):
-            self.log.record(message)

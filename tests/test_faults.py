@@ -14,8 +14,10 @@ from hypothesis import given
 
 from repro.actors.actor import Actor
 from repro.actors.supervision import RestartStrategy
-from repro.core.messages import GapMarker
-from repro.core.model import FrequencyFormula, PowerModel
+from repro.actors.system import ActorSystem
+from repro.core.messages import GapMarker, PowerReport
+from repro.core.model import (FrequencyFormula, PowerModel,
+                              published_i3_2120_model)
 from repro.core.monitor import PowerAPI
 from repro.core.reporters import InMemoryReporter
 from repro.errors import (ConfigurationError, CounterInvalidError,
@@ -23,10 +25,12 @@ from repro.errors import (ConfigurationError, CounterInvalidError,
 from repro.faults import (ActorCrash, FaultPlan, MeterDropout, PidExit,
                           SampleLoss, SlotStarvation)
 from repro.os.kernel import SimKernel
+from repro.os.procfs import ProcFs
 from repro.perf.counting import PerfSession
 from repro.perf.multiplex import MultiplexScheduler
 from repro.powermeter.powerspy import PowerSpy
 from repro.simcpu.spec import intel_i3_2120
+from repro.workloads import RandomWorkload
 from repro.workloads.stress import CpuStress
 from tests.strategies import default_settings, fault_plans
 
@@ -47,19 +51,25 @@ def kernel():
     return SimKernel(intel_i3_2120(), quantum_s=0.02)
 
 
-class GapCollector(Actor):
-    """Subscribes to raw GapMarker messages (pre-aggregation)."""
+class Collector(Actor):
+    """Subscribes to one raw message type (pre-aggregation)."""
 
-    def __init__(self):
+    def __init__(self, topic):
         super().__init__()
-        self.markers = []
+        self.topic = topic
+        self.messages = []
 
     def pre_start(self):
-        self.context.system.event_bus.subscribe(GapMarker, self.self_ref)
+        self.context.system.event_bus.subscribe(self.topic, self.self_ref)
 
     def receive(self, message):
-        if isinstance(message, GapMarker):
-            self.markers.append(message)
+        if isinstance(message, self.topic):
+            self.messages.append(message)
+
+
+def _report_at(handle, time_s):
+    return next(r for r in handle.reporter.aggregated
+                if abs(r.time_s - time_s) < 1e-6)
 
 
 class TestFaultPlan:
@@ -156,7 +166,7 @@ class TestMeterDropout:
         pid = kernel.spawn(CpuStress(duration_s=20.0))
         api = PowerAPI(kernel, model)
         api.attach_meter(PowerSpy(kernel.machine, seed=1), name="meter")
-        collector = GapCollector()
+        collector = Collector(GapMarker)
         api.system.spawn(collector, name="gap-collector")
         handle = api.monitor(pid).every(1.0).to(InMemoryReporter())
         api.install_faults(FaultPlan([MeterDropout(at_s=2.0, down_s=1.5)]))
@@ -170,7 +180,7 @@ class TestMeterDropout:
         # The link stays down for down_s; reconnection happens at the
         # first backoff-scheduled retry after that.
         assert up.time_s >= down.time_s + 1.5 - 1e-9
-        meter_gaps = [m for m in collector.markers if m.source == "meter"]
+        meter_gaps = [m for m in collector.messages if m.source == "meter"]
         assert len(meter_gaps) >= 2
         # The HPC path stayed healthy, so no aggregated period is a gap.
         assert handle.reporter.gap_count() == 0
@@ -386,6 +396,152 @@ class TestActorCrash:
             FaultPlan([ActorCrash(at_s=1.0, actor="no-such-actor")]))
         api.run(3.0)
         assert injector.exhausted
+
+
+class TestSensorRestart:
+    def test_restarted_sensor_runs_the_whole_ladder(self):
+        """A restart re-subscribes the sensor behind every other clock
+        subscriber.  The period that degrades must still be estimated
+        by the fallback, and the period that recovers by HPC alone."""
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.01)
+        pid = kernel.spawn(CpuStress(duration_s=20.0))
+        api = PowerAPI(kernel, published_i3_2120_model())
+        handle = (api.monitor(pid).every(0.5)
+                  .with_faults("crash@1.0:sensor-0;starve@2.0:2.0:0")
+                  .to(InMemoryReporter()))
+        api.run(6.0)
+        degraded = next(e for e in handle.health if e.kind == "degraded")
+        assert degraded.time_s == pytest.approx(3.5)
+        at_degrade = _report_at(handle, 3.5)
+        assert not at_degrade.gap
+        assert at_degrade.formula == "cpu-load-fallback"
+        assert at_degrade.total_w == pytest.approx(39.605, abs=1e-3)
+        at_recover = _report_at(handle, 5.0)
+        assert at_recover.formula == "i3-2120-published"
+        assert list(at_recover.by_pid) == [pid]
+        assert at_recover.total_w == pytest.approx(42.120, abs=1e-3)
+        api.shutdown()
+
+    def test_fallback_after_a_backoff_estimates_one_period(self):
+        """A restart backoff suspends the sensor's fallback with it (the
+        period it sits out has no report).  The first fallback period
+        after it reads the mean load since the last procfs read, not
+        the whole backlog."""
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.01)
+        pid = kernel.spawn(CpuStress(duration_s=20.0))
+        api = PowerAPI(kernel, published_i3_2120_model())
+        api.system.strategy = RestartStrategy(backoff_base_s=0.3)
+        handle = (api.monitor(pid).every(0.5)
+                  .with_faults("starve@2:4:0;crash@4.25:sensor-0")
+                  .to(InMemoryReporter()))
+        api.run(6.0)
+        times = [round(r.time_s, 6) for r in handle.reporter.aggregated]
+        assert 4.5 not in times
+        before, after = _report_at(handle, 4.0), _report_at(handle, 5.0)
+        assert before.formula == after.formula == "cpu-load-fallback"
+        assert after.total_w == pytest.approx(before.total_w)
+        assert after.total_w == pytest.approx(39.605, abs=1e-3)
+        api.shutdown()
+
+    @staticmethod
+    def _two_random_tenants(faults):
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.01)
+        pids = [kernel.spawn(RandomWorkload(20.0, seed=seed))
+                for seed in (1, 2)]
+        api = PowerAPI(kernel, published_i3_2120_model())
+        builder = api.monitor(*pids).every(1.0)
+        if faults:
+            builder.with_faults(faults)
+        handle = builder.to(InMemoryReporter())
+        api.run(9.0)
+        counters = list(api.perf._counters.values())
+        totals = [r.total_w for r in handle.reporter.aggregated]
+        api.shutdown()
+        return counters, totals
+
+    def test_restarted_sensor_closes_its_old_counters(self):
+        """Counters the crashed instance held would stay open and force
+        every counter into multiplexing, skewing the later estimates."""
+        counters, totals = self._two_random_tenants("crash@2.5:sensor-0")
+        assert len(counters) == 6  # three events for each of two pids
+        assert all(c.time_running_s == c.time_enabled_s for c in counters)
+        _, crash_free = self._two_random_tenants(None)
+        assert totals == pytest.approx(crash_free, rel=1e-12)
+        assert totals[4] == pytest.approx(38.623004, abs=1e-6)  # t=5
+        assert totals[7] == pytest.approx(38.568045, abs=1e-6)  # t=8
+
+
+class TestDegradationLadder:
+    @given(plan=fault_plans())
+    @default_settings
+    def test_no_pid_is_reported_twice_in_one_period(self, plan):
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.02)
+        pids = [kernel.spawn(CpuStress(duration_s=80.0)) for _ in range(2)]
+        api = PowerAPI(kernel, published_i3_2120_model())
+        collector = Collector(PowerReport)
+        api.system.spawn(collector, name="report-collector")
+        api.monitor(*pids).every(0.5).to(InMemoryReporter())
+        api.install_faults(plan)
+        api.run(72.0)
+        api.shutdown()
+        keys = [(round(report.time_s, 9), report.pid)
+                for report in collector.messages]
+        assert len(keys) == len(set(keys))
+
+    @staticmethod
+    def _count_procfs_reads(monkeypatch, kernel):
+        """Kernel times of every procfs CPU-time read from now on."""
+        reads = []
+        read = ProcFs.process_cpu_time_s
+
+        def counted(procfs, pid):
+            reads.append(round(kernel.time_s, 6))
+            return read(procfs, pid)
+
+        monkeypatch.setattr(ProcFs, "process_cpu_time_s", counted)
+        return reads
+
+    def test_healthy_pipeline_reads_no_procfs(self, monkeypatch):
+        """While HPC data flows the fallback costs nothing: no procfs
+        read, and a period at 8 pids is 26 deliveries (the tick, 8 HPC
+        reports, 8 power reports to each aggregator, one aggregate)."""
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.001)
+        pids = [kernel.spawn(RandomWorkload(2.0, seed=seed))
+                for seed in range(8)]
+        reads = self._count_procfs_reads(monkeypatch, kernel)
+        deliveries = []
+        dispatch = ActorSystem.dispatch
+
+        def counted(system):
+            deliveries.append(dispatch(system))
+            return deliveries[-1]
+
+        monkeypatch.setattr(ActorSystem, "dispatch", counted)
+        api = PowerAPI(kernel, published_i3_2120_model(), period_s=0.001)
+        handle = api.monitor(*pids).every(0.001).to(InMemoryReporter())
+        api.run(0.2)
+        assert not handle.degraded
+        assert reads == []
+        assert deliveries[1:] == [26] * 199
+        api.shutdown()
+
+    def test_fallback_reads_procfs_only_when_it_may_publish_next(
+            self, kernel, model, monkeypatch):
+        """Starved from t=1 to t=4 at 0.5 s periods with degrade_after=3:
+        the misses at 1.5 and 2.0 make 2.5 a possible first degraded
+        period, so the baselines are read from 2.0 on, through the
+        degraded periods, and not after recovery at 5.0."""
+        pid = kernel.spawn(CpuStress(duration_s=20.0))
+        reads = self._count_procfs_reads(monkeypatch, kernel)
+        api = PowerAPI(kernel, model)
+        handle = (api.monitor(pid).every(0.5).with_degradation(3, 2)
+                  .with_faults("starve@1:3:0").to(InMemoryReporter()))
+        api.run(7.0)
+        assert reads == [2.0, 2.5, 3.0, 3.5, 4.0, 4.5]
+        fallback = [round(r.time_s, 6) for r in handle.reporter.aggregated
+                    if r.formula == "cpu-load-fallback"]
+        assert fallback == [2.5, 3.0, 3.5, 4.0, 4.5]
+        api.shutdown()
 
 
 class TestLifecycleRegressions:

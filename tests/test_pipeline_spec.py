@@ -295,10 +295,10 @@ class TestGoldenEquivalence:
                             reporters=(StageSpec("memory"),
                                        StageSpec("memory")))
         api.start_pipeline(spec)
-        names = set(api.system.actor_names())
-        assert {"sensor-0", "standby-sensor-0", "standby-formula-0",
-                "formula-0", "ts-aggregator-0", "pid-aggregator-0",
-                "health-0", "reporter-0", "reporter-0-1"} <= names
+        # Figure 2's five actors in spawn order, plus the second reporter.
+        assert api.system.actor_names() == (
+            "sensor-0", "formula-0", "ts-aggregator-0", "pid-aggregator-0",
+            "reporter-0", "reporter-0-1")
         api.shutdown()
 
     def test_spec_faults_are_armed(self, model):
