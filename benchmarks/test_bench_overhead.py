@@ -15,12 +15,16 @@ records the monitor's cost in its own terms, as the RAPL-overhead study
 seconds ``monitored - bare`` per simulated second (the share of one
 core it would take on a host running in real time), and
 ``monitor_us_per_period``, those seconds per report (one pid here).
+One more row monitors 8 one-thread ``CpuStress`` pids at 1 ms against
+a bare run of the same 8, because the monitor's per-period cost grows
+with the pids it covers (``core_share_8pids_at_1ms``).
 Every timed run is bracketed by host-speed probes
 (``perf/hostspeed.py``), and every time is at the reference host speed:
 measured seconds are divided by the recorded ``host_factor``, as the
 repo benchmark does (the overhead ratio is unaffected).  The headlines
 ``overhead_at_1s_pct`` / ``overhead_at_1ms_pct`` and
-``core_share_at_1s`` / ``core_share_at_1ms`` are diffed by CI against
+``core_share_at_1s`` / ``core_share_at_1ms`` /
+``core_share_8pids_at_1ms`` are diffed by CI against
 the committed ``BENCH_overhead.json`` baseline.  Marked ``perf``: run
 explicitly with
 ``PYTHONPATH=src python -m pytest benchmarks/test_bench_overhead.py -q``.
@@ -54,6 +58,9 @@ DURATION_S = 20.0
 QUANTUM_S = 0.001
 #: Repetitions per period (median taken) to tame scheduler noise.
 REPEATS = 3
+#: One-thread pids of the multi-pid row, monitored at 1 ms.
+MANY_PIDS = 8
+MANY_PIDS_PERIOD_S = 0.001
 
 
 def frequency_model(spec):
@@ -74,21 +81,30 @@ def _median(values):
     return ordered[len(ordered) // 2]
 
 
-def run_bare(host):
+def spawn_workload(kernel, pids=1):
+    """One 4-thread ``CpuStress``, or *pids* one-thread ones."""
+    if pids == 1:
+        return [kernel.spawn(CpuStress(utilization=1.0, threads=4,
+                                       duration_s=DURATION_S * 2),
+                             name="workload")]
+    return [kernel.spawn(CpuStress(utilization=1.0, threads=1,
+                                   duration_s=DURATION_S * 2),
+                         name=f"workload-{index}")
+            for index in range(pids)]
+
+
+def run_bare(host, pids=1):
     kernel = SimKernel(intel_i3_2120(), quantum_s=QUANTUM_S)
-    kernel.spawn(CpuStress(utilization=1.0, threads=4,
-                           duration_s=DURATION_S * 2), name="workload")
+    spawn_workload(kernel, pids)
     return probed_seconds(host, lambda: kernel.run(DURATION_S))
 
 
-def run_monitored(model, period_s, host):
+def run_monitored(model, period_s, host, pids=1):
     kernel = SimKernel(intel_i3_2120(), quantum_s=QUANTUM_S)
-    pid = kernel.spawn(CpuStress(utilization=1.0, threads=4,
-                                 duration_s=DURATION_S * 2),
-                       name="workload")
+    monitored = spawn_workload(kernel, pids)
     api = PowerAPI(kernel, model, period_s=period_s)
     memory = InMemoryReporter()
-    api.monitor(pid).every(period_s).to(memory)
+    api.monitor(*monitored).every(period_s).to(memory)
     elapsed = probed_seconds(host, lambda: api.run(DURATION_S))
     reports = len(memory.total_series())
     api.shutdown()
@@ -105,6 +121,10 @@ def test_monitoring_overhead_curve(save_result):
                    for _ in range(REPEATS)]
         monitored[period_s] = (_median([wall for wall, _ in samples]),
                                samples[0][1])
+    many_bare_raw_s = _median([run_bare(host, MANY_PIDS)
+                               for _ in range(REPEATS)])
+    many_samples = [run_monitored(model, MANY_PIDS_PERIOD_S, host,
+                                  MANY_PIDS) for _ in range(REPEATS)]
     factor = host.factor
     bare_wall_s = bare_raw_s / factor
 
@@ -136,6 +156,27 @@ def test_monitoring_overhead_curve(save_result):
                      f"{overhead_pct:>11.2f} {reports:>8} "
                      f"{core_share:>11.6f} {monitor_us:>10.2f}")
 
+    many_bare_s = many_bare_raw_s / factor
+    many_monitored_s = _median([wall for wall, _ in many_samples]) / factor
+    many_reports = many_samples[0][1]
+    assert many_reports >= int(DURATION_S / MANY_PIDS_PERIOD_S) - 2
+    many_share = (many_monitored_s - many_bare_s) / DURATION_S
+    many_us = (many_monitored_s - many_bare_s) / many_reports * 1e6
+    many_pids = {
+        "pids": MANY_PIDS,
+        "period_s": MANY_PIDS_PERIOD_S,
+        "bare_wall_s": round(many_bare_s, 4),
+        "monitored_wall_s": round(many_monitored_s, 4),
+        "reports": many_reports,
+        "core_share": round(many_share, 6),
+        "monitor_us_per_period": round(many_us, 2),
+    }
+    lines.append("")
+    lines.append(f"{MANY_PIDS} one-thread pids at "
+                 f"{MANY_PIDS_PERIOD_S * 1000:.0f} ms: bare "
+                 f"{many_bare_s:.3f}s, monitored {many_monitored_s:.3f}s, "
+                 f"core share {many_share:.6f}, {many_us:.2f} us/period")
+
     # The paper's proportionality claim: cost rises monotonically-ish as
     # the period shrinks; enforce only the endpoints (timing noise).
     at = {point["period_s"]: point["overhead_pct"] for point in curve}
@@ -151,12 +192,15 @@ def test_monitoring_overhead_curve(save_result):
         "overhead_at_1ms_pct": at[0.001],
         "core_share_at_1s": share[1.0],
         "core_share_at_1ms": share[0.001],
+        "core_share_8pids_at_1ms": many_pids["core_share"],
         "curve": curve,
+        "many_pids": many_pids,
     }
     BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True)
                           + "\n")
     lines.append("")
     lines.append(f"overhead 1 s: {at[1.0]:.2f}%, 1 ms: {at[0.001]:.2f}%; "
                  f"core share 1 s: {share[1.0]:.6f}, "
-                 f"1 ms: {share[0.001]:.6f} -> {BENCH_PATH.name}")
+                 f"1 ms: {share[0.001]:.6f}, {MANY_PIDS} pids at 1 ms: "
+                 f"{many_pids['core_share']:.6f} -> {BENCH_PATH.name}")
     save_result("bench_overhead", "\n".join(lines))

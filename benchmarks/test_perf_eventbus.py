@@ -1,12 +1,13 @@
 """Event-bus publish-path microbenchmark.
 
 Every report of every monitoring period crosses
-:meth:`repro.actors.eventbus.EventBus.publish`, so its cost scales with
-pipelines × pids × periods.  This benchmark measures publish throughput
-on a realistically-shaped bus (a Figure 2 pipeline's subscription
-pattern, messages routed through a three-deep class hierarchy) in the
-steady state the per-type route cache targets, plus the cache-miss case
-of a bus whose subscriptions churn every publish.
+:meth:`repro.actors.eventbus.EventBus.publish`, one batch per stage and
+period, so its cost scales with pipelines × periods.  This benchmark
+measures publish throughput on a realistically-shaped bus (a Figure 2
+pipeline's subscription pattern, messages routed through a three-deep
+class hierarchy) in the steady state the per-type route cache targets,
+plus the cache-miss case of a bus whose subscriptions churn every
+publish.
 
 Results are written to ``BENCH_eventbus.json`` at the repository root
 so future PRs can diff the perf trajectory.  Marked ``perf``: the
@@ -66,8 +67,9 @@ def _drain(system: ActorSystem) -> None:
 
 
 def test_perf_eventbus_microbench():
-    message = HpcReport(time_s=1.0, period_s=1.0, pid=42,
-                        counters={"cycles": 1e9}, frequency_hz=3_300_000_000)
+    message = HpcReport(time_s=1.0, period_s=1.0, pid=-1,
+                        counters={42: {"cycles": 1e9}},
+                        frequency_hz=3_300_000_000)
 
     # -- steady state: same message type, stable subscriptions --------
     system, _sinks = _pipeline_shaped_bus()

@@ -5,7 +5,7 @@ like the PID or the timestamp" (paper, Section 3):
 
 * :class:`TimestampAggregator` — groups :class:`PowerReport` messages by
   timestamp and publishes one machine-level
-  :class:`AggregatedPowerReport` per period (idle + sum of processes),
+  :class:`AggregatedPowerReport` per period (idle + per-process power),
 * :class:`PidAggregator` — integrates per-process energy over the whole
   run; on a :class:`FlushAggregates` message it publishes a
   :class:`PidEnergyReport` with cumulative joules per pid.
@@ -104,8 +104,9 @@ class TimestampAggregator(PipelineStage):
             return
         self._advance_to(message.time_s, message.period_s)
         self._pending_formula = message.formula
-        self._pending[message.pid] = (
-            self._pending.get(message.pid, 0.0) + message.power_w)
+        pending = self._pending
+        for pid, power_w in message.by_pid.items():
+            pending[pid] = pending.get(pid, 0.0) + power_w
 
 
 class PidAggregator(PipelineStage):
@@ -136,11 +137,12 @@ class PidAggregator(PipelineStage):
     def handle(self, message) -> None:
         if not isinstance(message, PowerReport):
             return
-        self._energy_j[message.pid] = (
-            self._energy_j.get(message.pid, 0.0)
-            + message.power_w * message.period_s)
+        period_s = message.period_s
+        energy_j = self._energy_j
+        for pid, power_w in message.by_pid.items():
+            energy_j[pid] = energy_j.get(pid, 0.0) + power_w * period_s
         if message.time_s > self._last_time_s:
-            self._duration_s += message.period_s
+            self._duration_s += period_s
             self._last_time_s = message.time_s
         if not self._formula:
             self._formula = message.formula

@@ -1,9 +1,10 @@
 """Container-level power aggregation over the PowerAPI pipeline.
 
-:class:`CgroupAggregator` subscribes to the per-process
-:class:`~repro.core.messages.PowerReport` stream and re-keys it by
-cgroup, publishing one :class:`CgroupPowerReport` per timestamp — the
-container view powerapi-ng and Kepler expose.
+:class:`CgroupAggregator` subscribes to the
+:class:`~repro.core.messages.PowerReport` stream and re-keys its
+per-process estimates by cgroup, publishing one
+:class:`CgroupPowerReport` per timestamp — the container view
+powerapi-ng and Kepler expose.
 """
 
 from __future__ import annotations
@@ -78,14 +79,13 @@ class CgroupAggregator(PipelineStage):
         if self._pending and message.time_s > self._pending_time + 1e-12:
             self.flush()
         self._pending_time = message.time_s
-        self._pending_period = message.period_s
+        self._pending_period = period_s = message.period_s
         self._pending_formula = message.formula
-        group = self.tree.group_of(message.pid)
-        self._pending[group] = (self._pending.get(group, 0.0)
-                                + message.power_w)
-        self.energy_by_group_j[group] = (
-            self.energy_by_group_j.get(group, 0.0)
-            + message.power_w * message.period_s)
+        pending, energy_j = self._pending, self.energy_by_group_j
+        for pid, power_w in message.by_pid.items():
+            group = self.tree.group_of(pid)
+            pending[group] = pending.get(group, 0.0) + power_w
+            energy_j[group] = energy_j.get(group, 0.0) + power_w * period_s
 
 
 class InMemoryCgroupReporter(PipelineStage):

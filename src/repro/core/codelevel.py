@@ -37,8 +37,8 @@ class RegionProfiler(PipelineStage):
     """Accumulates per-region energy for monitored processes.
 
     Subscribes to the pipeline's :class:`PowerReport` stream; for each
-    report it asks the process's workload which region was active at that
-    local time and integrates the estimated power there.
+    process in a report it asks the process's workload which region was
+    active at that local time and integrates the estimated power there.
     """
 
     subscribes_to = (PowerReport,)
@@ -55,15 +55,18 @@ class RegionProfiler(PipelineStage):
     def handle(self, message) -> None:
         if not isinstance(message, PowerReport):
             return
-        workload = self.workloads.get(message.pid)
-        if workload is None:
-            return
-        local_time = self.kernel.process(message.pid).wall_time_s
-        # The report covers the period that just ended; sample its middle.
-        region = workload.region(max(0.0, local_time - message.period_s / 2))
-        key = (message.pid, region or "<untagged>")
-        self._energy_j[key] = (self._energy_j.get(key, 0.0)
-                               + message.power_w * message.period_s)
+        period_s = message.period_s
+        for pid, power_w in message.by_pid.items():
+            workload = self.workloads.get(pid)
+            if workload is None:
+                continue
+            local_time = self.kernel.process(pid).wall_time_s
+            # The report covers the period that just ended; sample its
+            # middle.
+            region = workload.region(max(0.0, local_time - period_s / 2))
+            key = (pid, region or "<untagged>")
+            self._energy_j[key] = (self._energy_j.get(key, 0.0)
+                                   + power_w * period_s)
 
     # -- queries ------------------------------------------------------------
 

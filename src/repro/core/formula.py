@@ -9,6 +9,9 @@ estimate the power consumption of a given process" (paper, Section 3).
 * :class:`CpuLoadFormula` — the CPU-load linear model of Versick et al.,
   kept here because it plugs into the same pipeline and the ablations
   compare the two metric choices.
+
+Each estimates every pid of a report at once: a formula exception loses
+the whole period.
 """
 
 from __future__ import annotations
@@ -31,13 +34,15 @@ class HpcFormula(PipelineStage):
     def handle(self, message) -> None:
         if not isinstance(message, HpcReport):
             return
-        power_w = self.model.predict_active(
-            message.frequency_hz, message.rates())
+        # One frequency per report: resolve its formula once.
+        predict = self.model.nearest_formula(message.frequency_hz).predict
+        period_s = message.period_s
         self.publish(PowerReport(
             time_s=message.time_s,
-            period_s=message.period_s,
-            pid=message.pid,
-            power_w=power_w,
+            period_s=period_s,
+            by_pid={pid: predict({event: count / period_s
+                                  for event, count in counters.items()})
+                    for pid, counters in message.counters.items()},
             formula=self.model.name,
         ))
 
@@ -72,11 +77,12 @@ class CpuLoadFormula(PipelineStage):
     def handle(self, message) -> None:
         if not isinstance(message, ProcFsReport):
             return
+        period_s = message.period_s
         self.publish(PowerReport(
             time_s=message.time_s,
-            period_s=message.period_s,
-            pid=message.pid,
-            power_w=cpu_load_w(message.cpu_time_delta_s, message.period_s,
-                               self.num_cpus, self.active_range_w),
+            period_s=period_s,
+            by_pid={pid: cpu_load_w(delta_s, period_s, self.num_cpus,
+                                    self.active_range_w)
+                    for pid, delta_s in message.cpu_time_delta_s.items()},
             formula="cpu-load",
         ))

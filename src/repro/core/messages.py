@@ -3,7 +3,9 @@
 The pipeline is: Sensors publish :class:`SensorReport` subclasses →
 Formulas publish :class:`PowerReport` → Aggregators publish
 :class:`AggregatedPowerReport` → Reporters render.  Messages are frozen
-dataclasses: actors never share mutable state.
+dataclasses: actors never share mutable state.  Each stage passes one
+message per period that carries every monitored pid, keyed in the
+sensor's pid order.
 """
 
 from __future__ import annotations
@@ -32,25 +34,22 @@ class SensorReport:
 
 @dataclass(frozen=True)
 class HpcReport(SensorReport):
-    """Hardware-counter deltas for one process over one period."""
+    """Hardware-counter deltas of every sampled process over one period
+    (``pid`` is -1)."""
 
-    #: Event name -> counts during the period (not cumulative).
-    counters: Mapping[str, float] = field(default_factory=dict)
+    #: pid -> event name -> counts during the period (not cumulative).
+    counters: Mapping[int, Mapping[str, float]] = field(default_factory=dict)
     #: Dominant core frequency during the period, hertz.
     frequency_hz: int = 0
-
-    def rates(self) -> Dict[str, float]:
-        """Counter deltas converted to events per second."""
-        return {event: count / self.period_s
-                for event, count in self.counters.items()}
 
 
 @dataclass(frozen=True)
 class ProcFsReport(SensorReport):
-    """CPU-time accounting for one process over one period."""
+    """CPU-time accounting of every process over one period (``pid`` is
+    -1)."""
 
-    #: CPU seconds consumed by the pid during the period.
-    cpu_time_delta_s: float = 0.0
+    #: pid -> CPU seconds consumed during the period.
+    cpu_time_delta_s: Mapping[int, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -194,18 +193,17 @@ class CapEvent:
 
 @dataclass(frozen=True)
 class PowerReport:
-    """A Formula's power estimation for one process and period."""
+    """A Formula's power estimation for every process of one period."""
 
     time_s: float
     period_s: float
-    pid: int
-    #: Estimated *active* power attributable to the pid, watts.
-    power_w: float
+    #: pid -> estimated *active* power attributable to the pid, watts.
+    by_pid: Mapping[int, float]
     #: Name of the formula that produced the estimate.
     formula: str
 
     def __post_init__(self) -> None:
-        if self.power_w < 0:
+        if any(power_w < 0 for power_w in self.by_pid.values()):
             raise ConfigurationError("estimated power cannot be negative")
 
 

@@ -3,7 +3,7 @@
 A Sensor "monitors the metrics of a given process and then publishes a
 sensor message to the event bus" (paper, Section 3).  Sensors subscribe to
 the monitoring clock (:class:`~repro.actors.clock.ClockTick`) and publish
-one report per monitored process per period:
+one report per period that covers every monitored process:
 
 * :class:`HpcSensor` — hardware performance counters through the perf
   layer (the paper's primary metric source),
@@ -28,7 +28,7 @@ from repro.errors import (ConfigurationError, CounterInvalidError,
                           ProcessError, SampleLossError)
 from repro.faults.backoff import ExponentialBackoff
 from repro.os.procfs import ProcFs
-from repro.perf.counting import PerfCounter, PerfSession
+from repro.perf.counting import CounterValue, PerfCounter, PerfSession
 from repro.powermeter.base import PowerMeter
 from repro.simcpu.counters import GENERIC_TRIO
 from repro.simcpu.machine import Machine
@@ -73,15 +73,18 @@ def _cpu_time_deltas(procfs: ProcFs, pids: Sequence[int],
 
 
 class HpcSensor(PipelineStage):
-    """Publishes per-process HPC deltas on every clock tick.
+    """Publishes every sampled process's HPC deltas on each clock tick,
+    in one :class:`HpcReport`.
 
     Fault-aware: reads that fail (pid exited, sample loss) or return no
-    PMU time (slot starvation) count as *misses*; the sensor publishes a
-    :class:`GapMarker` for the period and tries to reopen dead counters.
-    With a *policy* it runs the degradation ladder: ``degrade_after``
-    missing periods in a row flip its :class:`PipelineMode` to cpu-load,
-    and until HPC data has been back for ``recover_after`` periods it
-    publishes each pid's ``cpu-load-fallback`` estimate from procfs.
+    PMU time (slot starvation) count as *misses*; when no pid yields
+    data the sensor publishes a :class:`GapMarker` for the period, and
+    it tries to reopen dead counters.  With a *policy* it runs the
+    degradation ladder: ``degrade_after`` missing periods in a row flip
+    its :class:`PipelineMode` to cpu-load, and until HPC data has been
+    back for ``recover_after`` periods it publishes every pid's
+    ``cpu-load-fallback`` estimate from procfs in one
+    :class:`PowerReport`.
     """
 
     def __init__(self, machine: Machine, perf: PerfSession,
@@ -106,8 +109,8 @@ class HpcSensor(PipelineStage):
         #: The ladder's rung; None without a policy (no fallback).
         self.mode = PipelineMode() if policy is not None else None
         self._counters: Dict[int, Tuple[PerfCounter, ...]] = {}
-        #: pid -> event -> (raw, time_enabled_s, time_running_s) baseline.
-        self._previous: Dict[int, Dict[str, Tuple[float, float, float]]] = {}
+        #: pid -> the last read of each of its counters, in order.
+        self._previous: Dict[int, Sequence[CounterValue]] = {}
         #: pid -> procfs CPU seconds at the fallback's last read, and
         #: the tick time of that read.
         self._cpu_s: Dict[int, float] = {}
@@ -121,12 +124,13 @@ class HpcSensor(PipelineStage):
     subscribes_to = (ClockTick,)
 
     def on_start(self) -> None:
-        # A supervised restart starts this same instance again: release
-        # the counters it still holds before opening fresh ones.
-        self.on_stop()
+        # A supervised restart starts this same instance again: it keeps
+        # the counters and baselines it still holds (reopened, they
+        # would read no running time on the restart's own tick), and
+        # must not resurrect dead targets.
         for pid in self.pids:
-            if pid in self._lost_pids:
-                continue  # a restart must not resurrect dead targets
+            if pid in self._counters or pid in self._lost_pids:
+                continue
             if not self._open_pid(pid):
                 self._mark_lost(pid, time_s=0.0)
 
@@ -145,16 +149,10 @@ class HpcSensor(PipelineStage):
             return False
         self._counters[pid] = counters
         # A freshly opened counter reads zero: taking that baseline
-        # without a read keeps a (re)start inside a sample-loss window
+        # without a read keeps a reopen inside a sample-loss window
         # from failing.
-        self._previous[pid] = {
-            counter.event: (0.0, 0.0, 0.0) for counter in counters}
+        self._previous[pid] = (CounterValue(0.0, 0.0, 0.0),) * len(counters)
         return True
-
-    @staticmethod
-    def _snapshot(counter: PerfCounter) -> Tuple[float, float, float]:
-        value = counter.read()
-        return (value.raw, value.time_enabled_s, value.time_running_s)
 
     def _mark_lost(self, pid: int, time_s: float) -> None:
         self._lost_pids.add(pid)
@@ -166,7 +164,8 @@ class HpcSensor(PipelineStage):
 
     # -- sampling ---------------------------------------------------------
 
-    def _sample_pid(self, pid: int, time_s: float, period_s: float
+    def _sample_pid(self, pid: int, counters: Tuple[PerfCounter, ...],
+                    time_s: float, period_s: float
                     ) -> Optional[Dict[str, float]]:
         """One pid's deltas for the period, or None on a miss.
 
@@ -179,12 +178,8 @@ class HpcSensor(PipelineStage):
         cumulative ratio; after a read-loss gap it yields a per-period
         rate rather than dumping the accumulated backlog into one period.
         """
-        counters = self._counters.get(pid)
-        if counters is None:
-            return None
         try:
-            snapshots = {counter.event: self._snapshot(counter)
-                         for counter in counters}
+            values = [counter.read() for counter in counters]
         except SampleLossError:
             return None
         except (CounterInvalidError, CounterStateError):
@@ -198,19 +193,18 @@ class HpcSensor(PipelineStage):
                 self._mark_lost(pid, time_s)
             return None
 
-        previous = self._previous[pid]
         deltas: Dict[str, float] = {}
         ran = False
-        for event, (raw, enabled, running) in snapshots.items():
-            prev_raw, _prev_enabled, prev_running = previous[event]
-            d_raw = max(0.0, raw - prev_raw)
+        for counter, (raw, _enabled, running), (prev_raw, _, prev_running) \
+                in zip(counters, values, self._previous[pid]):
             d_running = running - prev_running
             if d_running > 1e-12:
                 ran = True
-                deltas[event] = d_raw * (period_s / d_running)
+                deltas[counter.event] = max(0.0, raw - prev_raw) * (
+                    period_s / d_running)
             else:
-                deltas[event] = 0.0
-        self._previous[pid] = snapshots
+                deltas[counter.event] = 0.0
+        self._previous[pid] = values
         if not ran:
             return None  # starved out: no PMU time at all this period
         return deltas
@@ -238,40 +232,40 @@ class HpcSensor(PipelineStage):
                                "periods; resuming hpc formula")
 
     def _fallback(self, message: ClockTick) -> None:
-        """Read procfs, publishing each pid's estimate while degraded.
+        """Read procfs, publishing every pid's estimate while degraded.
         Called only when the next period could be degraded too.  Past a
         restart backoff it estimates the mean load since the last read."""
         window_s = message.time_s - self._cpu_read_s
         if window_s < 1.5 * message.period_s:
             window_s = message.period_s
         self._cpu_read_s = message.time_s
-        for pid, delta_s in _cpu_time_deltas(self.procfs, self.pids,
-                                             self._cpu_s):
-            if self.mode.degraded:
-                self.publish(PowerReport(
-                    time_s=message.time_s, period_s=message.period_s,
-                    pid=pid, formula="cpu-load-fallback",
-                    power_w=cpu_load_w(delta_s, window_s,
-                                       len(self.machine.topology),
-                                       self.active_range_w)))
+        num_cpus = len(self.machine.topology)
+        by_pid = {pid: cpu_load_w(delta_s, window_s, num_cpus,
+                                  self.active_range_w)
+                  for pid, delta_s in _cpu_time_deltas(
+                      self.procfs, self.pids, self._cpu_s)}
+        if self.mode.degraded:
+            self.publish(PowerReport(
+                time_s=message.time_s, period_s=message.period_s,
+                by_pid=by_pid, formula="cpu-load-fallback"))
 
     def handle(self, message) -> None:
         if not isinstance(message, ClockTick):
             return
-        frequency_hz = self.machine.dominant_frequency_hz()
+        time_s, period_s = message.time_s, message.period_s
         sampled: Dict[int, Dict[str, float]] = {}
-        for pid in [pid for pid in self.pids if pid in self._counters]:
-            deltas = self._sample_pid(pid, message.time_s, message.period_s)
-            if deltas is not None:
-                sampled[pid] = deltas
+        for pid in self.pids:
+            counters = self._counters.get(pid)
+            if counters is not None:
+                deltas = self._sample_pid(pid, counters, time_s, period_s)
+                if deltas is not None:
+                    sampled[pid] = deltas
 
-        if any(pid in self._counters for pid in self.pids):
-            self._update_health(period_missing=not sampled,
-                                time_s=message.time_s)
+        if self._counters:
+            self._update_health(period_missing=not sampled, time_s=time_s)
             if not sampled:
-                self.publish(GapMarker(
-                    time_s=message.time_s, period_s=message.period_s,
-                    pid=-1, source="hpc"))
+                self.publish(GapMarker(time_s=time_s, period_s=period_s,
+                                       pid=-1, source="hpc"))
         mode = self.mode
         if mode is not None and (
                 mode.degraded
@@ -279,18 +273,15 @@ class HpcSensor(PipelineStage):
             self._fallback(message)
             if mode.degraded:
                 return  # the cpu-load rung owns this period
-        for pid, deltas in sampled.items():
+        if sampled:
             self.publish(HpcReport(
-                time_s=message.time_s,
-                period_s=message.period_s,
-                pid=pid,
-                counters=deltas,
-                frequency_hz=frequency_hz,
-            ))
+                time_s=time_s, period_s=period_s, pid=-1, counters=sampled,
+                frequency_hz=self.machine.dominant_frequency_hz()))
 
 
 class ProcFsSensor(PipelineStage):
-    """Publishes per-process CPU-time deltas on every clock tick."""
+    """Publishes every process's CPU-time delta on each clock tick, in
+    one :class:`ProcFsReport`."""
 
     def __init__(self, procfs: ProcFs, pids: Sequence[int]) -> None:
         super().__init__(component="procfs-sensor")
@@ -305,14 +296,10 @@ class ProcFsSensor(PipelineStage):
     def handle(self, message) -> None:
         if not isinstance(message, ClockTick):
             return
-        for pid, delta in _cpu_time_deltas(self.procfs, self.pids,
-                                           self._previous_cpu_s):
-            self.publish(ProcFsReport(
-                time_s=message.time_s,
-                period_s=message.period_s,
-                pid=pid,
-                cpu_time_delta_s=delta,
-            ))
+        self.publish(ProcFsReport(
+            time_s=message.time_s, period_s=message.period_s, pid=-1,
+            cpu_time_delta_s=dict(_cpu_time_deltas(
+                self.procfs, self.pids, self._previous_cpu_s))))
 
 
 class PowerMeterSensor(PipelineStage):

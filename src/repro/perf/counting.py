@@ -15,8 +15,7 @@ it takes each engine replay (a batch of identical ticks) in one call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.errors import (CounterInvalidError, CounterStateError,
                           SampleLossError)
@@ -26,8 +25,7 @@ from repro.simcpu.engine import fold_add
 from repro.simcpu.machine import Machine, TickRecord
 
 
-@dataclass(frozen=True)
-class CounterValue:
+class CounterValue(NamedTuple):
     """One read of a counter, perf-style."""
 
     #: Raw counted value while the event was scheduled on the PMU.
@@ -106,15 +104,15 @@ class PerfCounter:
 
     def read(self) -> CounterValue:
         """Current value with scaling metadata."""
-        self._check_open()
+        if self.closed or self.dead:
+            self._check_open()
         if self._session._sample_loss:
             raise SampleLossError(
                 f"counter {self.counter_id}: sample lost")
-        return CounterValue(
-            raw=self.raw,
-            time_enabled_s=self.time_enabled_s,
-            time_running_s=self.time_running_s,
-        )
+        # tuple.__new__ skips the argument parsing of the NamedTuple's
+        # generated __new__: a read is on every sensor's hot path.
+        return tuple.__new__(CounterValue, (self.raw, self.time_enabled_s,
+                                            self.time_running_s))
 
     def close(self) -> None:
         """Release the counter; further operations raise."""

@@ -104,40 +104,49 @@ class TestMeterFailures:
 
 class TestActorCrashes:
     class PoisonableFormula(HpcFormula):
-        """A formula that chokes on reports from a poisoned pid."""
+        """A formula that chokes on the reports of poisoned periods."""
 
-        def __init__(self, model, poison_pid):
+        def __init__(self, model, poison_times):
             super().__init__(model)
-            self.poison_pid = poison_pid
+            self.poison_times = poison_times
 
         def receive(self, message):
             if (isinstance(message, HpcReport)
-                    and message.pid == self.poison_pid):
+                    and round(message.time_s, 6) in self.poison_times):
                 raise RuntimeError("poisoned report")
             super().receive(message)
 
     def test_restart_strategy_keeps_pipeline_alive(self, spec, model):
         kernel = SimKernel(spec, quantum_s=0.02)
         good = kernel.spawn(CpuStress(duration_s=100.0), name="good")
-        bad = kernel.spawn(CpuStress(duration_s=100.0), name="bad")
+        other = kernel.spawn(CpuStress(duration_s=100.0), name="other")
         api = PowerAPI(kernel, model, period_s=0.5)
         api.system.strategy = RestartStrategy(max_restarts=1_000_000)
+        poisoned = {1.0, 2.0}
 
         # Hand-build the pipeline with the crashing formula.
         from repro.core.aggregators import PidAggregator, TimestampAggregator
         from repro.core.sensors import HpcSensor
         reporter = InMemoryReporter()
-        api.system.spawn(HpcSensor(kernel.machine, api.perf, [good, bad]))
-        api.system.actor_of(
-            lambda: self_formula(model, bad), "formula")
+        formulas = []
+
+        def formula():
+            formulas.append(self_formula(model, poisoned))
+            return formulas[-1]
+
+        api.system.spawn(HpcSensor(kernel.machine, api.perf, [good, other]))
+        api.system.actor_of(formula, "formula")
         api.system.spawn(TimestampAggregator(idle_w=model.idle_w))
         api.system.spawn(reporter)
         api.run(3.0)
         api.flush()
-        # Reports for the good pid made it through despite the crashes.
-        assert any(report.by_pid.get(good, 0.0) > 0.5
-                   for report in reporter.aggregated)
-        assert all(bad not in report.by_pid
+        # One restart per poisoned period, and every other period made
+        # it through with both pids despite the crashes.
+        assert len(formulas) == 1 + len(poisoned)
+        times = [round(report.time_s, 6) for report in reporter.aggregated]
+        assert times == [0.5, 1.5, 2.5, 3.0]
+        assert all(set(report.by_pid) == {good, other}
+                   and min(report.by_pid.values()) > 0.5
                    for report in reporter.aggregated)
 
     def test_stop_strategy_halts_only_failed_actor(self, model):
@@ -157,8 +166,8 @@ class TestActorCrashes:
         assert formula_ref.alive
 
 
-def self_formula(model, poison_pid):
-    return TestActorCrashes.PoisonableFormula(model, poison_pid)
+def self_formula(model, poison_times):
+    return TestActorCrashes.PoisonableFormula(model, poison_times)
 
 
 class TestAmdPortability:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.actors.actor import Actor
 from repro.actors.supervision import RestartStrategy
@@ -443,6 +444,28 @@ class TestSensorRestart:
         assert after.total_w == pytest.approx(39.605, abs=1e-3)
         api.shutdown()
 
+    def test_immediately_restarted_sensor_keeps_its_period(self):
+        """A sensor restarted without a backoff keeps the counters and
+        baselines it still holds: reopened at the fault time, they read
+        no running time on the same tick and turned the period into a
+        gap."""
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.01)
+        pid = kernel.spawn(CpuStress(duration_s=20.0))
+        api = PowerAPI(kernel, published_i3_2120_model())
+        handle = (api.monitor(pid).every(0.5)
+                  .with_faults("crash@1.0:sensor-0")
+                  .to(InMemoryReporter()))
+        api.run(3.0)
+        restarted = next(e for e in handle.health
+                         if e.kind == "actor-restarted")
+        assert restarted.time_s == pytest.approx(1.0)
+        at_restart = _report_at(handle, 1.0)
+        assert not at_restart.gap
+        assert at_restart.formula == "i3-2120-published"
+        assert at_restart.total_w == pytest.approx(42.120, abs=1e-3)
+        assert len(api.perf._counters) == 3
+        api.shutdown()
+
     @staticmethod
     def _two_random_tenants(faults):
         kernel = SimKernel(intel_i3_2120(), quantum_s=0.01)
@@ -484,9 +507,32 @@ class TestDegradationLadder:
         api.install_faults(plan)
         api.run(72.0)
         api.shutdown()
-        keys = [(round(report.time_s, 9), report.pid)
-                for report in collector.messages]
+        keys = [(round(report.time_s, 9), pid)
+                for report in collector.messages for pid in report.by_pid]
         assert len(keys) == len(set(keys))
+
+    @given(plan=fault_plans(),
+           seeds=st.lists(st.integers(0, 999), min_size=1, max_size=4))
+    @default_settings
+    def test_pid_energy_equals_the_aggregated_series(self, plan, seeds):
+        """The estimator's conservation law: the pid aggregator's energy
+        of each pid is the timestamp aggregator's series of that pid
+        integrated over its periods, to the last bit."""
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.02)
+        pids = [kernel.spawn(RandomWorkload(80.0, seed=seed))
+                for seed in seeds]
+        api = PowerAPI(kernel, published_i3_2120_model())
+        handle = api.monitor(*pids).every(0.5).to(InMemoryReporter())
+        api.install_faults(plan)
+        api.run(72.0)
+        api.flush()
+        energy_j = handle.reporter.energy_reports[-1].energy_by_pid_j
+        api.shutdown()
+        for pid in pids:
+            series_j = 0.0  # summed in order, as the pid aggregator does
+            for report in handle.reporter.aggregated:
+                series_j += report.by_pid.get(pid, 0.0) * report.period_s
+            assert energy_j.get(pid, 0.0) == series_j
 
     @staticmethod
     def _count_procfs_reads(monkeypatch, kernel):
@@ -503,8 +549,8 @@ class TestDegradationLadder:
 
     def test_healthy_pipeline_reads_no_procfs(self, monkeypatch):
         """While HPC data flows the fallback costs nothing: no procfs
-        read, and a period at 8 pids is 26 deliveries (the tick, 8 HPC
-        reports, 8 power reports to each aggregator, one aggregate)."""
+        read, and a period at 8 pids is 5 deliveries (the tick, one HPC
+        report, one power report to each aggregator, one aggregate)."""
         kernel = SimKernel(intel_i3_2120(), quantum_s=0.001)
         pids = [kernel.spawn(RandomWorkload(2.0, seed=seed))
                 for seed in range(8)]
@@ -522,7 +568,7 @@ class TestDegradationLadder:
         api.run(0.2)
         assert not handle.degraded
         assert reads == []
-        assert deliveries[1:] == [26] * 199
+        assert deliveries[1:] == [5] * 199
         api.shutdown()
 
     def test_fallback_reads_procfs_only_when_it_may_publish_next(

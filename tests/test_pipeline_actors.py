@@ -32,17 +32,37 @@ def model():
     ], name="test-model")
 
 
-def hpc_report(time_s=1.0, pid=100, instructions=2e9, frequency=ghz(3.3)):
-    return HpcReport(time_s=time_s, period_s=1.0, pid=pid,
-                     counters={"instructions": instructions},
+def hpc_report(time_s=1.0, pid=100, instructions=2e9, frequency=ghz(3.3),
+               period_s=1.0):
+    return HpcReport(time_s=time_s, period_s=period_s, pid=-1,
+                     counters={pid: {"instructions": instructions}},
                      frequency_hz=frequency)
 
 
+class PowerCollector(InMemoryReporter):
+    """Records the formula's raw :class:`PowerReport` batches."""
+
+    def __init__(self):
+        super().__init__()
+        self.reports = []
+
+    def pre_start(self):
+        self.context.system.event_bus.subscribe(PowerReport, self.self_ref)
+
+    def receive(self, message):
+        self.reports.append(message)
+
+
 class TestMessages:
-    def test_hpc_rates(self):
-        report = HpcReport(time_s=2.0, period_s=2.0, pid=1,
-                           counters={"instructions": 4e9}, frequency_hz=1)
-        assert report.rates()["instructions"] == pytest.approx(2e9)
+    def test_hpc_rates(self, system, model):
+        # Counts over a 2 s period are 2e9 instructions/s: 2 W here.
+        collector = PowerCollector()
+        system.spawn(collector, "collector")
+        system.spawn(HpcFormula(model), "formula")
+        system.event_bus.publish(hpc_report(time_s=2.0, pid=1,
+                                            instructions=4e9, period_s=2.0))
+        system.dispatch()
+        assert collector.reports[0].by_pid[1] == pytest.approx(2.0)
 
     def test_report_rejects_bad_period(self):
         with pytest.raises(ConfigurationError):
@@ -50,7 +70,8 @@ class TestMessages:
 
     def test_power_report_rejects_negative(self):
         with pytest.raises(ConfigurationError):
-            PowerReport(time_s=0, period_s=1, pid=1, power_w=-1, formula="x")
+            PowerReport(time_s=0, period_s=1, by_pid={1: 2.0, 2: -1},
+                        formula="x")
 
     def test_aggregated_totals(self):
         report = AggregatedPowerReport(
@@ -63,64 +84,39 @@ class TestMessages:
 
 class TestHpcFormula:
     def test_applies_model_at_frequency(self, system, model):
-        reports = []
-
-        class Collector(InMemoryReporter):
-            def pre_start(self):
-                self.context.system.event_bus.subscribe(
-                    PowerReport, self.self_ref)
-
-            def receive(self, message):
-                reports.append(message)
-
-        system.spawn(Collector(), "collector")
+        collector = PowerCollector()
+        system.spawn(collector, "collector")
         system.spawn(HpcFormula(model), "formula")
         system.event_bus.publish(hpc_report(instructions=2e9,
                                             frequency=ghz(3.3)))
         system.dispatch()
+        reports = collector.reports
         assert len(reports) == 1
-        assert reports[0].power_w == pytest.approx(2.0)
+        assert reports[0].by_pid[100] == pytest.approx(2.0)
         assert reports[0].formula == "test-model"
 
     def test_nearest_frequency_used(self, system, model):
-        reports = []
-
-        class Collector(InMemoryReporter):
-            def pre_start(self):
-                self.context.system.event_bus.subscribe(
-                    PowerReport, self.self_ref)
-
-            def receive(self, message):
-                reports.append(message)
-
-        system.spawn(Collector(), "collector")
+        collector = PowerCollector()
+        system.spawn(collector, "collector")
         system.spawn(HpcFormula(model), "formula")
         system.event_bus.publish(hpc_report(instructions=2e9,
                                             frequency=ghz(1.8)))
         system.dispatch()
-        assert reports[0].power_w == pytest.approx(1.0)  # 1.6 GHz formula
+        # 1.6 GHz formula
+        assert collector.reports[0].by_pid[100] == pytest.approx(1.0)
 
 
 class TestCpuLoadFormula:
     def test_share_of_range(self, system):
-        reports = []
-
-        class Collector(InMemoryReporter):
-            def pre_start(self):
-                self.context.system.event_bus.subscribe(
-                    PowerReport, self.self_ref)
-
-            def receive(self, message):
-                reports.append(message)
-
-        system.spawn(Collector(), "collector")
+        collector = PowerCollector()
+        system.spawn(collector, "collector")
         system.spawn(CpuLoadFormula(active_range_w=40.0, num_cpus=4),
                      "formula")
         system.event_bus.publish(ProcFsReport(
-            time_s=1.0, period_s=1.0, pid=1, cpu_time_delta_s=1.0))
+            time_s=1.0, period_s=1.0, pid=-1, cpu_time_delta_s={1: 1.0}))
         system.dispatch()
         # One CPU fully busy of four: a quarter of the range.
-        assert reports[0].power_w == pytest.approx(10.0)
+        assert collector.reports[0].by_pid[1] == pytest.approx(10.0)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigurationError):
@@ -134,12 +130,11 @@ class TestTimestampAggregator:
         reporter = InMemoryReporter()
         system.spawn(TimestampAggregator(idle_w=30.0), "agg")
         system.spawn(reporter, "rep")
-        for pid in (1, 2):
-            system.event_bus.publish(PowerReport(
-                time_s=1.0, period_s=1.0, pid=pid, power_w=5.0, formula="f"))
+        system.event_bus.publish(PowerReport(
+            time_s=1.0, period_s=1.0, by_pid={1: 5.0, 2: 5.0}, formula="f"))
         # Next timestamp flushes the previous one.
         system.event_bus.publish(PowerReport(
-            time_s=2.0, period_s=1.0, pid=1, power_w=7.0, formula="f"))
+            time_s=2.0, period_s=1.0, by_pid={1: 7.0}, formula="f"))
         system.dispatch()
         assert len(reporter.aggregated) == 1
         first = reporter.aggregated[0]
@@ -152,7 +147,7 @@ class TestTimestampAggregator:
         system.spawn(TimestampAggregator(idle_w=30.0), "agg")
         system.spawn(reporter, "rep")
         system.event_bus.publish(PowerReport(
-            time_s=1.0, period_s=1.0, pid=1, power_w=5.0, formula="f"))
+            time_s=1.0, period_s=1.0, by_pid={1: 5.0}, formula="f"))
         system.event_bus.publish(FlushAggregates())
         system.dispatch()
         assert len(reporter.aggregated) == 1
@@ -163,7 +158,7 @@ class TestTimestampAggregator:
         system.spawn(reporter, "rep")
         for _ in range(2):
             system.event_bus.publish(PowerReport(
-                time_s=1.0, period_s=1.0, pid=1, power_w=2.0, formula="f"))
+                time_s=1.0, period_s=1.0, by_pid={1: 2.0}, formula="f"))
         system.event_bus.publish(FlushAggregates())
         system.dispatch()
         assert reporter.aggregated[0].by_pid == {1: 4.0}
@@ -175,7 +170,7 @@ class TestPidAggregator:
         system.spawn(aggregator, "agg")
         for t in (1.0, 2.0, 3.0):
             system.event_bus.publish(PowerReport(
-                time_s=t, period_s=1.0, pid=7, power_w=4.0, formula="f"))
+                time_s=t, period_s=1.0, by_pid={7: 4.0}, formula="f"))
         system.dispatch()
         assert aggregator.energy_by_pid_j == {7: pytest.approx(12.0)}
 
@@ -193,7 +188,7 @@ class TestPidAggregator:
         system.spawn(Collector(), "collector")
         system.spawn(PidAggregator(), "agg")
         system.event_bus.publish(PowerReport(
-            time_s=1.0, period_s=1.0, pid=7, power_w=4.0, formula="f"))
+            time_s=1.0, period_s=1.0, by_pid={7: 4.0}, formula="f"))
         system.event_bus.publish(FlushAggregates())
         system.dispatch()
         assert summaries[0].energy_by_pid_j == {7: pytest.approx(4.0)}
