@@ -15,6 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.messages import AggregatedPowerReport
 from repro.errors import ConfigurationError
+from repro.units import left_sum
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ def rank_consumers(reports: Sequence[AggregatedPowerReport],
         for pid, watts in report.by_pid.items():
             energy[pid] = energy.get(pid, 0.0) + watts * report.period_s
             duration[pid] = duration.get(pid, 0.0) + report.period_s
-    total = sum(energy.values())
+    total = left_sum(energy.values())
     hotspots = [
         Hotspot(
             pid=pid,

@@ -20,6 +20,7 @@ from repro.core.messages import (AggregatedPowerReport, FlushAggregates,
                                  GapMarker, PowerReport)
 from repro.core.stage import PipelineStage
 from repro.errors import ConfigurationError
+from repro.units import left_sum
 
 __all__ = ["FlushAggregates", "PidAggregator", "PidEnergyReport",
            "TimestampAggregator"]
@@ -37,7 +38,7 @@ class PidEnergyReport:
 
     def total_j(self) -> float:
         """Sum of attributed energy over all pids, joules."""
-        return sum(self.energy_by_pid_j.values())
+        return left_sum(self.energy_by_pid_j.values())
 
 
 class TimestampAggregator(PipelineStage):
@@ -51,7 +52,13 @@ class TimestampAggregator(PipelineStage):
     Periods for which sensors published only :class:`GapMarker`
     messages (no formula produced an estimate) are emitted as explicit
     gap reports (``gap=True``, empty ``by_pid``) so the downstream
-    series shows a marked hole instead of a silent one.
+    series shows a marked hole instead of a silent one.  So are periods
+    no message reached at all (a stage suspended by a restart backoff
+    sits them out, or a formula crashed on the period's report), once a
+    later period's message arrives: when the time moves more than one
+    period past the last report, each skipped period gets a
+    ``gap:missing`` report.  Periods after the last message of a run
+    (a backoff that outlasts it) stay unreported.
     """
 
     subscribes_to = (PowerReport, GapMarker)
@@ -77,21 +84,32 @@ class TimestampAggregator(PipelineStage):
                 formula=self._pending_formula,
             ))
         elif self._pending_gaps:
-            self.publish(AggregatedPowerReport(
-                time_s=self._pending_time,
-                period_s=self._pending_period,
-                by_pid={},
-                idle_w=self.idle_w,
-                formula="gap:" + "+".join(sorted(self._pending_gaps)),
-                gap=True,
-            ))
+            self._publish_gap(self._pending_time, self._pending_period,
+                              "+".join(sorted(self._pending_gaps)))
         self._pending.clear()
         self._pending_gaps.clear()
 
+    def _publish_gap(self, time_s: float, period_s: float,
+                     sources: str) -> None:
+        self.publish(AggregatedPowerReport(
+            time_s=time_s,
+            period_s=period_s,
+            by_pid={},
+            idle_w=self.idle_w,
+            formula="gap:" + sources,
+            gap=True,
+        ))
+
     def _advance_to(self, time_s: float, period_s: float) -> None:
+        last_s = self._pending_time
         if ((self._pending or self._pending_gaps)
-                and time_s > self._pending_time + 1e-12):
+                and time_s > last_s + 1e-12):
             self.flush()
+        if last_s >= 0.0:
+            skipped = round((time_s - last_s) / period_s) - 1
+            for index in range(1, skipped + 1):
+                self._publish_gap(last_s + index * period_s, period_s,
+                                  "missing")
         self._pending_time = time_s
         self._pending_period = period_s
 

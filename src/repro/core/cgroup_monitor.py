@@ -16,6 +16,7 @@ from repro.core.stage import PipelineStage
 from repro.core.messages import PowerReport
 from repro.errors import ConfigurationError
 from repro.os.cgroups import CgroupTree
+from repro.units import left_sum
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class CgroupPowerReport:
     @property
     def active_w(self) -> float:
         """Sum of per-container active power, watts."""
-        return sum(self.by_group.values())
+        return left_sum(self.by_group.values())
 
     @property
     def total_w(self) -> float:

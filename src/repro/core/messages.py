@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.units import left_sum
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ class AggregatedPowerReport:
     @property
     def active_w(self) -> float:
         """Sum of per-process active power."""
-        return sum(self.by_pid.values())
+        return left_sum(self.by_pid.values())
 
     @property
     def total_w(self) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ModelError
-from repro.units import GHZ, ghz
+from repro.units import GHZ, ghz, left_sum
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class FrequencyFormula:
         Negative predictions are clamped to zero — a formula extrapolated
         to near-idle rates can dip slightly below zero.
         """
-        power = self.intercept_w + sum(
+        power = self.intercept_w + left_sum(
             weight * rates.get(event, 0.0)
             for event, weight in self.coefficients.items())
         return max(0.0, power)

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import optimize
 
 from repro.errors import ConfigurationError, InsufficientDataError
+from repro.units import left_sum
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class RegressionResult:
 
     def predict(self, features: Dict[str, float]) -> float:
         """Evaluate the model on one feature vector (missing features = 0)."""
-        return self.intercept + sum(
+        return self.intercept + left_sum(
             weight * features.get(name, 0.0)
             for name, weight in self.coefficients.items())
 

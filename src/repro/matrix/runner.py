@@ -47,6 +47,7 @@ from repro.matrix.spec import MatrixCell, MatrixSpec
 from repro.os.governor import GOVERNORS
 from repro.os.kernel import SimKernel
 from repro.simcpu.spec import preset
+from repro.units import left_sum
 from repro.workloads import WORKLOADS
 
 #: The fixed per-frequency calibration every cell's estimator uses
@@ -137,8 +138,8 @@ def _execute(cell: MatrixCell, with_telemetry: bool) -> _SimArtifacts:
                              for e in memory.cap_events),
             health=tuple(handle.health.signature()),
             applied=tuple(api.injector.applied) if api.injector else (),
-            energy_j=sum(r.total_w * r.period_s
-                         for r in memory.aggregated),
+            energy_j=left_sum(r.total_w * r.period_s
+                              for r in memory.aggregated),
             telemetry=telemetry)
     finally:
         api.shutdown()
@@ -355,7 +356,7 @@ def _metrics(obs: CellObservations) -> Dict[str, object]:
         "health_events": len(obs.health),
         "faults_applied": len(obs.applied),
         "cap_events": len(obs.cap_events),
-        "energy_j": round(sum(r[1] * r[2] for r in obs.reports), 6),
+        "energy_j": round(left_sum(r[1] * r[2] for r in obs.reports), 6),
     }
     telemetry = obs.telemetry
     if telemetry is not None:

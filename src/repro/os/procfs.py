@@ -14,8 +14,9 @@ from collections import defaultdict
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ProcessError
-from repro.simcpu.engine import fold_add
+from repro.simcpu.engine import addend_table, vector_fold
 from repro.simcpu.machine import Machine, TickRecord
+from repro.units import left_sum
 
 
 class ProcFs:
@@ -32,6 +33,9 @@ class ProcFs:
         self._dt = 0.0
         self._busy_addends: List[Tuple[int, float]] = []
         self._pid_addends: List[Tuple[int, List[float]]] = []
+        # The same addends as a table (uptime, then each CPU, then each
+        # pid), built by the first multi-tick fold of a map.
+        self._table = None
         machine.add_fold(self._fold)
 
     def _fold(self, record: TickRecord, n_ticks: int,
@@ -41,7 +45,7 @@ class ProcFs:
         busy_s = self._cpu_busy_s
         cpu_time_s = self._pid_cpu_time_s
         if n_ticks == 1:
-            # One tick: the additions themselves, no fold loop.
+            # One tick: the additions themselves.
             self._total_time_s += self._dt
             for cpu_id, addend in self._busy_addends:
                 busy_s[cpu_id] += addend
@@ -51,17 +55,29 @@ class ProcFs:
                     value += addend
                 cpu_time_s[pid] = value
             return
-        self._total_time_s = fold_add(self._total_time_s, (self._dt,),
-                                      n_ticks)
-        for cpu_id, addend in self._busy_addends:
-            busy_s[cpu_id] = fold_add(busy_s[cpu_id], (addend,), n_ticks)
-        for pid, addends in self._pid_addends:
-            cpu_time_s[pid] = fold_add(cpu_time_s[pid], addends, n_ticks)
+        if self._table is None:
+            self._table = addend_table(
+                [(self._dt,)]
+                + [(addend,) for _cpu_id, addend in self._busy_addends]
+                + [addends for _pid, addends in self._pid_addends])
+        values = vector_fold(
+            [self._total_time_s]
+            + [busy_s[cpu_id] for cpu_id, _addend in self._busy_addends]
+            + [cpu_time_s[pid] for pid, _addends in self._pid_addends],
+            self._table, n_ticks)
+        self._total_time_s = values[0]
+        n_cpus = len(self._busy_addends)
+        for (cpu_id, _addend), value in zip(self._busy_addends, values[1:]):
+            busy_s[cpu_id] = value
+        for (pid, _addends), value in zip(self._pid_addends,
+                                          values[1 + n_cpus:]):
+            cpu_time_s[pid] = value
 
     def _derive_addends(self, record: TickRecord) -> None:
         dt = record.dt_s
         self._events = record.events
         self._dt = dt
+        self._table = None
         self._busy_addends = [(cpu_id, busy * dt)
                               for cpu_id, busy in record.cpu_busy.items()]
         # Per-pid CPU time is busy_fraction * dt; recover it from retired
@@ -104,5 +120,5 @@ class ProcFs:
         if self._total_time_s == 0.0:
             return 0.0
         cpus = len(self._machine.topology)
-        busy = sum(self._cpu_busy_s.values())
+        busy = left_sum(self._cpu_busy_s.values())
         return busy / (cpus * self._total_time_s)

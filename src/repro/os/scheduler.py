@@ -23,6 +23,7 @@ from repro.errors import SchedulerError
 from repro.os.process import Demand, ProcessState, SimProcess
 from repro.simcpu.machine import ThreadAssignment
 from repro.simcpu.topology import Topology
+from repro.units import left_sum
 
 
 def _nice_weight(nice: int) -> float:
@@ -128,7 +129,7 @@ class Scheduler:
     def _core_busy(self, busy: Dict[int, float]) -> List[float]:
         """Summed busy of each CPU's core, indexed like ``_cpu_ids``."""
         get = busy.__getitem__
-        per_core = [sum(map(get, group)) for group in self._core_groups]
+        per_core = [left_sum(map(get, group)) for group in self._core_groups]
         return [per_core[index] for index in self._core_index]
 
 
@@ -187,9 +188,9 @@ class EnergyAwareScheduler(Scheduler):
 
     def assign(self, demands):
         capacity = float(len(self.topology))
-        wanted = sum(demand.utilization * demand.threads
-                     for process, demand in demands
-                     if process.state.value == "runnable")
+        wanted = left_sum(demand.utilization * demand.threads
+                          for process, demand in demands
+                          if process.state.value == "runnable")
         self._delegate = (self._pack
                           if wanted <= capacity * self.pack_threshold
                           else self._spread)

@@ -21,7 +21,7 @@ from repro.errors import (CounterInvalidError, CounterStateError,
                           SampleLossError)
 from repro.perf import pfm
 from repro.perf.multiplex import MultiplexScheduler
-from repro.simcpu.engine import fold_add
+from repro.simcpu.engine import addend_table, vector_fold
 from repro.simcpu.machine import Machine, TickRecord
 
 
@@ -120,18 +120,6 @@ class PerfCounter:
             self.closed = True
             self._session._release(self)
 
-    # -- session internals ---------------------------------------------
-
-    def _accumulate(self, dt: Tuple[float], n_ticks: int,
-                    n_running: int) -> None:
-        """Fold *n_ticks* enabled ticks of ``dt[0]`` seconds, *n_running*
-        of them on the PMU, adding the current addends per running tick."""
-        self.time_enabled_s = fold_add(self.time_enabled_s, dt, n_ticks)
-        if not n_running:
-            return
-        self.time_running_s = fold_add(self.time_running_s, dt, n_running)
-        self.raw = fold_add(self.raw, self._addends, n_running)
-
 
 class PerfSession:
     """All counters opened against one machine; handles multiplexing."""
@@ -148,6 +136,11 @@ class PerfSession:
         # from it, the deltas the target covers.
         self._events = None
         self._covered: Dict[Tuple[int, int], list] = {}
+        # The (event map, dt, active counters) of the last multi-tick
+        # fold, and its addend table: three columns per counter, its
+        # enabled time, running time and raw count.
+        self._table_key: tuple = (None, 0.0, [])
+        self._table = None
         machine.add_fold(self._fold)
 
     @property
@@ -223,27 +216,70 @@ class PerfSession:
         if events is not self._events:
             self._cover(events, active)
         dt = record.dt_s
+        if n_ticks > 1:
+            self._fold_ticks(active, running, events, dt, n_ticks)
+            return
+        # One tick: the additions themselves.
         for counter in active:
+            counter.time_enabled_s += dt
+            if running.get(counter.counter_id, 0):
+                if counter._events is not events:
+                    self._derive_addends(counter, events, active)
+                counter.time_running_s += dt
+                raw = counter.raw
+                for addend in counter._addends:
+                    raw += addend
+                counter.raw = raw
+
+    def _fold_ticks(self, active: List[PerfCounter], running: Dict[int, int],
+                    events: Mapping, dt: float, n_ticks: int) -> None:
+        """Fold *n_ticks* ticks with one :func:`vector_fold` per distinct
+        tick count: every enabled time folds *n_ticks* times, a running
+        time and raw count as often as its counter held a PMU slot."""
+        key = self._table_key
+        if key[0] is not events or key[1] != dt or key[2] != active:
+            cells = []
+            for counter in active:
+                if counter._events is not events:
+                    self._derive_addends(counter, events, active)
+                cells += ((dt,), (dt,), counter._addends)
+            self._table = addend_table(cells)
+            self._table_key = (events, dt, active)
+        table = self._table
+        values: List[float] = []
+        by_count: Dict[int, List[int]] = {}
+        for index, counter in enumerate(active):
+            values += (counter.time_enabled_s, counter.time_running_s,
+                       counter.raw)
+            by_count.setdefault(n_ticks, []).append(3 * index)
             n_running = running.get(counter.counter_id, 0)
-            if n_running and counter._events is not events:
-                deltas = self._covered.get((counter.pid, counter.cpu))
-                if deltas is None:  # enabled since the map was indexed
-                    self._cover(events, active)
-                    deltas = self._covered[(counter.pid, counter.cpu)]
-                event = counter.event
-                counter._addends = [delta.get(event, 0.0) for delta in deltas]
-                counter._events = events
-            if n_ticks == 1:
-                # One tick: the additions themselves, no fold loop.
-                counter.time_enabled_s += dt
-                if n_running:
-                    counter.time_running_s += dt
-                    raw = counter.raw
-                    for addend in counter._addends:
-                        raw += addend
-                    counter.raw = raw
-            else:
-                counter._accumulate((dt,), n_ticks, n_running)
+            if n_running:
+                by_count.setdefault(n_running, []).extend(
+                    (3 * index + 1, 3 * index + 2))
+        for count, columns in by_count.items():
+            if len(columns) == len(values):
+                # Every counter ran every tick: fold the kept table as
+                # it is, without gathering its columns.
+                values = vector_fold(values, table, count)
+                continue
+            folded = vector_fold([values[column] for column in columns],
+                                 table[:, columns], count)
+            for column, value in zip(columns, folded):
+                values[column] = value
+        for index, counter in enumerate(active):
+            (counter.time_enabled_s, counter.time_running_s,
+             counter.raw) = values[3 * index:3 * index + 3]
+
+    def _derive_addends(self, counter: PerfCounter, events: Mapping,
+                        active: Sequence[PerfCounter]) -> None:
+        """*counter*'s per-tick addends from *events*, in fold order."""
+        deltas = self._covered.get((counter.pid, counter.cpu))
+        if deltas is None:  # enabled since the map was indexed
+            self._cover(events, active)
+            deltas = self._covered[(counter.pid, counter.cpu)]
+        event = counter.event
+        counter._addends = [delta.get(event, 0.0) for delta in deltas]
+        counter._events = events
 
     def _cover(self, events: Mapping, counters: Sequence[PerfCounter]
                ) -> None:

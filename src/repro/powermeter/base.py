@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError, MeterConnectionError
 from repro.simcpu.machine import Machine, TickRecord
+from repro.units import left_sum
 
 
 @dataclass(frozen=True)
@@ -159,4 +160,5 @@ class PowerMeter:
         """Mean of all collected samples."""
         if not self._samples:
             raise MeterConnectionError("no samples collected yet")
-        return sum(sample.power_w for sample in self._samples) / len(self._samples)
+        return (left_sum(sample.power_w for sample in self._samples)
+                / len(self._samples))

@@ -16,8 +16,8 @@ the real interface quirks consumers must handle:
 
 :class:`RaplInterface` is a machine *fold*.  Per tick the package domain
 adds ``(((cores + uncore) + leak) + wakeup) * dt``, walking the replay's
-leakage powers; PP0 and DRAM add a constant per tick, so they fold with
-``fold_add``.  The energies end bit-identical to a tick-at-a-time
+leakage powers; PP0 and DRAM add their constant per-tick energy in the
+same loop.  The energies end bit-identical to a tick-at-a-time
 integration.
 """
 
@@ -27,8 +27,8 @@ import enum
 from typing import Dict, Sequence
 
 from repro.errors import PowerMeterError
-from repro.simcpu.engine import fold_add
 from repro.simcpu.machine import Machine, TickRecord
+from repro.units import left_sum
 
 #: MSR addresses (Intel SDM).
 MSR_RAPL_POWER_UNIT = 0x606
@@ -82,14 +82,17 @@ class RaplInterface:
         wakeup_w = power.wakeup
         energy = self._energy_j
         package_j = energy[RaplDomain.PACKAGE]
+        pp0_j = energy[RaplDomain.PP0]
+        dram_j = energy[RaplDomain.DRAM]
+        pp0_tick_j = (power.cores + power.wakeup) * dt
+        dram_tick_j = power.dram * dt
         for leak in leaks:
             package_j += ((active_w + leak) + wakeup_w) * dt
+            pp0_j += pp0_tick_j
+            dram_j += dram_tick_j
         energy[RaplDomain.PACKAGE] = package_j
-        energy[RaplDomain.PP0] = fold_add(
-            energy[RaplDomain.PP0], ((power.cores + power.wakeup) * dt,),
-            n_ticks)
-        energy[RaplDomain.DRAM] = fold_add(
-            energy[RaplDomain.DRAM], (power.dram * dt,), n_ticks)
+        energy[RaplDomain.PP0] = pp0_j
+        energy[RaplDomain.DRAM] = dram_j
 
     # -- MSR interface -------------------------------------------------------
 
@@ -155,8 +158,8 @@ class RaplPowerMeter:
         self._last_energy_j = self._total()
 
     def _total(self) -> float:
-        return sum(reader.total_energy_j()
-                   for reader in self._readers.values())
+        return left_sum(reader.total_energy_j()
+                        for reader in self._readers.values())
 
     def average_power_w(self) -> float:
         """Average package+DRAM power since the previous call."""

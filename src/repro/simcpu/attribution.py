@@ -24,18 +24,20 @@ import it.  Tests and benchmarks use it as the per-process oracle.
 :class:`TrueProcessPower` is a machine *fold*.  Attribution ignores
 leakage, so every tick of a replay has the same shares: it attributes
 once per replay, then adds each pid's ``watts * dt`` and the duration
-once per tick with ``fold_add``.
+once per tick, all of them in one :func:`~repro.simcpu.engine.vector_fold`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.simcpu import counters as ev
 from repro.simcpu.counters import EventDelta
-from repro.simcpu.engine import fold_add
+from repro.simcpu.engine import addend_table, vector_fold
 from repro.simcpu.power import SMT_SECOND_THREAD_FACTOR, PowerBreakdown
+from repro.units import left_sum
 
 
 def _thread_weights(thread_busy: Mapping[int, float]) -> Dict[int, float]:
@@ -85,10 +87,15 @@ def attribute_power(
         thread_busy = {cpu_id: cpu_busy.get(cpu_id, 0.0) for cpu_id in group}
         weights = _thread_weights(thread_busy)
         core_weights.append((group, weights))
-        core_weight_sum += sum(weights.values())
+        core_weight_sum += left_sum(weights.values())
 
-    if core_weight_sum > 0:
-        watt_per_weight = core_power_total / core_weight_sum
+    # A subnormal weight sum (a busy fraction near 5e-324) overflows the
+    # per-weight rate to inf, and inf times a zero share is NaN.  Such
+    # cores are as good as idle: no pid is charged their power, as with
+    # a zero weight sum.
+    watt_per_weight = (core_power_total / core_weight_sum
+                       if core_weight_sum > 0 else math.inf)
+    if watt_per_weight < math.inf:
         for group, weights in core_weights:
             for cpu_id, weight in weights.items():
                 if weight <= 0.0:
@@ -102,7 +109,7 @@ def attribute_power(
                         attributed[pid] += cpu_watts * (share / busy)
 
     # -- uncore: half by busy share, half by LLC-reference share --------
-    total_busy = sum(pid_cpu_busy.values())
+    total_busy = left_sum(pid_cpu_busy.values())
     pid_refs: Dict[int, float] = defaultdict(float)
     pid_misses: Dict[int, float] = defaultdict(float)
     pid_busy: Dict[int, float] = defaultdict(float)
@@ -112,14 +119,14 @@ def attribute_power(
     for (pid, cpu_id), share in pid_cpu_busy.items():
         pid_busy[pid] += share
 
-    total_refs = sum(pid_refs.values())
+    total_refs = left_sum(pid_refs.values())
     for pid in pid_busy:
         busy_part = (pid_busy[pid] / total_busy) if total_busy > 0 else 0.0
         ref_part = (pid_refs[pid] / total_refs) if total_refs > 0 else busy_part
         attributed[pid] += breakdown.uncore * 0.5 * (busy_part + ref_part)
 
     # -- DRAM: by LLC-miss share -----------------------------------------
-    total_misses = sum(pid_misses.values())
+    total_misses = left_sum(pid_misses.values())
     if total_misses > 0:
         for pid, misses in pid_misses.items():
             attributed[pid] += breakdown.dram * misses / total_misses
@@ -152,9 +159,14 @@ class TrueProcessPower:
                                  record.cpu_busy, self._core_groups)
         dt = record.dt_s
         energy = self._energy_j
-        for pid, watts in shares.items():
-            energy[pid] = fold_add(energy[pid], (watts * dt,), n_ticks)
-        self._duration_s = fold_add(self._duration_s, (dt,), n_ticks)
+        pids = list(shares)
+        values = vector_fold(
+            [energy[pid] for pid in pids] + [self._duration_s],
+            addend_table([(shares[pid] * dt,) for pid in pids] + [(dt,)]),
+            n_ticks)
+        for pid, value in zip(pids, values):
+            energy[pid] = value
+        self._duration_s = values[-1]
 
     def detach(self) -> None:
         """Stop observing."""

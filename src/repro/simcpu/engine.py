@@ -44,9 +44,11 @@ the order, that N calls of the tick-at-a-time step would — repeated
 addition per cell rather than a single ``n * delta`` fold, the same
 association order in the power total, the same two data-dependent
 thermal lines per tick.  There is one replay path: the scalar
-recurrences run tick by tick, the counter cells are added column-wise
-(one tight loop per cell; cells are independent memory locations, so
-the order across cells is free), and only the final record is built.
+recurrences run tick by tick, and the counter and residency cells of a
+longer replay advance together in one ``numpy.add.accumulate`` over a
+table of per-tick addends (:func:`vector_fold`; it adds each cell
+strictly left to right, and cells are independent memory locations, so
+the order across cells is free).  Only the final record is built.
 
 Every subscriber is a *fold* (``Machine.add_fold``), called once per
 replay as ``fold(record, n_ticks, leaks, start_s)``: the final record,
@@ -54,17 +56,22 @@ the tick count, each tick's leakage power (the one per-tick value a
 program does not fix — it follows the temperature recurrence) and the
 machine time the replay started from.  A fold performs the per-tick
 additions itself, in the order a tick-at-a-time loop would, so its state
-ends bit-identical to *n_ticks* one-tick calls.
+ends bit-identical to *n_ticks* one-tick calls.  The replay itself,
+perf and procfs add a one-tick replay inline and a longer one through
+:func:`vector_fold`, with a table each keeps while its inputs hold.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import repeat, zip_longest
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.simcpu import counters as ev
 from repro.simcpu.counters import EventDelta
 from repro.simcpu.power import CoreActivity, PowerBreakdown
+from repro.units import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (machine -> engine)
     from repro.simcpu.machine import Machine, ThreadAssignment, TickRecord
@@ -82,23 +89,47 @@ ROW_EVENTS: Tuple[str, ...] = (
 )
 
 
-def fold_add(value: float, addends: Sequence[float], n_ticks: int) -> float:
-    """*value* after *n_ticks* rounds of adding each of *addends* in order.
+#: Most rows one accumulate pass holds: a longer fold runs in chunks of
+#: this many rows (ticks times the table's width), so its buffer stays
+#: bounded however many ticks a replay covers.
+FOLD_CHUNK_ROWS = 1024
 
-    The float additions *n_ticks* one-tick folds make — never a single
-    ``n * addend`` — so a fold over a batch rounds exactly like a loop
-    over its ticks.
+
+def addend_table(cells: Sequence[Sequence[float]]) -> np.ndarray:
+    """The (width x cells) table of each cell's per-tick addends.
+
+    Column *j* holds cell *j*'s addends in the order one tick adds them;
+    a cell with fewer than the widest cell's addends is padded with
+    +0.0, which leaves the bits of any non-negative value unchanged.
     """
-    if len(addends) == 1:
-        addend = addends[0]
-        for _ in repeat(None, n_ticks):
-            value += addend
-        return value
-    if addends:
-        for _ in repeat(None, n_ticks):
-            for addend in addends:
-                value += addend
-    return value
+    rows = list(zip_longest(*cells, fillvalue=0.0))
+    return np.array(rows, dtype=float).reshape(len(rows), len(cells))
+
+
+def vector_fold(start: Sequence[float], table: np.ndarray,
+                n_ticks: int) -> List[float]:
+    """Each cell of *start* after *n_ticks* rounds of its *table* column.
+
+    ``numpy.add.accumulate`` adds strictly left to right along the tick
+    axis, so every cell makes the float additions *n_ticks* one-tick
+    folds would, never a single ``n * addend``; cells are independent,
+    so all of them advance in one pass.  Returns Python floats.
+    """
+    width, cells = table.shape
+    if not width or not n_ticks:
+        return list(start)
+    per_chunk = max(1, FOLD_CHUNK_ROWS // width)
+    block = np.empty((min(n_ticks, per_chunk) * width + 1, cells))
+    row = start
+    while n_ticks:
+        ticks = min(n_ticks, per_chunk)
+        rows = block[:ticks * width + 1]
+        rows[0] = row
+        rows[1:].reshape(ticks, width, cells)[:] = table
+        np.add.accumulate(rows, axis=0, out=rows)
+        row = rows[-1]
+        n_ticks -= ticks
+    return row.tolist()
 
 
 class TickProgram:
@@ -329,9 +360,9 @@ class BatchEngine:
             thread_busy = tuple([cpu_busy[cpu_id] for cpu_id in core_cpus])
             weights = [(assignments[row.index].busy_fraction, row.weight)
                        for row in core_rows]
-            total_busy = sum(busy for busy, _weight in weights)
+            total_busy = left_sum(busy for busy, _weight in weights)
             if total_busy > 0:
-                weight = sum(busy * w for busy, w in weights) / total_busy
+                weight = left_sum(busy * w for busy, w in weights) / total_busy
             else:
                 weight = 1.0
             busiest = max(thread_busy, default=0.0)
@@ -358,33 +389,32 @@ class BatchEngine:
 
     @staticmethod
     def _group_cells(program: TickProgram):
-        """The program's (container, index, addends) cells, one per cell.
+        """The program's (container, index) cells and their addend table.
 
         Cells are independent memory locations, so replay order *across*
         cells is free; order of repeated addends *within* one cell (two
         assignments sharing a (pid, cpu) slot, or busy and idle residency
         both landing in C0) is exactly the order the tick loop folds
-        them, preserved here so the float rounding matches.
+        them, preserved here as the cell's table column so the float
+        rounding matches.
         """
         grouped: Dict[Tuple[int, object], list] = {}
-        order: List[list] = []
+        targets: List[Tuple[object, object]] = []
 
         def add(container, index, addend):
             group_key = (id(container), index)
-            entry = grouped.get(group_key)
-            if entry is None:
-                entry = [container, index, []]
-                grouped[group_key] = entry
-                order.append(entry)
-            entry[2].append(addend)
+            addends = grouped.get(group_key)
+            if addends is None:
+                addends = grouped[group_key] = []
+                targets.append((container, index))
+            addends.append(addend)
 
         for columns, slot, delta in program.rows:
             for column, addend in zip(columns, delta.values()):
                 add(column, slot, addend)
         for key, addend in program.residency_cells:
             add(program.residency, key, addend)
-        return [(container, index, tuple(addends))
-                for container, index, addends in order]
+        return targets, addend_table(list(grouped.values()))
 
     # -- replay --------------------------------------------------------
 
@@ -394,9 +424,9 @@ class BatchEngine:
         The thermal, energy and time recurrences run tick by tick and
         record each tick's leakage.  A one-tick replay then adds each
         row's counts and each residency addend in compile order; a
-        longer one adds each grouped cell in its own ``fold_add`` loop,
-        the identical additions in a cell-local order.  Each fold then
-        sees the final record once.
+        longer one folds every grouped cell at once with
+        :func:`vector_fold`, the identical additions in a cell-local
+        order.  Each fold then sees the final record once.
         """
         from repro.simcpu.machine import TickRecord
 
@@ -434,9 +464,12 @@ class BatchEngine:
             cells = program.grouped_cells
             if cells is None:
                 cells = program.grouped_cells = self._group_cells(program)
-            for container, index, addends in cells:
-                container[index] = fold_add(container[index], addends,
-                                            n_ticks)
+            targets, table = cells
+            values = vector_fold([container[index]
+                                  for container, index in targets],
+                                 table, n_ticks)
+            for (container, index), value in zip(targets, values):
+                container[index] = value
         if program.has_counters:
             machine.counters.mark_dirty()
         machine.cstates.set_current_states(program.current_states)

@@ -26,6 +26,7 @@ from typing import Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.simcpu.frequency import FrequencyDomain
 from repro.simcpu.spec import CpuSpec
+from repro.units import left_sum
 
 #: Fraction of a core's active power drawn by the second SMT thread
 #: (the first thread "pays" for the shared front-end and caches).
@@ -155,7 +156,7 @@ class GroundTruthPower:
         """
         busy = sorted(activity.thread_busy, reverse=True)
         primary = busy[0] if busy else 0.0
-        secondary = sum(busy[1:])
+        secondary = left_sum(busy[1:])
         effective_busy = primary + SMT_SECOND_THREAD_FACTOR * secondary
         scale = self._freq.dynamic_scale(activity.frequency_hz)
         active_w = (self.spec.power.core_active_w * scale
@@ -187,9 +188,10 @@ class GroundTruthPower:
         """
         if llc_references_per_s < 0 or dram_bytes_per_s < 0:
             raise ConfigurationError("traffic rates must be >= 0")
-        cores_w = sum(self.core_power(activity) for activity in core_activities)
-        wakeup_w = sum(self.wakeup_power(activity)
-                       for activity in core_activities)
+        cores_w = left_sum(self.core_power(activity)
+                           for activity in core_activities)
+        wakeup_w = left_sum(self.wakeup_power(activity)
+                            for activity in core_activities)
 
         any_busy = max(
             (max(activity.thread_busy, default=0.0)

@@ -29,6 +29,7 @@ from repro.core.messages import AggregatedPowerReport
 from repro.errors import ConfigurationError
 from repro.telemetry.client import ReconnectPolicy, TelemetryClient
 from repro.telemetry.wire import ReportEvent
+from repro.units import left_sum
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ class FleetAggregator:
                                      if sample.gap))
             points.append(ClusterPoint(
                 time_s=time_s,
-                total_w=sum(by_host.values()),
+                total_w=left_sum(by_host.values()),
                 by_host=by_host,
                 gap_hosts=gap_hosts,
                 complete=len(by_host) == len(hosts),
@@ -256,9 +257,9 @@ class FleetAggregator:
     def cluster_energy_j(self) -> float:
         """Fleet energy: sum of ``total_w * period_s`` over real samples."""
         with self._cond:
-            return sum(sample.total_w * sample.period_s
-                       for stream in self._streams.values()
-                       for sample in stream.samples if not sample.gap)
+            return left_sum(sample.total_w * sample.period_s
+                            for stream in self._streams.values()
+                            for sample in stream.samples if not sample.gap)
 
 
 class HierarchicalFleetAggregator(FleetAggregator):
@@ -364,7 +365,7 @@ class HierarchicalFleetAggregator(FleetAggregator):
             totals: Dict[str, float] = {}
             for name, stream in self._streams.items():
                 cluster = self._cluster_of.get(name, "")
-                totals[cluster] = totals.get(cluster, 0.0) + sum(
+                totals[cluster] = totals.get(cluster, 0.0) + left_sum(
                     sample.total_w * sample.period_s
                     for sample in stream.samples if not sample.gap)
             return totals

@@ -10,6 +10,7 @@ validation so negative or non-finite quantities are rejected early.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 
@@ -92,6 +93,21 @@ def average_power(energy_j: float, duration_s: float) -> float:
     if duration <= 0:
         raise ConfigurationError("duration must be positive to average power")
     return joules(energy_j) / duration
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """*values* added one at a time to 0.0, strictly left to right.
+
+    The builtin ``sum()`` compensates float rounding from Python 3.12 on,
+    so the same floats can sum to a different last bit on another
+    interpreter.  Estimates, energies and power totals that digests and
+    paper results pin add with this instead, which rounds alike on every
+    version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def format_frequency(hertz: float) -> str:

@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError
 from repro.os.process import Demand
 from repro.simcpu.caches import MemoryProfile
 from repro.simcpu.pipeline import InstructionMix
+from repro.units import left_sum
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class PhasedWorkload(Workload):
         self.name = name
         self.phases: List[Phase] = list(phases)
         self.repeat = repeat
-        self._cycle_s = sum(phase.duration_s for phase in self.phases)
+        self._cycle_s = left_sum(phase.duration_s for phase in self.phases)
         self._uniform = all(phase.demand == self.phases[0].demand
                             for phase in self.phases)
 

@@ -57,6 +57,18 @@ class TestAttributePower:
                                  record.cpu_busy, [])
         assert shares == {}
 
+    def test_subnormal_busy_attributes_no_nan(self):
+        """A busy fraction of 5e-324 overflowed the per-weight core rate
+        to inf, and inf * 0 share made the pid's power NaN."""
+        machine = Machine(intel_i3_2120())
+        record = machine.step([assignment(1, 3, busy=5e-324, mem_ops=0.0)],
+                              0.001)
+        groups = [machine.topology.core_cpus(p, c)
+                  for p, c in machine.topology.cores()]
+        shares = attribute_power(record.power, record.events,
+                                 record.cpu_busy, groups)
+        assert shares == {1: 0.0}
+
     def test_busier_process_attributed_more(self):
         machine = Machine(intel_i3_2120())
         machine.set_frequency(ghz(3.3))

@@ -21,14 +21,19 @@ learned datasets depend on it.
 
 from collections import defaultdict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simcpu import counters as ev
+from repro.simcpu.caches import MemoryProfile
 from repro.simcpu.counters import ALL_EVENTS, CounterBank, EventDelta
-from repro.simcpu.machine import Machine
+from repro.simcpu.engine import FOLD_CHUNK_ROWS
+from repro.simcpu.machine import Machine, ThreadAssignment
+from repro.simcpu.pipeline import InstructionMix
 from repro.simcpu.power import CoreActivity
 from repro.simcpu.spec import intel_i3_2120, intel_xeon_smt
+from repro.units import left_sum
 from tests.strategies import assignment_lists, dts, event_deltas, schedules
 
 SPEC = intel_i3_2120()
@@ -297,8 +302,8 @@ class ReferenceTickLoop:
             core_cpus = machine._core_cpus[core_key]
             thread_busy = tuple(cpu_busy[cpu_id] for cpu_id in core_cpus)
             weights = core_weights.get(core_key, [])
-            total_busy = sum(busy for busy, _weight in weights)
-            weight = (sum(busy * w for busy, w in weights) / total_busy
+            total_busy = left_sum(busy for busy, _weight in weights)
+            weight = (left_sum(busy * w for busy, w in weights) / total_busy
                       if total_busy > 0 else 1.0)
             busiest = max(thread_busy, default=0.0)
             expected_idle_s = (1.0 - busiest) * dt_s
@@ -325,6 +330,25 @@ class ReferenceTickLoop:
         return breakdown, events
 
 
+def _assert_matches_reference(engine_machine, reference, pids_seen):
+    assert engine_machine.time_s == reference.time_s
+    assert engine_machine.energy_j == reference.energy_j
+    assert (engine_machine.thermal.temperature_c
+            == reference.machine.thermal.temperature_c)
+    for event in ALL_EVENTS:
+        for pid in pids_seen:
+            for cpu_id in range(SPEC.num_threads):
+                assert (engine_machine.counters.read(
+                            event, pid=pid, cpu_id=cpu_id).hex()
+                        == reference.counters.read(
+                            event, pid=pid, cpu_id=cpu_id).hex())
+    for cpu_id in range(SPEC.num_threads):
+        for state in SPEC.cstates:
+            assert (engine_machine.cstates.residency(cpu_id, state).hex()
+                    == reference.machine.cstates.residency(
+                        cpu_id, state).hex())
+
+
 class TestEngineMatchesReferenceLoop:
     @given(schedule=schedules(SPEC, max_segments=3, max_ticks=6), dt=dts)
     @settings(max_examples=25, deadline=None)
@@ -340,19 +364,29 @@ class TestEngineMatchesReferenceLoop:
                 assert record.wall_power_w == breakdown.total
                 assert record.power.leakage == breakdown.leakage
                 assert dict(record.events) == events
-        assert engine_machine.time_s == reference.time_s
-        assert engine_machine.energy_j == reference.energy_j
-        assert (engine_machine.thermal.temperature_c
-                == reference.machine.thermal.temperature_c)
-        for event in ALL_EVENTS:
-            for pid in pids_seen:
-                for cpu_id in range(SPEC.num_threads):
-                    assert (engine_machine.counters.read(
-                                event, pid=pid, cpu_id=cpu_id)
-                            == reference.counters.read(
-                                event, pid=pid, cpu_id=cpu_id))
-        for cpu_id in range(SPEC.num_threads):
-            for state in SPEC.cstates:
-                assert (engine_machine.cstates.residency(cpu_id, state)
-                        == reference.machine.cstates.residency(
-                            cpu_id, state))
+        _assert_matches_reference(engine_machine, reference, pids_seen)
+
+    @pytest.mark.parametrize("n_ticks", [FOLD_CHUNK_ROWS + 77,
+                                         2 * FOLD_CHUNK_ROWS + 5])
+    def test_replay_longer_than_a_chunk(self, n_ticks):
+        """One replay whose vector fold runs in several chunks.  Pid 7
+        runs twice on cpu 0, so its cells take two addends a tick (a
+        table of width 2, half as many ticks per chunk)."""
+        def thread(pid, cpu_id, busy, working_set):
+            return ThreadAssignment(
+                pid=pid, cpu_id=cpu_id, busy_fraction=busy,
+                mix=InstructionMix(fp_fraction=0.2, branch_fraction=0.1),
+                memory=MemoryProfile(mem_ops_per_instruction=0.3,
+                                     working_set_bytes=working_set,
+                                     locality=0.9))
+
+        assignments = [thread(7, 0, 0.4, 2 ** 20), thread(7, 0, 0.35, 2 ** 16),
+                       thread(8, 1, 0.9, 2 ** 24), thread(9, 2, 1.0, 2 ** 12)]
+        dt = 0.001
+        engine_machine = Machine(SPEC)
+        reference = ReferenceTickLoop(SPEC)
+        engine_machine.step(assignments, dt)  # a one-tick replay first
+        engine_machine.run_batch(assignments, n_ticks, dt)
+        for _ in range(n_ticks + 1):
+            reference.step(assignments, dt)
+        _assert_matches_reference(engine_machine, reference, {7, 8, 9})

@@ -140,14 +140,19 @@ class TestActorCrashes:
         api.system.spawn(reporter)
         api.run(3.0)
         api.flush()
-        # One restart per poisoned period, and every other period made
-        # it through with both pids despite the crashes.
+        # One restart per poisoned period, each poisoned period is a
+        # marked gap, and every other period made it through with both
+        # pids despite the crashes.
         assert len(formulas) == 1 + len(poisoned)
         times = [round(report.time_s, 6) for report in reporter.aggregated]
-        assert times == [0.5, 1.5, 2.5, 3.0]
+        assert times == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        gaps = [report for report in reporter.aggregated if report.gap]
+        assert {round(report.time_s, 6) for report in gaps} == poisoned
+        assert all(report.formula == "gap:missing" and not report.by_pid
+                   for report in gaps)
         assert all(set(report.by_pid) == {good, other}
                    and min(report.by_pid.values()) > 0.5
-                   for report in reporter.aggregated)
+                   for report in reporter.aggregated if not report.gap)
 
     def test_stop_strategy_halts_only_failed_actor(self, model):
         system = ActorSystem(strategy=StopStrategy())

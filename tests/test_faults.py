@@ -425,9 +425,9 @@ class TestSensorRestart:
 
     def test_fallback_after_a_backoff_estimates_one_period(self):
         """A restart backoff suspends the sensor's fallback with it (the
-        period it sits out has no report).  The first fallback period
-        after it reads the mean load since the last procfs read, not
-        the whole backlog."""
+        period it sits out is a marked ``gap:missing`` hole).  The
+        first fallback period after it reads the mean load since the
+        last procfs read, not the whole backlog."""
         kernel = SimKernel(intel_i3_2120(), quantum_s=0.01)
         pid = kernel.spawn(CpuStress(duration_s=20.0))
         api = PowerAPI(kernel, published_i3_2120_model())
@@ -436,13 +436,33 @@ class TestSensorRestart:
                   .with_faults("starve@2:4:0;crash@4.25:sensor-0")
                   .to(InMemoryReporter()))
         api.run(6.0)
-        times = [round(r.time_s, 6) for r in handle.reporter.aggregated]
-        assert 4.5 not in times
+        suspended = _report_at(handle, 4.5)
+        assert suspended.gap and suspended.formula == "gap:missing"
+        assert suspended.by_pid == {}
+        assert suspended.total_w == suspended.idle_w
         before, after = _report_at(handle, 4.0), _report_at(handle, 5.0)
         assert before.formula == after.formula == "cpu-load-fallback"
         assert after.total_w == pytest.approx(before.total_w)
         assert after.total_w == pytest.approx(39.605, abs=1e-3)
         api.shutdown()
+
+    def test_backoff_past_the_end_leaves_the_last_periods_unreported(self):
+        """A skipped period is marked once a later period's message
+        reaches the aggregator.  A backoff that outlasts the run leaves
+        none: its periods get no report, not even a gap."""
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.01)
+        pid = kernel.spawn(CpuStress(duration_s=20.0))
+        api = PowerAPI(kernel, published_i3_2120_model())
+        api.system.strategy = RestartStrategy(backoff_base_s=3.0)
+        handle = (api.monitor(pid).every(0.5)
+                  .with_faults("crash@4.75:sensor-0")
+                  .to(InMemoryReporter()))
+        api.run(6.0)
+        api.shutdown()
+        reports = handle.reporter.aggregated
+        assert [round(r.time_s, 6) for r in reports] == [
+            0.5 * k for k in range(1, 10)]
+        assert not any(r.gap for r in reports)
 
     def test_immediately_restarted_sensor_keeps_its_period(self):
         """A sensor restarted without a backoff keeps the counters and

@@ -29,6 +29,7 @@ from repro.powermeter.rapl import (ENERGY_UNIT_J, MSR_DRAM_ENERGY_STATUS,
                                    MSR_RAPL_POWER_UNIT, RaplDomain,
                                    RaplInterface, RaplPowerMeter)
 from repro.simcpu.attribution import TrueProcessPower, attribute_power
+from repro.simcpu.engine import FOLD_CHUNK_ROWS
 from repro.simcpu.machine import Machine, TickRecord
 from repro.simcpu.spec import intel_i3_2120
 from repro.workloads.mix import RandomWorkload
@@ -215,6 +216,28 @@ class TestFoldsMatchTickObservers:
             spy_ticks=ticks, acpi_ticks=ticks, noise=0.008, seed=7,
             dropout=None))
         assert len(rig.meters[0].samples) >= 6
+        _assert_meters_match(rig)
+
+    @given(assignments=assignment_lists(SPEC), dt=dts,
+           n_ticks=st.integers(2, 2 * FOLD_CHUNK_ROWS + 5))
+    @settings(max_examples=8, deadline=None)
+    def test_rapl_and_oracle_fold_a_multi_tick_segment(self, assignments,
+                                                      dt, n_ticks):
+        """RAPL's PP0 and DRAM cells and every oracle pid advance in one
+        vector fold per replay, over as many chunks as the segment
+        needs; their bits match the per-tick observers'."""
+        rig = _drive([(assignments, n_ticks)], dt, dict(
+            spy_ticks=3.0, acpi_ticks=3.0, noise=0.0, seed=1,
+            dropout=None))
+        for domain in (RaplDomain.PP0, RaplDomain.DRAM):
+            assert (rig.rapl._energy_j[domain].hex()
+                    == rig.reference_rapl._energy_j[domain].hex())
+        assert rig.oracle.pids() == rig.reference_oracle.pids()
+        assert ([rig.oracle.energy_j(pid).hex() for pid in rig.oracle.pids()]
+                == [rig.reference_oracle.energy_j(pid).hex()
+                    for pid in rig.oracle.pids()])
+        assert (rig.oracle.duration_s.hex()
+                == rig.reference_oracle.duration_s.hex())
         _assert_meters_match(rig)
 
     @pytest.mark.parametrize("quantum_s", [0.001, 0.01])

@@ -32,6 +32,7 @@ from repro.simcpu.machine import Machine, ThreadAssignment
 from repro.simcpu.pipeline import InstructionMix
 from repro.simcpu.spec import intel_i3_2120, intel_xeon_smt
 from repro.simcpu.topology import Topology
+from repro.units import left_sum
 from tests.strategies import dts, ramps
 from tests.test_engine_equivalence import ReferenceTickLoop
 
@@ -157,11 +158,11 @@ class ReferencePlacement:
         siblings = self._siblings
         if self.policy == "spread":
             def key(cpu_id):
-                core_busy = sum(busy[s] for s in siblings[cpu_id])
+                core_busy = left_sum(busy[s] for s in siblings[cpu_id])
                 return (busy[cpu_id], core_busy, cpu_id)
         elif self.policy == "pack":
             def key(cpu_id):
-                core_busy = sum(busy[s] for s in siblings[cpu_id])
+                core_busy = left_sum(busy[s] for s in siblings[cpu_id])
                 return (-core_busy, busy[cpu_id], cpu_id)
         else:
             def key(cpu_id):
@@ -217,9 +218,9 @@ class ReferenceEnergyAware:
         self._spread = ReferencePlacement(topology, "spread")
 
     def assign(self, demands):
-        wanted = sum(demand.utilization * demand.threads
-                     for process, demand in demands
-                     if process.state.value == "runnable")
+        wanted = left_sum(demand.utilization * demand.threads
+                          for process, demand in demands
+                          if process.state.value == "runnable")
         delegate = (self._pack
                     if wanted <= self.capacity * self.pack_threshold
                     else self._spread)

@@ -13,6 +13,7 @@ from repro.actors.clock import VirtualClock
 from repro.os.procfs import ProcFs
 from repro.perf.counting import PerfSession
 from repro.simcpu.caches import MemoryProfile
+from repro.simcpu.engine import FOLD_CHUNK_ROWS
 from repro.simcpu.machine import Machine, ThreadAssignment
 from repro.simcpu.pipeline import InstructionMix
 from repro.simcpu.spec import intel_i3_2120
@@ -92,6 +93,31 @@ class TestPerfFold:
             _fold(batched, record, n_ticks)
             for _ in range(n_ticks):
                 _fold(ticked, record, 1)
+        assert _state(batched) == _state(ticked)
+
+    def test_rotating_group_over_chunks_folds_bit_for_bit(self, record):
+        """A multi-chunk batch in which pid 100's six counters rotate
+        over the PMU slots (each runs fewer ticks than it is enabled,
+        one vector fold per distinct running count) while pid 101's
+        fit and run every tick."""
+        n_ticks = 2 * FOLD_CHUNK_ROWS + 3
+        batched, ticked = _session(_rotates), _session(_rotates)
+        _fold(batched, record, n_ticks)
+        for _ in range(n_ticks):
+            _fold(ticked, record, 1)
+        counters = list(batched._counters.values())
+        rotating = [c for c in counters if c.pid == 100]
+        assert all(0.0 < c.time_running_s < c.time_enabled_s
+                   for c in rotating)
+        assert all(c.time_running_s == c.time_enabled_s
+                   for c in counters if c.pid == 101)
+
+        def bits(session):
+            return [(c.raw.hex(), c.time_enabled_s.hex(),
+                     c.time_running_s.hex())
+                    for c in session._counters.values()]
+
+        assert bits(batched) == bits(ticked)
         assert _state(batched) == _state(ticked)
 
     def test_rotating_group_shares_the_pmu(self, record):

@@ -105,3 +105,38 @@ class TestFormatting:
 
     def test_format_bytes_plain(self):
         assert units.format_bytes(100) == "100 B"
+
+
+class TestLeftSum:
+    """Float sums that round alike on every interpreter.
+
+    From Python 3.12 the builtin ``sum()`` compensates rounding:
+    ``sum([1.0, 1e-16, 1e-16])`` is 1.0000000000000002 there, where
+    adding left to right (and ``sum()`` up to 3.11) gives 1.0.
+    """
+
+    TRIPLE = (1.0, 1e-16, 1e-16)
+
+    def test_adds_left_to_right_from_zero(self):
+        assert units.left_sum(self.TRIPLE) == 1.0
+        assert math.fsum(self.TRIPLE) != 1.0  # the inputs tell them apart
+        assert units.left_sum(iter(self.TRIPLE[::-1])) == math.fsum(
+            self.TRIPLE)
+        assert units.left_sum([]) == 0.0
+        assert isinstance(units.left_sum([]), float)
+
+    def test_formula_prediction(self):
+        from repro.core.model import FrequencyFormula
+        formula = FrequencyFormula(
+            frequency_hz=1_000_000_000,
+            coefficients=dict(zip(("a", "b", "c"), self.TRIPLE)))
+        assert formula.predict({"a": 1.0, "b": 1.0, "c": 1.0}) == 1.0
+
+    def test_aggregated_active_power(self):
+        from repro.core.messages import AggregatedPowerReport
+        report = AggregatedPowerReport(
+            time_s=1.0, period_s=1.0,
+            by_pid=dict(zip((1, 2, 3), self.TRIPLE)), idle_w=0.0,
+            formula="f")
+        assert report.active_w == 1.0
+        assert report.total_w == 1.0
