@@ -3,18 +3,18 @@
 This is the interface the CPU-load baseline (Versick et al.) and the
 PowerAPI ``ProcFsSensor`` read: cumulative per-process CPU time (as
 ``/proc/<pid>/stat`` utime) and per-CPU busy/idle time (as ``/proc/stat``).
-It folds the machine's replays (one call per batch of identical ticks),
-so it sees exactly what the simulated kernel sees — no access to the
-hidden power model.
+Per machine replay (a batch of identical ticks) it states the cells one
+tick adds — uptime, each CPU's busy time, each pid's CPU time — and the
+engine adds them, so it sees exactly what the simulated kernel sees —
+no access to the hidden power model.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ProcessError
-from repro.simcpu.engine import addend_table, vector_fold
 from repro.simcpu.machine import Machine, TickRecord
 from repro.units import left_sum
 
@@ -27,71 +27,36 @@ class ProcFs:
         self._pid_cpu_time_s: Dict[int, float] = defaultdict(float)
         self._cpu_busy_s: Dict[int, float] = defaultdict(float)
         self._total_time_s = 0.0
-        # One tick's addends, derived from the last event map folded: a
-        # held engine program hands every replay the same maps.
+        # The cells of the last event map stated: a held engine program
+        # hands every replay the same maps.
         self._events = None
-        self._dt = 0.0
-        self._busy_addends: List[Tuple[int, float]] = []
-        self._pid_addends: List[Tuple[int, List[float]]] = []
-        # The same addends as a table (uptime, then each CPU, then each
-        # pid), built by the first multi-tick fold of a map.
-        self._table = None
-        machine.add_fold(self._fold)
+        self._cells: list = []
+        machine.add_cells(self._state)
 
-    def _fold(self, record: TickRecord, n_ticks: int,
-              leaks: Sequence[float], start_s: float) -> None:
+    def _state(self, record: TickRecord, n_ticks: int) -> Tuple[list, None]:
+        """One tick's cells, stated again per event map: uptime, each
+        CPU's busy time in CPU order, then each pid's CPU time."""
         if record.events is not self._events:
-            self._derive_addends(record)
-        busy_s = self._cpu_busy_s
-        cpu_time_s = self._pid_cpu_time_s
-        if n_ticks == 1:
-            # One tick: the additions themselves.
-            self._total_time_s += self._dt
-            for cpu_id, addend in self._busy_addends:
-                busy_s[cpu_id] += addend
-            for pid, addends in self._pid_addends:
-                value = cpu_time_s[pid]
-                for addend in addends:
-                    value += addend
-                cpu_time_s[pid] = value
-            return
-        if self._table is None:
-            self._table = addend_table(
-                [(self._dt,)]
-                + [(addend,) for _cpu_id, addend in self._busy_addends]
-                + [addends for _pid, addends in self._pid_addends])
-        values = vector_fold(
-            [self._total_time_s]
-            + [busy_s[cpu_id] for cpu_id, _addend in self._busy_addends]
-            + [cpu_time_s[pid] for pid, _addends in self._pid_addends],
-            self._table, n_ticks)
-        self._total_time_s = values[0]
-        n_cpus = len(self._busy_addends)
-        for (cpu_id, _addend), value in zip(self._busy_addends, values[1:]):
-            busy_s[cpu_id] = value
-        for (pid, _addends), value in zip(self._pid_addends,
-                                          values[1 + n_cpus:]):
-            cpu_time_s[pid] = value
-
-    def _derive_addends(self, record: TickRecord) -> None:
-        dt = record.dt_s
-        self._events = record.events
-        self._dt = dt
-        self._table = None
-        self._busy_addends = [(cpu_id, busy * dt)
-                              for cpu_id, busy in record.cpu_busy.items()]
-        # Per-pid CPU time is busy_fraction * dt; recover it from retired
-        # cycles at the core's granted frequency.  A pid on several CPUs
-        # gets one addend per CPU each tick, in event order.
-        core_key = self._machine._cpu_core_key
-        frequencies = record.core_frequencies_hz
-        addends: Dict[int, List[float]] = {}
-        for (pid, cpu_id), delta in record.events.items():
-            frequency = frequencies[core_key[cpu_id]]
-            if frequency > 0:
-                addends.setdefault(pid, []).append(
-                    delta.get("cycles", 0.0) / frequency)
-        self._pid_addends = list(addends.items())
+            self._events = record.events
+            dt = record.dt_s
+            busy_s = self._cpu_busy_s
+            cells = [(vars(self), "_total_time_s", dt)]
+            cells += [(busy_s, cpu_id, busy * dt)
+                      for cpu_id, busy in record.cpu_busy.items()]
+            # Per-pid CPU time is busy_fraction * dt; recover it from
+            # retired cycles at the core's granted frequency.  A pid on
+            # several CPUs gets one addend per CPU each tick, in event
+            # order.
+            core_key = self._machine._cpu_core_key
+            frequencies = record.core_frequencies_hz
+            cpu_time_s = self._pid_cpu_time_s
+            for (pid, cpu_id), delta in record.events.items():
+                frequency = frequencies[core_key[cpu_id]]
+                if frequency > 0:
+                    cells.append((cpu_time_s, pid,
+                                  delta.get("cycles", 0.0) / frequency))
+            self._cells = cells
+        return self._cells, None
 
     # -- /proc/<pid>/stat ----------------------------------------------------
 

@@ -8,20 +8,23 @@ and report ``time_enabled`` / ``time_running`` so multiplexed values can be
 scaled exactly like perf does.
 
 Multiplexing lives in :mod:`repro.perf.multiplex`; the session delegates
-per-tick scheduling decisions to it.  The session is a machine *fold*:
-it takes each engine replay (a batch of identical ticks) in one call.
+per-tick scheduling decisions to it.  The session adds nothing itself:
+per engine replay (a batch of identical ticks) it states each enabled
+counter's cells — its enabled time, its running time and one raw cell
+per event-map delta its target covers — and the engine adds them, the
+running time and raw count only on the ticks the counter held a PMU
+slot.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import (CounterInvalidError, CounterStateError,
                           SampleLossError)
 from repro.perf import pfm
 from repro.perf.multiplex import MultiplexScheduler
-from repro.simcpu.engine import addend_table, vector_fold
 from repro.simcpu.machine import Machine, TickRecord
 
 
@@ -59,14 +62,14 @@ class PerfCounter:
         self.enabled = False
         self.closed = False
         self.dead = False
-        self.raw = 0.0
-        self.time_enabled_s = 0.0
-        self.time_running_s = 0.0
-        # The per-tick addends of the last event map folded while the
-        # counter ran: a held engine program hands every replay the
-        # same map.
-        self._events = None
-        self._addends: List[float] = []
+        # (raw, enabled, running), in CounterValue order: the cells an
+        # engine replay adds into.
+        self._values = [0.0, 0.0, 0.0]
+
+    #: Raw counted value while the event held a PMU slot.
+    raw = property(lambda self: self._values[0])
+    time_enabled_s = property(lambda self: self._values[1])
+    time_running_s = property(lambda self: self._values[2])
 
     def _check_open(self) -> None:
         if self.closed:
@@ -89,9 +92,7 @@ class PerfCounter:
     def reset(self) -> None:
         """Zero the counter (PERF_EVENT_IOC_RESET)."""
         self._check_open()
-        self.raw = 0.0
-        self.time_enabled_s = 0.0
-        self.time_running_s = 0.0
+        self._values[:] = (0.0, 0.0, 0.0)
 
     def invalidate(self) -> None:
         """Mark the counter's target as gone; reads now raise ESRCH-style.
@@ -111,8 +112,7 @@ class PerfCounter:
                 f"counter {self.counter_id}: sample lost")
         # tuple.__new__ skips the argument parsing of the NamedTuple's
         # generated __new__: a read is on every sensor's hot path.
-        return tuple.__new__(CounterValue, (self.raw, self.time_enabled_s,
-                                            self.time_running_s))
+        return tuple.__new__(CounterValue, self._values)
 
     def close(self) -> None:
         """Release the counter; further operations raise."""
@@ -132,16 +132,15 @@ class PerfSession:
         self._dead_pids: set = set()
         self._sample_loss = False
         self._closed = False
-        # The last event map folded and, per (pid, cpu) target read
-        # from it, the deltas the target covers.
-        self._events = None
-        self._covered: Dict[Tuple[int, int], list] = {}
-        # The (event map, dt, active counters) of the last multi-tick
-        # fold, and its addend table: three columns per counter, its
-        # enabled time, running time and raw count.
-        self._table_key: tuple = (None, 0.0, [])
-        self._table = None
-        machine.add_fold(self._fold)
+        # The cells stated for the last (event map, dt, active counters):
+        # the enabled and running times, kept while dt and the counters
+        # hold, then the raw cells of the map.  A held engine program
+        # hands every replay the same map.
+        self._key: tuple = (None, 0.0, [])
+        self._times: list = []
+        self._targets: Dict[Tuple[int, int], list] = {}
+        self._cells: list = []
+        machine.add_cells(self._state)
 
     @property
     def closed(self) -> bool:
@@ -175,7 +174,7 @@ class PerfSession:
         self._closed = True
         for counter in list(self._counters.values()):
             counter.close()
-        self.machine.remove_fold(self._fold)
+        self.machine.remove_cells(self._state)
 
     # -- fault injection -------------------------------------------------
 
@@ -207,94 +206,53 @@ class PerfSession:
     def _release(self, counter: PerfCounter) -> None:
         self._counters.pop(counter.counter_id, None)
 
-    def _fold(self, record: TickRecord, n_ticks: int,
-              leaks: Sequence[float], start_s: float) -> None:
+    def _state(self, record: TickRecord, n_ticks: int
+               ) -> Tuple[list, Optional[List[Optional[int]]]]:
+        """The enabled counters' cells and, unless every counter held a
+        PMU slot on all *n_ticks* ticks, each cell's tick count (None
+        for all of them: every enabled time, and a counter that ran
+        throughout)."""
         active = [counter for counter in self._counters.values()
                   if counter.enabled]
         running = self._mux.running_ticks(active, n_ticks)
         events = record.events
-        if events is not self._events:
-            self._cover(events, active)
         dt = record.dt_s
-        if n_ticks > 1:
-            self._fold_ticks(active, running, events, dt, n_ticks)
-            return
-        # One tick: the additions themselves.
-        for counter in active:
-            counter.time_enabled_s += dt
-            if running.get(counter.counter_id, 0):
-                if counter._events is not events:
-                    self._derive_addends(counter, events, active)
-                counter.time_running_s += dt
-                raw = counter.raw
-                for addend in counter._addends:
-                    raw += addend
-                counter.raw = raw
-
-    def _fold_ticks(self, active: List[PerfCounter], running: Dict[int, int],
-                    events: Mapping, dt: float, n_ticks: int) -> None:
-        """Fold *n_ticks* ticks with one :func:`vector_fold` per distinct
-        tick count: every enabled time folds *n_ticks* times, a running
-        time and raw count as often as its counter held a PMU slot."""
-        key = self._table_key
-        if key[0] is not events or key[1] != dt or key[2] != active:
-            cells = []
+        key = self._key
+        if key[1] != dt or key[2] != active:
+            self._times = []
+            self._targets = {}
             for counter in active:
-                if counter._events is not events:
-                    self._derive_addends(counter, events, active)
-                cells += ((dt,), (dt,), counter._addends)
-            self._table = addend_table(cells)
-            self._table_key = (events, dt, active)
-        table = self._table
-        values: List[float] = []
-        by_count: Dict[int, List[int]] = {}
-        for index, counter in enumerate(active):
-            values += (counter.time_enabled_s, counter.time_running_s,
-                       counter.raw)
-            by_count.setdefault(n_ticks, []).append(3 * index)
-            n_running = running.get(counter.counter_id, 0)
-            if n_running:
-                by_count.setdefault(n_running, []).extend(
-                    (3 * index + 1, 3 * index + 2))
-        for count, columns in by_count.items():
-            if len(columns) == len(values):
-                # Every counter ran every tick: fold the kept table as
-                # it is, without gathering its columns.
-                values = vector_fold(values, table, count)
-                continue
-            folded = vector_fold([values[column] for column in columns],
-                                 table[:, columns], count)
-            for column, value in zip(columns, folded):
-                values[column] = value
-        for index, counter in enumerate(active):
-            (counter.time_enabled_s, counter.time_running_s,
-             counter.raw) = values[3 * index:3 * index + 3]
+                values = counter._values
+                self._times += ((values, 1, dt), (values, 2, dt))
+                self._targets.setdefault((counter.pid, counter.cpu),
+                                         []).append((values, counter.event))
+            key = (None, dt, active)
+        if key[0] is not events:
+            self._cells = self._times + self._raw_cells(events)
+            self._key = (events, dt, active)
+        if (len(running) == len(active)
+                and min(running.values(), default=n_ticks) == n_ticks):
+            return self._cells, None
+        ran = {}
+        for counter in active:
+            count = running.get(counter.counter_id, 0)
+            ran[id(counter._values)] = None if count == n_ticks else count
+        return self._cells, [None if index == 1 else ran[id(values)]
+                             for values, index, _addend in self._cells]
 
-    def _derive_addends(self, counter: PerfCounter, events: Mapping,
-                        active: Sequence[PerfCounter]) -> None:
-        """*counter*'s per-tick addends from *events*, in fold order."""
-        deltas = self._covered.get((counter.pid, counter.cpu))
-        if deltas is None:  # enabled since the map was indexed
-            self._cover(events, active)
-            deltas = self._covered[(counter.pid, counter.cpu)]
-        event = counter.event
-        counter._addends = [delta.get(event, 0.0) for delta in deltas]
-        counter._events = events
-
-    def _cover(self, events: Mapping, counters: Sequence[PerfCounter]
-               ) -> None:
-        """Index a new event map in one pass: for each counter's (pid,
-        cpu) target, the deltas it covers in event order, which is the
-        order a tick folds its addends."""
-        covered: Dict[Tuple[int, int], list] = {
-            (counter.pid, counter.cpu): [] for counter in counters}
+    def _raw_cells(self, events: Mapping) -> list:
+        """One pass over a new event map: each counter's raw cells, one
+        per delta its (pid, cpu) target covers, in event order — the
+        order a tick adds them."""
+        targets = self._targets
+        cells = []
         for (pid, cpu), delta in events.items():
             for target in ((pid, -1), (pid, cpu), (-1, cpu), (-1, -1)):
-                deltas = covered.get(target)
-                if deltas is not None:
-                    deltas.append(delta)
-        self._events = events
-        self._covered = covered
+                members = targets.get(target)
+                if members is not None:
+                    cells += [(values, 0, delta.get(event, 0.0))
+                              for values, event in members]
+        return cells
 
     def __enter__(self) -> "PerfSession":
         return self

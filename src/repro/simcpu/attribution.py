@@ -21,10 +21,10 @@ owns):
 This module is part of the *hidden* substrate: estimation code must not
 import it.  Tests and benchmarks use it as the per-process oracle.
 
-:class:`TrueProcessPower` is a machine *fold*.  Attribution ignores
-leakage, so every tick of a replay has the same shares: it attributes
-once per replay, then adds each pid's ``watts * dt`` and the duration
-once per tick, all of them in one :func:`~repro.simcpu.engine.vector_fold`.
+:class:`TrueProcessPower` states its cells to the machine.  Attribution
+ignores leakage, so every tick of a program has the same shares: it
+attributes once per event map and states each pid's ``watts * dt`` and
+the duration's ``dt``, which the engine adds once per tick.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.simcpu import counters as ev
 from repro.simcpu.counters import EventDelta
-from repro.simcpu.engine import addend_table, vector_fold
 from repro.simcpu.power import SMT_SECOND_THREAD_FACTOR, PowerBreakdown
 from repro.units import left_sum
 
@@ -138,7 +137,7 @@ def attribute_power(
 
 
 class TrueProcessPower:
-    """Oracle fold: integrates ground-truth active energy per pid.
+    """Oracle: integrates ground-truth active energy per pid.
 
     Attaches to *machine* on construction; read :meth:`energy_j` /
     :meth:`mean_power_w` afterwards.  For validation only — the
@@ -151,26 +150,26 @@ class TrueProcessPower:
                              for p, c in machine.topology.cores()]
         self._energy_j: Dict[int, float] = defaultdict(float)
         self._duration_s = 0.0
-        machine.add_fold(self._fold)
+        # The cells of the last event map stated.
+        self._events = None
+        self._cells: list = []
+        machine.add_cells(self._state)
 
-    def _fold(self, record, n_ticks: int, leaks: Sequence[float],
-              start_s: float) -> None:
-        shares = attribute_power(record.power, record.events,
-                                 record.cpu_busy, self._core_groups)
-        dt = record.dt_s
-        energy = self._energy_j
-        pids = list(shares)
-        values = vector_fold(
-            [energy[pid] for pid in pids] + [self._duration_s],
-            addend_table([(shares[pid] * dt,) for pid in pids] + [(dt,)]),
-            n_ticks)
-        for pid, value in zip(pids, values):
-            energy[pid] = value
-        self._duration_s = values[-1]
+    def _state(self, record, n_ticks: int) -> Tuple[list, None]:
+        if record.events is not self._events:
+            shares = attribute_power(record.power, record.events,
+                                     record.cpu_busy, self._core_groups)
+            dt = record.dt_s
+            energy = self._energy_j
+            self._cells = [(energy, pid, watts * dt)
+                           for pid, watts in shares.items()]
+            self._cells.append((vars(self), "_duration_s", dt))
+            self._events = record.events
+        return self._cells, None
 
     def detach(self) -> None:
         """Stop observing."""
-        self._machine.remove_fold(self._fold)
+        self._machine.remove_cells(self._state)
 
     @property
     def duration_s(self) -> float:

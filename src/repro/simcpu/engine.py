@@ -43,27 +43,31 @@ replaying a program performs exactly the float operations, in exactly
 the order, that N calls of the tick-at-a-time step would — repeated
 addition per cell rather than a single ``n * delta`` fold, the same
 association order in the power total, the same two data-dependent
-thermal lines per tick.  There is one replay path: the scalar
-recurrences run tick by tick, and the counter and residency cells of a
-longer replay advance together in one ``numpy.add.accumulate`` over a
-table of per-tick addends (:func:`vector_fold`; it adds each cell
-strictly left to right, and cells are independent memory locations, so
-the order across cells is free).  Only the final record is built.
+thermal lines per tick.  The scalar recurrences run tick by tick; only
+the final record is built.
 
-Every subscriber is a *fold* (``Machine.add_fold``), called once per
-replay as ``fold(record, n_ticks, leaks, start_s)``: the final record,
-the tick count, each tick's leakage power (the one per-tick value a
-program does not fix — it follows the temperature recurrence) and the
-machine time the replay started from.  A fold performs the per-tick
-additions itself, in the order a tick-at-a-time loop would, so its state
-ends bit-identical to *n_ticks* one-tick calls.  The replay itself,
-perf and procfs add a one-tick replay inline and a longer one through
-:func:`vector_fold`, with a table each keeps while its inputs hold.
+The replay is the one adder.  Besides its own counter and residency
+cells it adds every cell a subscriber *states* (``Machine.add_cells``):
+perf's counters, procfs's times and the power oracle's energies, each a
+``(container, key, addend)`` in the order one tick adds them, plus a
+per-cell tick count while a counter group rotates or is starved.  A
+one-tick replay adds them in one flat loop; a longer one groups them by
+target once per program and stated lists, and advances each group of
+one width and tick count in one ``numpy.add.accumulate``
+(:func:`vector_fold`; it adds each cell strictly left to right, and
+cells are independent memory locations, so the order across cells is
+free).  Then every *fold* (``Machine.add_fold``: the meters, RAPL's
+package energy, the per-tick observer adapter) is called once as
+``fold(record, n_ticks, leaks, start_s)``: the final record, the tick
+count, each tick's leakage power (the one per-tick value a program does
+not fix — it follows the temperature recurrence) and the machine time
+the replay started from, after every cell is committed.
 """
 
 from __future__ import annotations
 
 from itertools import repeat, zip_longest
+from operator import is_
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,7 +104,7 @@ def addend_table(cells: Sequence[Sequence[float]]) -> np.ndarray:
 
     Column *j* holds cell *j*'s addends in the order one tick adds them;
     a cell with fewer than the widest cell's addends is padded with
-    +0.0, which leaves the bits of any non-negative value unchanged.
+    +0.0.  The replay groups cells by width, so it never pads.
     """
     rows = list(zip_longest(*cells, fillvalue=0.0))
     return np.array(rows, dtype=float).reshape(len(rows), len(cells))
@@ -138,7 +142,7 @@ class TickProgram:
 
     __slots__ = (
         "dt_s", "cpu_busy", "core_freqs", "events", "rows", "residency",
-        "residency_cells", "grouped_cells", "current_states",
+        "residency_cells", "current_states",
         "has_counters", "idle_w", "cores_w", "uncore_w", "dram_w",
         "wakeup_w", "base_w", "dynamic_w",
     )
@@ -168,6 +172,10 @@ class BatchEngine:
         self._key: tuple = ()
         self._program: Optional[TickProgram] = None
         self._layout: Optional[_Layout] = None
+        # The program rows and statements of the last longer replay,
+        # and their cells grouped by target and shape.
+        self._cells_key: list = []
+        self._groups: tuple = ()
 
     # -- compilation ---------------------------------------------------
 
@@ -231,7 +239,6 @@ class BatchEngine:
         program.core_freqs = layout.core_freqs
         program.events = events
         program.rows = rows
-        program.grouped_cells = None  # grouped on the first longer replay
         program.has_counters = bool(rows)
         program.idle_w = breakdown.idle
         program.cores_w = breakdown.cores
@@ -388,33 +395,50 @@ class BatchEngine:
         return activities
 
     @staticmethod
-    def _group_cells(program: TickProgram):
-        """The program's (container, index) cells and their addend table.
+    def _group_cells(program: TickProgram, statements: list) -> tuple:
+        """The (container, index) targets a replay adds into, ordered
+        by shape (addends per tick, tick count), and per shape a (start,
+        end, count, table) slice of them; a count of 0 is left out.
 
-        Cells are independent memory locations, so replay order *across*
-        cells is free; order of repeated addends *within* one cell (two
-        assignments sharing a (pid, cpu) slot, or busy and idle residency
-        both landing in C0) is exactly the order the tick loop folds
-        them, preserved here as the cell's table column so the float
-        rounding matches.
+        Cells are independent memory locations, so replay order
+        *across* cells is free; order of repeated addends *within* one
+        cell (two assignments sharing a (pid, cpu) slot, busy and idle
+        residency both landing in C0, a machine-wide counter covering
+        several deltas) is exactly the order the tick loop adds them,
+        preserved here as the cell's table column.
         """
+        residency = program.residency
+        entries = [(column, slot, addend, None)
+                   for columns, slot, delta in program.rows
+                   for column, addend in zip(columns, delta.values())]
+        entries += [(residency, key, addend, None)
+                    for key, addend in program.residency_cells]
+        for cells, counts in statements:
+            entries += [cell + (count,) for cell, count
+                        in zip(cells, counts or repeat(None))]
         grouped: Dict[Tuple[int, object], list] = {}
-        targets: List[Tuple[object, object]] = []
-
-        def add(container, index, addend):
-            group_key = (id(container), index)
-            addends = grouped.get(group_key)
-            if addends is None:
-                addends = grouped[group_key] = []
-                targets.append((container, index))
-            addends.append(addend)
-
-        for columns, slot, delta in program.rows:
-            for column, addend in zip(columns, delta.values()):
-                add(column, slot, addend)
-        for key, addend in program.residency_cells:
-            add(program.residency, key, addend)
-        return targets, addend_table(list(grouped.values()))
+        for container, index, addend, count in entries:
+            key = (id(container), index)
+            cell = grouped.get(key)
+            if cell is None:
+                grouped[key] = [(container, index), count, addend]
+            else:
+                cell.append(addend)
+        shapes: Dict[tuple, list] = {}
+        for cell in grouped.values():
+            shape = (len(cell), cell[1])
+            if shape in shapes:
+                shapes[shape].append(cell)
+            elif cell[1] != 0:
+                shapes[shape] = [cell]
+        targets: list = []
+        groups = []
+        for (_size, count), cells in shapes.items():
+            start = len(targets)
+            targets += [cell[0] for cell in cells]
+            groups.append((start, len(targets), count,
+                           addend_table([cell[2:] for cell in cells])))
+        return targets, groups
 
     # -- replay --------------------------------------------------------
 
@@ -422,11 +446,12 @@ class BatchEngine:
         """Advance *n_ticks* of the program; returns the final tick's record.
 
         The thermal, energy and time recurrences run tick by tick and
-        record each tick's leakage.  A one-tick replay then adds each
-        row's counts and each residency addend in compile order; a
-        longer one folds every grouped cell at once with
-        :func:`vector_fold`, the identical additions in a cell-local
-        order.  Each fold then sees the final record once.
+        record each tick's leakage.  Each cell-stating subscriber then
+        states its cells for the record; a one-tick replay adds the
+        program's rows, its residency addends and every stated cell in
+        one flat pass, a longer one makes one :func:`vector_fold` per
+        shape (:meth:`_group_cells`).  Each fold then sees the final
+        record once.
         """
         from repro.simcpu.machine import TickRecord
 
@@ -453,27 +478,6 @@ class BatchEngine:
         machine._energy_j = energy
         machine._time_s = time_s
 
-        if n_ticks == 1:
-            for columns, slot, delta in program.rows:
-                for column, addend in zip(columns, delta.values()):
-                    column[slot] += addend
-            residency = program.residency
-            for key, addend in program.residency_cells:
-                residency[key] += addend
-        else:
-            cells = program.grouped_cells
-            if cells is None:
-                cells = program.grouped_cells = self._group_cells(program)
-            targets, table = cells
-            values = vector_fold([container[index]
-                                  for container, index in targets],
-                                 table, n_ticks)
-            for (container, index), value in zip(targets, values):
-                container[index] = value
-        if program.has_counters:
-            machine.counters.mark_dirty()
-        machine.cstates.set_current_states(program.current_states)
-
         record = TickRecord(
             time_s=time_s,
             dt_s=dt,
@@ -485,6 +489,44 @@ class BatchEngine:
             cpu_busy=program.cpu_busy,
             core_frequencies_hz=program.core_freqs,
         )
+        statements = [state(record, n_ticks) for state in machine._cell_states]
+        if n_ticks == 1:
+            for columns, slot, delta in program.rows:
+                for column, addend in zip(columns, delta.values()):
+                    column[slot] += addend
+            residency = program.residency
+            for key, addend in program.residency_cells:
+                residency[key] += addend
+            for cells, counts in statements:
+                if counts is None:
+                    for container, key, addend in cells:
+                        container[key] += addend
+                    continue
+                for (container, key, addend), count in zip(cells, counts):
+                    if count != 0:
+                        container[key] += addend
+        else:
+            # Grouped while the program and the stated lists hold; the
+            # program's rows list stands for it without keeping it alive.
+            key = [program.rows]
+            for statement in statements:
+                key += statement
+            held = self._cells_key
+            if len(held) != len(key) or not all(map(is_, held, key)):
+                self._groups = self._group_cells(program, statements)
+                self._cells_key = key
+            targets, groups = self._groups
+            values = [container[index] for container, index in targets]
+            for start, end, count, table in groups:
+                values[start:end] = vector_fold(
+                    values[start:end], table,
+                    n_ticks if count is None else count)
+            for (container, index), value in zip(targets, values):
+                container[index] = value
+        if program.has_counters:
+            machine.counters.mark_dirty()
+        machine.cstates.set_current_states(program.current_states)
+
         machine.last_record = record
         for fold in machine._folds:
             fold(record, n_ticks, leaks, start_s)

@@ -12,9 +12,10 @@ instruction mix and memory profile — and the machine
 4. accounts C-state residencies,
 5. evaluates the hidden ground-truth power model.
 
-Every step produces a :class:`TickRecord`.  Subscribers (perf counters,
-procfs, power meters, the per-process power oracle) are folds that take
-each engine replay at once.
+Every step produces a :class:`TickRecord`.  Subscribers take each
+engine replay at once: perf counters, procfs and the per-process power
+oracle state the cells they add into, and the engine adds them; power
+meters are folds over the replay's per-tick leakage.
 """
 
 from __future__ import annotations
@@ -74,11 +75,19 @@ class TickRecord:
 
 
 TickObserver = Callable[[TickRecord], None]
-#: ``fold(record, n_ticks, leaks, start_s)``: fold *n_ticks* ticks of one
-#: program, of which *record* is the last, into the subscriber's own
-#: state; ``leaks[i]`` is tick *i*'s leakage power and *start_s* the
-#: machine time before the first tick.
+#: ``fold(record, n_ticks, leaks, start_s)``: take *n_ticks* ticks of one
+#: program, of which *record* is the last, after the engine has added
+#: every stated cell; ``leaks[i]`` is tick *i*'s leakage power and
+#: *start_s* the machine time before the first tick.
 TickFold = Callable[[TickRecord, int, Sequence[float], float], None]
+#: ``state(record, n_ticks) -> (cells, counts)``: the ``(container, key,
+#: addend)`` cells a subscriber adds into on each tick of the replay
+#: ending in *record*, in the order one tick adds them, and None or each
+#: cell's tick count (None: every tick; a multiplexed counter's running
+#: ticks, shared by every entry of one cell).  The engine keeps its
+#: grouping while both lists are the same objects: state a new list to
+#: change one.
+CellState = Callable[[TickRecord, int], Tuple[list, Optional[list]]]
 
 
 class Machine:
@@ -97,6 +106,7 @@ class Machine:
         self._time_s = 0.0
         self._energy_j = 0.0
         self._folds: List[TickFold] = []
+        self._cell_states: List[CellState] = []
         self._observer_folds: Dict[TickObserver, TickFold] = {}
         #: The most recent tick record (None before the first step).
         self.last_record: Optional[TickRecord] = None
@@ -122,15 +132,31 @@ class Machine:
 
     # -- subscribers ---------------------------------------------------
 
+    def add_cells(self, state: CellState) -> None:
+        """Have every replay add *state*'s cells (see :data:`CellState`):
+        the engine calls it once per replay, before any fold, and adds
+        *n_ticks* rounds of each cell's addends itself."""
+        self._cell_states.append(state)
+
+    def remove_cells(self, state: CellState) -> None:
+        """Stop adding *state*'s cells; a no-op if it is not subscribed."""
+        try:
+            self._cell_states.remove(state)
+        except ValueError:
+            pass
+
     def add_fold(self, fold: TickFold) -> None:
         """Subscribe *fold* to every replay, called once per replay.
 
-        A fold may read the record's ``dt_s``, ``events``, ``cpu_busy``,
-        ``core_frequencies_hz`` and the non-leakage power components,
-        which every tick of a replay shares (every replay of one program
-        passes the same mapping objects); per-tick leakage comes in
-        *leaks* and tick times are *start_s* plus repeated ``+ dt_s``.
-        It must leave its state as *n_ticks* one-tick calls would.
+        The engine calls it after it has committed machine state and
+        added every stated cell.  A fold may read the record's ``dt_s``,
+        ``events``, ``cpu_busy``, ``core_frequencies_hz`` and the
+        non-leakage power components, which every tick of a replay
+        shares (every replay of one program passes the same mapping
+        objects); per-tick leakage comes in *leaks* and tick times are
+        *start_s* plus repeated ``+ dt_s``.  It must leave its state as
+        *n_ticks* one-tick calls would; a constant per-tick addition
+        belongs in :meth:`add_cells` instead.
         """
         self._folds.append(fold)
 

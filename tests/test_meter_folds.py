@@ -223,9 +223,10 @@ class TestFoldsMatchTickObservers:
     @settings(max_examples=8, deadline=None)
     def test_rapl_and_oracle_fold_a_multi_tick_segment(self, assignments,
                                                       dt, n_ticks):
-        """RAPL's PP0 and DRAM cells and every oracle pid advance in one
-        vector fold per replay, over as many chunks as the segment
-        needs; their bits match the per-tick observers'."""
+        """RAPL's PP0 and DRAM energies advance in its per-tick leak
+        loop, and every oracle pid's energy and the duration are cells
+        the engine folds over as many chunks as the segment needs; their
+        bits match the per-tick observers'."""
         rig = _drive([(assignments, n_ticks)], dt, dict(
             spy_ticks=3.0, acpi_ticks=3.0, noise=0.0, seed=1,
             dropout=None))

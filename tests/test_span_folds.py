@@ -1,10 +1,10 @@
-"""Unit tests of the span machinery: folds and the clock's span bound.
+"""Unit tests of the span machinery: replays and the clock's span bound.
 
-A fold takes a batch of identical ticks in one call, so
-``fold(record, n, leaks, start_s)`` must leave its owner exactly where
-*n* one-tick calls leave it.  The clock's span bound must name the very
-quantum on which stepping one quantum at a time publishes, float drift
-included.
+An engine replay takes a batch of identical ticks in one call, so
+replaying a program for *n* ticks must leave perf and procfs exactly
+where *n* one-tick replays leave them.  The clock's span bound must name
+the very quantum on which stepping one quantum at a time publishes,
+float drift included.
 """
 
 import pytest
@@ -31,16 +31,19 @@ def _assignment(pid, cpu_id, busy):
 
 @pytest.fixture(scope="module")
 def record():
-    """One tick of pid 100 on cpus 0 and 1, pid 101 part-time on cpu 2."""
-    machine = Machine(SPEC)
-    return machine.step([_assignment(100, 0, 1.0), _assignment(100, 1, 0.6),
-                         _assignment(101, 2, 0.35)], 0.001)
+    """The occupancy replayed: pid 100 on cpus 0 and 1, pid 101
+    part-time on cpu 2."""
+    return [_assignment(100, 0, 1.0), _assignment(100, 1, 0.6),
+            _assignment(101, 2, 0.35)]
 
 
 def _fold(owner, record, n_ticks):
-    """Fold *n_ticks* copies of *record*'s tick into *owner*."""
-    owner._fold(record, n_ticks, [record.power.leakage] * n_ticks,
-                record.time_s - record.dt_s)
+    """Replay *n_ticks* ticks of the *record* occupancy on *owner*'s
+    machine."""
+    machine = owner.machine if isinstance(owner, PerfSession) else (
+        owner._machine)
+    engine = machine.engine
+    engine.replay(engine.program(record, 0.001), n_ticks)
 
 
 def _session(setup):
