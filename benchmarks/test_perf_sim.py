@@ -8,8 +8,11 @@ is tracked by:
   :class:`CpuStress`: one poll per steady run and one engine replay,
 * ``ramp_quanta_per_sec`` — the same on a 2-thread
   :class:`SpecJbbWorkload` inside its ramp, where the demand moves on
-  every quantum, so each quantum pays a poll, a placement, a compile and
-  a one-tick replay (most of the canonical live run's wall time),
+  every quantum: each quantum pays a poll and a placement, and the
+  engine holds the quanta that share one layout as a ramp run, filled
+  as numpy columns and replayed once per run (one 5 000-quantum span,
+  so runs end at ``FOLD_CHUNK_ROWS`` quanta; the ramp is most of the
+  canonical live run's wall time),
 * ``campaign_wall_by_workers`` — wall time of the default Figure 1
   sampling campaign (840 runs) at 1, 2 and 4 pool workers, with the
   chunked per-worker dispatch.

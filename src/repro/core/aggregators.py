@@ -57,8 +57,10 @@ class TimestampAggregator(PipelineStage):
     sits them out, or a formula crashed on the period's report), once a
     later period's message arrives: when the time moves more than one
     period past the last report, each skipped period gets a
-    ``gap:missing`` report.  Periods after the last message of a run
-    (a backoff that outlasts it) stay unreported.
+    ``gap:missing`` report.  The periods after the last message of a run
+    (a backoff that outlasts it, a stopped formula) get theirs on a
+    :class:`FlushAggregates` that carries the kernel time: each later
+    period that ended by then.
     """
 
     subscribes_to = (PowerReport, GapMarker)
@@ -112,6 +114,23 @@ class TimestampAggregator(PipelineStage):
                                   "missing")
         self._pending_time = time_s
         self._pending_period = period_s
+
+    def receive(self, message) -> None:
+        super().receive(message)
+        if isinstance(message, FlushAggregates) and message.time_s is not None:
+            self._mark_missing_until(message.time_s)
+
+    def _mark_missing_until(self, time_s: float) -> None:
+        """A ``gap:missing`` report for each period after the last one
+        whose end (``last + k * period``) is at or before *time_s*."""
+        last_s, period_s = self._pending_time, self._pending_period
+        if last_s < 0.0:
+            return
+        index = 1
+        while last_s + index * period_s <= time_s + 1e-12:
+            self._publish_gap(last_s + index * period_s, period_s, "missing")
+            index += 1
+        self._pending_time = last_s + (index - 1) * period_s
 
     def handle(self, message) -> None:
         if isinstance(message, GapMarker):

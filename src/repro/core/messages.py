@@ -90,10 +90,14 @@ class GapMarker(SensorReport):
 class FlushAggregates:
     """Ask every flushable stage to publish/persist its pending state.
 
+    *time_s* is the kernel time the run reached (None: not known): a
+    stage that marks missing periods marks the ones that ended by then.
     Historically defined in :mod:`repro.core.aggregators`; it lives with
     the other bus messages so the shared stage lifecycle
     (:mod:`repro.core.stage`) can route it without import cycles.
     """
+
+    time_s: Optional[float] = None
 
 
 @dataclass(frozen=True)

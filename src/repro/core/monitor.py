@@ -493,8 +493,10 @@ class PowerAPI:
             self._run_span(sys.maxsize, deadline_s)
 
     def flush(self) -> None:
-        """Force aggregators to emit partial/summary reports."""
-        self.system.event_bus.publish(FlushAggregates())
+        """Force aggregators to emit partial/summary reports, and to mark
+        the periods that ended with no message since the last."""
+        self.system.event_bus.publish(
+            FlushAggregates(time_s=self.kernel.time_s))
         self.system.dispatch()
 
     def shutdown(self) -> None:

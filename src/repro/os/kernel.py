@@ -8,14 +8,18 @@ assignments, advances the machine and updates process accounting.
 :meth:`run_span` is the one loop.  It polls processes, governor and
 scheduler once per steady run of quanta: when every polled program's
 demand holds for several quanta (its demand horizon) and the governor's
-update is a fixed point, the run is accounted after that one poll.  A
-run of identical quanta lasts while the engine hands back the same
-program object (it keeps its last one while the assignments and the
-frequency domain's generation repeat), and is replayed with one engine
-call when it ends.  :meth:`tick` is a span of one quantum, :meth:`run`
-a span for a duration; :meth:`run_until_idle` ticks until every process
-exits.  :class:`~repro.core.monitor.PowerAPI` cuts its runs into spans
-at the quanta its actors must see.
+update is a fixed point, the run is accounted after that one poll.  It
+compiles nothing itself: each poll's assignments go to the engine
+(``BatchEngine.hold``), which repeats the quantum it holds while the
+assignments and the frequency domain's generation repeat, and holds a
+SPECjbb-like ramp (a new busy fraction every quantum, one layout) as
+rows of floats, replaying each run once when it ends.  The span's last
+run is replayed in a ``finally``, so a quantum that raises leaves
+machine state as the quanta before it did.  :meth:`tick` is a span of
+one quantum, :meth:`run` a span for a duration; :meth:`run_until_idle`
+ticks until every process exits.
+:class:`~repro.core.monitor.PowerAPI` cuts its runs into spans at the
+quanta its actors must see.
 """
 
 from __future__ import annotations
@@ -97,12 +101,12 @@ class SimKernel:
         governor's update is a fixed point: the quanta it covers would
         poll the same demands, move no governor state and get the same
         assignments (the scheduler is a pure function of the demands).
-        Machine state (time, energy, counters) moves only when a run of
-        identical quanta is replayed, the last one before this returns.
-        The program replayed is the one compiled on the run's first
-        quantum: it froze the frequencies the run used, even if the
-        governor has moved a target since.  With *until_idle* the span
-        ends after the quantum in which the last live process exited.
+        Machine state (time, energy, counters) moves only when the
+        engine replays what it holds, the last of it before this
+        returns.  Each run froze the frequencies of its first quantum,
+        even if the governor has moved a target since (a move ends the
+        run).  With *until_idle* the span ends after the quantum in
+        which the last live process exited.
         """
         engine = self.machine.engine
         governor = self.governor
@@ -110,7 +114,7 @@ class SimKernel:
         processes = self._processes.values()
         held = None
         granted: Dict[int, float] = {}
-        count = ran = 0
+        ran = 0
         try:
             while ran < n_quanta:
                 demands: List[Tuple[SimProcess, Demand]] = []
@@ -122,20 +126,17 @@ class SimKernel:
 
                 governor.update(self._last_busy)
                 assignments = self.scheduler.assign(demands)
-                program = engine.program(assignments, quantum)
-                if program is not held:
-                    if count:
-                        replayed, count = count, 0
-                        engine.replay(held, replayed)
-                    held = program
+                # The engine owns this busy map and nothing mutates it; it
+                # is the same object while the quantum repeats.
+                cpu_busy = engine.hold(assignments, quantum)
+                if cpu_busy is not held:
+                    held = cpu_busy
                     granted = {}
                     for assignment in assignments:
                         granted[assignment.pid] = (
                             granted.get(assignment.pid, 0.0)
                             + assignment.busy_fraction)
-                # The program owns its busy map and nothing mutates it;
-                # it is the map this quantum's record carries.
-                self._last_busy = program.cpu_busy
+                self._last_busy = cpu_busy
 
                 idle = until_idle and not demands
                 quanta = 1 if idle else n_quanta - ran
@@ -143,10 +144,9 @@ class SimKernel:
                     if quanta == 1:
                         break
                     quanta = process.demand_horizon(quantum, quanta)
-                if quanta > 1 and not governor.is_fixed_point(
-                        program.cpu_busy):
+                if quanta > 1 and not governor.is_fixed_point(cpu_busy):
                     quanta = 1
-                count += quanta
+                engine.extend(quanta)
                 for process, _demand in demands:
                     process.account(granted.get(process.pid, 0.0) * quantum,
                                     quantum, quanta)
@@ -154,8 +154,7 @@ class SimKernel:
                 if idle:
                     break
         finally:
-            if count:
-                engine.replay(held, count)
+            engine.flush()
         return ran
 
     def tick(self) -> TickRecord:

@@ -6,7 +6,9 @@ PowerAPI ``ProcFsSensor`` read: cumulative per-process CPU time (as
 Per machine replay (a batch of identical ticks) it states the cells one
 tick adds — uptime, each CPU's busy time, each pid's CPU time — and the
 engine adds them, so it sees exactly what the simulated kernel sees —
-no access to the hidden power model.
+no access to the hidden power model.  Over a ramp run's record the busy
+fractions and cycle counts are columns, and the same arithmetic states
+one column of addends per cell.
 """
 
 from __future__ import annotations

@@ -9,13 +9,13 @@ of this pressure.
 The scheduler here groups active counters by their (pid, cpu) target —
 counters on the same target compete for the same slots — and rotates which
 ones count each tick, giving every event an equal share of PMU time over
-any window longer than a few ticks.
+any window longer than a few ticks.  Over a replay it reports which ticks
+each counter ran, since over a ramp run every tick counts its own value.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
@@ -77,28 +77,30 @@ class MultiplexScheduler:
         return scheduled
 
     def running_ticks(self, counters: Sequence,
-                      n_ticks: int) -> Dict[int, int]:
-        """Ticks each of *counters* holds a slot over *n_ticks* ticks.
+                      n_ticks: int) -> Dict[int, Sequence[int]]:
+        """The ticks (0 to *n_ticks* - 1) each of *counters* holds a slot.
 
         Keyed by ``counter_id`` (counters never scheduled are absent);
         leaves the rotation state exactly as *n_ticks* :meth:`schedule`
         calls would.  A schedule in which every group fits (or no slot
         is usable) repeats unchanged, so it is kept and reused while the
-        counters and the usable slots hold; only a rotating group costs
-        one :meth:`schedule` call per tick.
+        counters and the usable slots hold, and each scheduled counter
+        runs on ``range(n_ticks)``; only a rotating group costs one
+        :meth:`schedule` call per tick, and lists its counters' ticks.
         """
         slots = self.effective_slots
         held = self._held
         if held is not None and held[0] == slots and held[1] == counters:
-            return dict.fromkeys(held[2], n_ticks)
+            return dict.fromkeys(held[2], range(n_ticks))
         scheduled = self.schedule(counters)
         if not self._rotates(counters):
             self._held = (slots, list(counters), scheduled)
-            return dict.fromkeys(scheduled, n_ticks)
-        running = dict.fromkeys(scheduled, 1)
-        for _ in repeat(None, n_ticks - 1):
+            return dict.fromkeys(scheduled, range(n_ticks))
+        running: Dict[int, List[int]] = {
+            counter_id: [0] for counter_id in scheduled}
+        for tick in range(1, n_ticks):
             for counter_id in self.schedule(counters):
-                running[counter_id] = running.get(counter_id, 0) + 1
+                running.setdefault(counter_id, []).append(tick)
         return running
 
     def _rotates(self, counters: Sequence) -> bool:

@@ -24,7 +24,9 @@ import it.  Tests and benchmarks use it as the per-process oracle.
 :class:`TrueProcessPower` states its cells to the machine.  Attribution
 ignores leakage, so every tick of a program has the same shares: it
 attributes once per event map and states each pid's ``watts * dt`` and
-the duration's ``dt``, which the engine adds once per tick.
+the duration's ``dt``, which the engine adds once per tick.  Over a
+ramp run it attributes tick by tick (``RunRecord.ticks``) and states
+each pid's column of energies.
 """
 
 from __future__ import annotations
@@ -33,8 +35,11 @@ import math
 from collections import defaultdict
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from repro.simcpu import counters as ev
 from repro.simcpu.counters import EventDelta
+from repro.simcpu.machine import RunRecord
 from repro.simcpu.power import SMT_SECOND_THREAD_FACTOR, PowerBreakdown
 from repro.units import left_sum
 
@@ -157,12 +162,25 @@ class TrueProcessPower:
 
     def _state(self, record, n_ticks: int) -> Tuple[list, None]:
         if record.events is not self._events:
-            shares = attribute_power(record.power, record.events,
-                                     record.cpu_busy, self._core_groups)
             dt = record.dt_s
             energy = self._energy_j
-            self._cells = [(energy, pid, watts * dt)
-                           for pid, watts in shares.items()]
+            if isinstance(record, RunRecord):
+                # Attributed tick by tick; a pid adds +0.0 on a tick
+                # that charges it nothing.
+                energies: Dict[int, List[float]] = {}
+                for tick, tick_record in enumerate(record.ticks()):
+                    for pid, watts in attribute_power(
+                            tick_record.power, tick_record.events,
+                            tick_record.cpu_busy, self._core_groups).items():
+                        energies.setdefault(pid, [0.0] * n_ticks)[tick] = (
+                            watts * dt)
+                self._cells = [(energy, pid, np.array(values))
+                               for pid, values in energies.items()]
+            else:
+                shares = attribute_power(record.power, record.events,
+                                         record.cpu_busy, self._core_groups)
+                self._cells = [(energy, pid, watts * dt)
+                               for pid, watts in shares.items()]
             self._cells.append((vars(self), "_duration_s", dt))
             self._events = record.events
         return self._cells, None

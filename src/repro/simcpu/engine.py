@@ -33,10 +33,20 @@ granted core frequencies and the instruction power weights.  The
 event counts, the C-state cells and the power breakdown.  The engine
 keeps one layout, keyed on each assignment's (pid, cpu, mix, memory,
 busy > 0) and the frequency generation, so a quantum whose demand moved
-without moving its shape (a SPECjbb ramp) fills in values only.  Each
-layout row keeps its last values: its execution rates while its
-sibling's busy holds, and its event counts while its own busy and dt
-hold too.
+without moving its shape fills in values only.
+
+A SPECjbb ramp moves its demand on every quantum without moving its
+shape, so the kernel holds its quanta here (:meth:`BatchEngine.hold`)
+rather than compiling each.  A *ramp run* is consecutive one-tick
+quanta with one dt whose assignments share the layout key: its first
+quantum compiles as usual, each later one joins as a row of busy
+fractions, and at its end (the layout key or dt changes, a quantum
+repeats, :data:`FOLD_CHUNK_ROWS` quanta, or the end of the span) one
+:meth:`BatchEngine.replay_run` fills the values of every quantum at
+once as numpy columns (:meth:`BatchEngine._fill`, the column twin of
+the scalar compile) and replays them.  A quantum that forms no run of
+two or more keeps the scalar compile, which is cheaper for one quantum
+(a fresh machine in the learning campaign, a one-quantum span).
 
 Bit-identity is the hard contract (the golden dataset tests pin it):
 replaying a program performs exactly the float operations, in exactly
@@ -44,7 +54,11 @@ the order, that N calls of the tick-at-a-time step would — repeated
 addition per cell rather than a single ``n * delta`` fold, the same
 association order in the power total, the same two data-dependent
 thermal lines per tick.  The scalar recurrences run tick by tick; only
-the final record is built.
+the final record is built.  A run's columns hold the same floats: numpy
+rounds elementwise ``+ - * /``, ``minimum`` and ``maximum`` as Python
+does, each expression keeps Python's association, every branch is an
+``np.where`` and ``gtps ** 0.85`` stays one Python power per tick
+(``np.power`` rounds differently).
 
 The replay is the one adder.  Besides its own counter and residency
 cells it adds every cell a subscriber *states* (``Machine.add_cells``):
@@ -56,12 +70,16 @@ target once per program and stated lists, and advances each group of
 one width and tick count in one ``numpy.add.accumulate``
 (:func:`vector_fold`; it adds each cell strictly left to right, and
 cells are independent memory locations, so the order across cells is
-free).  Then every *fold* (``Machine.add_fold``: the meters, RAPL's
-package energy, the per-tick observer adapter) is called once as
-``fold(record, n_ticks, leaks, start_s)``: the final record, the tick
-count, each tick's leakage power (the one per-tick value a program does
-not fix — it follows the temperature recurrence) and the machine time
-the replay started from, after every cell is committed.
+free).  A run's subscribers state its cells once, over a
+:class:`~repro.simcpu.machine.RunRecord` whose moving values are
+columns, and each shape's table holds one block per tick
+(:func:`tick_fold`).  Then every *fold* (``Machine.add_fold``: the
+meters, RAPL's package energy, the per-tick observer adapter) is called
+once as ``fold(record, n_ticks, leaks, start_s)``: the final record, the
+tick count, each tick's leakage power (the one per-tick value a program
+does not fix — it follows the temperature recurrence) and the machine
+time the replay started from, after every cell is committed.  Folds see
+only programs: while one is attached no run forms.
 """
 
 from __future__ import annotations
@@ -95,7 +113,8 @@ ROW_EVENTS: Tuple[str, ...] = (
 
 #: Most rows one accumulate pass holds: a longer fold runs in chunks of
 #: this many rows (ticks times the table's width), so its buffer stays
-#: bounded however many ticks a replay covers.
+#: bounded however many ticks a replay covers.  A ramp run ends at this
+#: many quanta, which bounds its buffers the same way.
 FOLD_CHUNK_ROWS = 1024
 
 
@@ -136,25 +155,47 @@ def vector_fold(start: Sequence[float], table: np.ndarray,
     return row.tolist()
 
 
+def tick_fold(start: Sequence[float], addends: Sequence[Sequence],
+              n_ticks: int) -> List[float]:
+    """Each cell of *start* after *n_ticks* ticks whose addends move.
+
+    ``addends[j]`` holds cell *j*'s addends in the order one tick adds
+    them, each a column of one value per tick or a float every tick
+    adds; every cell has as many.  The table holds one block per tick,
+    and ``numpy.add.accumulate`` adds each cell's values strictly in
+    tick order, as *n_ticks* one-tick replays would.  Returns Python
+    floats.
+    """
+    cells, width = len(addends), len(addends[0])
+    body = np.empty((cells, n_ticks, width))
+    for cell, cell_addends in zip(body, addends):
+        for slot, addend in enumerate(cell_addends):
+            cell[:, slot] = addend
+    rows = np.empty((cells, n_ticks * width + 1))
+    rows[:, 0] = start
+    rows[:, 1:] = body.reshape(cells, n_ticks * width)
+    np.add.accumulate(rows, axis=1, out=rows)
+    return rows[:, -1].tolist()
+
+
 class TickProgram:
     """Everything about one steady (occupancy, dt, P-states) combination
     that does not change from tick to tick."""
 
     __slots__ = (
         "dt_s", "cpu_busy", "core_freqs", "events", "rows", "residency",
-        "residency_cells", "current_states",
+        "residency_cells", "current_states", "layout", "busy",
         "has_counters", "idle_w", "cores_w", "uncore_w", "dram_w",
         "wakeup_w", "base_w", "dynamic_w",
     )
 
 
 class _Row:
-    """One running assignment's place in a layout, and its last values."""
+    """One running assignment's place in a layout."""
 
     __slots__ = (
-        "index", "key", "others", "frequency_hz", "mix", "behaviour",
-        "weight", "columns", "slot", "sibling_busy", "rates", "busy",
-        "dt_s", "delta",
+        "index", "key", "others", "sibling_columns", "frequency_hz", "mix",
+        "behaviour", "weight", "columns", "slot", "branches", "misses",
     )
 
 
@@ -165,7 +206,8 @@ class _Layout:
 
 
 class BatchEngine:
-    """Compiles steady occupancies into tick programs and replays them."""
+    """Compiles steady occupancies into tick programs and replays them;
+    holds ramp runs and replays each once."""
 
     def __init__(self, machine: "Machine") -> None:
         self._machine = machine
@@ -176,6 +218,17 @@ class BatchEngine:
         # and their cells grouped by target and shape.
         self._cells_key: list = []
         self._groups: tuple = ()
+        #: Column of each CPU's busy fraction, in the occupancy's order.
+        self._cpu_column = {
+            cpu_id: column for column, cpu_id in enumerate(machine._zero_busy)}
+        # The held run: its first quantum's program, the busy fractions
+        # of each later quantum (one tick each) and their CPUs' busy,
+        # and the key, busy map and ticks of the quantum held last.
+        self._held: Optional[TickProgram] = None
+        self._busy: list = []
+        self._cpu_busy: list = []
+        self._last: Optional[tuple] = None
+        self._ticks = 0
 
     # -- compilation ---------------------------------------------------
 
@@ -197,14 +250,17 @@ class BatchEngine:
             self._key = key
         return self._program
 
+    def _layout_key(self, assignments, generation: int) -> tuple:
+        return (tuple([(a.pid, a.cpu_id, a.mix, a.memory,
+                        a.busy_fraction > 0.0) for a in assignments]),
+                generation)
+
     def _compile(self, assignments: Tuple["ThreadAssignment", ...],
                  dt_s: float, generation: int) -> TickProgram:
         """Fill this occupancy's values into its (cached) layout."""
         machine = self._machine
         cpu_busy = machine._validate_occupancy(assignments)
-        key = (tuple([(a.pid, a.cpu_id, a.mix, a.memory,
-                       a.busy_fraction > 0.0) for a in assignments]),
-               generation)
+        key = self._layout_key(assignments, generation)
         layout = self._layout
         if layout is None or layout.key != key:
             layout = self._layout = self._lay_out(assignments, cpu_busy, key)
@@ -239,6 +295,8 @@ class BatchEngine:
         program.core_freqs = layout.core_freqs
         program.events = events
         program.rows = rows
+        program.layout = layout
+        program.busy = [a.busy_fraction for a in assignments]
         program.has_counters = bool(rows)
         program.idle_w = breakdown.idle
         program.cores_w = breakdown.cores
@@ -263,6 +321,7 @@ class BatchEngine:
         machine = self._machine
         core_freqs = machine._effective_frequencies(cpu_busy)
         cpu_core_key = machine._cpu_core_key
+        cpu_column = self._cpu_column
         zero_row = dict.fromkeys(ROW_EVENTS, 0.0)
         running = [(index, assignment)
                    for index, assignment in enumerate(assignments)
@@ -283,14 +342,17 @@ class BatchEngine:
             row.index = index
             row.key = (assignment.pid, cpu_id)
             row.others = machine._other_siblings[cpu_id]
+            row.sibling_columns = [cpu_column[other] for other in row.others]
             row.frequency_hz = core_freqs[core_key]
             row.mix = assignment.mix
             row.behaviour = machine.caches.behaviour(assignment.memory,
                                                      coresident_sets)
+            rates = machine.pipeline.rates(row.mix, row.behaviour)
+            row.branches = rates.branches_per_instruction
+            row.misses = rates.branch_misses_per_instruction
             row.weight = assignment.mix.power_weight()
             row.columns = tuple(column for column, _slot, _zero in cells)
             row.slot = cells[0][1]
-            row.sibling_busy = None  # equals no busy: the first fill derives
             rows.append(row)
             core_rows.setdefault(core_key, []).append(row)
 
@@ -306,29 +368,19 @@ class BatchEngine:
 
     def _row_values(self, row: _Row, busy: float,
                     cpu_busy: Dict[int, float], dt_s: float) -> EventDelta:
-        """One assignment's event counts for a tick of *dt_s*.
-
-        Execution rates follow the busiest SMT sibling, so they are
-        re-derived only when that busy moved; the counts only when the
-        rates, the assignment's own busy or dt moved.
-        """
+        """One assignment's event counts for a tick of *dt_s*; execution
+        rates follow the busiest SMT sibling."""
         machine = self._machine
         sibling_busy = max([cpu_busy[sibling] for sibling in row.others],
                            default=0.0)
-        if sibling_busy != row.sibling_busy:
-            row.rates = machine.pipeline.rates(row.mix, row.behaviour,
-                                               sibling_busy)
-            row.sibling_busy = sibling_busy
-        elif busy == row.busy and dt_s == row.dt_s:
-            return row.delta
-        rates = row.rates
+        rates = machine.pipeline.rates(row.mix, row.behaviour, sibling_busy)
         behaviour = row.behaviour
         frequency_hz = row.frequency_hz
         busy_seconds = busy * dt_s
         instructions = machine.pipeline.instructions_in(
             rates, frequency_hz, busy_seconds)
         cycles = frequency_hz * busy_seconds
-        delta = EventDelta({
+        return EventDelta({
             ev.INSTRUCTIONS: instructions,
             ev.CYCLES: cycles,
             ev.REF_CYCLES: machine.spec.max_frequency_hz * busy_seconds,
@@ -346,10 +398,6 @@ class BatchEngine:
             ev.STALLED_CYCLES_FRONTEND:
                 cycles * rates.frontend_stall_fraction,
         })
-        row.busy = busy
-        row.dt_s = dt_s
-        row.delta = delta
-        return delta
 
     def _activities(self, program: TickProgram, layout: _Layout,
                     assignments, cpu_busy, dt_s) -> List[CoreActivity]:
@@ -394,28 +442,297 @@ class BatchEngine:
         program.current_states = current_states
         return activities
 
+    # -- ramp runs -----------------------------------------------------
+
+    def hold(self, assignments: Sequence["ThreadAssignment"],
+             dt_s: float) -> Dict[int, float]:
+        """Hold one more quantum of *assignments*; returns its per-CPU
+        busy map (the same object while the quantum repeats).
+
+        A quantum equal to the one held last repeats it.  One that
+        shares the held run's layout key and dt joins the run as one
+        row of floats, validated now but not compiled, while the run's
+        quanta each last one tick, it is shorter than
+        :data:`FOLD_CHUNK_ROWS` and no fold is attached.  Any other
+        quantum ends the held run (:meth:`flush`) and starts the next
+        from its compiled :meth:`program`.  :meth:`extend` gives the
+        quantum held last its ticks.
+        """
+        held = self._held
+        if held is None:
+            return self._hold_program(assignments, dt_s)
+        machine = self._machine
+        generation = machine.frequency.generation
+        key = (tuple(assignments), dt_s, generation)
+        last = self._last
+        if key == last[0]:
+            return last[1]
+        if (self._ticks == 1 and dt_s == held.dt_s and not machine._folds
+                and len(self._busy) < FOLD_CHUNK_ROWS - 1
+                and self._layout_key(key[0], generation) == held.layout.key):
+            cpu_busy = machine._validate_occupancy(key[0])
+            self._busy.append([a.busy_fraction for a in key[0]])
+            self._cpu_busy.append(list(cpu_busy.values()))
+            self._last = (key, cpu_busy)
+            self._ticks = 0
+            return cpu_busy
+        self.flush()
+        return self._hold_program(key[0], dt_s)
+
+    def _hold_program(self, assignments, dt_s: float) -> Dict[int, float]:
+        """Hold the compiled program of (*assignments*, *dt_s*), with
+        nothing held; returns its busy map."""
+        program = self._held = self.program(assignments, dt_s)
+        self._last = (self._key, program.cpu_busy)
+        return program.cpu_busy
+
+    def extend(self, n_ticks: int) -> None:
+        """Give the quantum held last *n_ticks* more ticks.
+
+        A later quantum of a run lasts one tick: one that repeats ends
+        the run before it and is held as a compiled program instead (its
+        key holds the generation it was held at, so the program freezes
+        the same frequencies).
+        """
+        self._ticks += n_ticks
+        if self._busy and self._ticks > 1:
+            ticks = self._ticks
+            self._busy.pop()
+            self._cpu_busy.pop()
+            self._ticks = 1
+            key = self._last[0]
+            self.flush()
+            self._hold_program(key[0], key[1])
+            self._ticks = ticks
+
+    def flush(self) -> None:
+        """Replay the held run and hold nothing: its first quantum's
+        program alone for its ticks, or every quantum, one tick each, in
+        one :meth:`replay_run`."""
+        held, busy, cpu_busy = self._held, self._busy, self._cpu_busy
+        if held is None:
+            return
+        ticks = self._ticks
+        if busy:  # the first quantum had one tick
+            if not ticks:  # the last quantum got none
+                busy.pop()
+                cpu_busy.pop()
+            ticks = 1
+        self._held = self._last = None
+        self._busy, self._cpu_busy = [], []
+        self._ticks = 0
+        if busy:
+            busy.insert(0, held.busy)
+            cpu_busy.insert(0, list(held.cpu_busy.values()))
+            self.replay_run(held, busy, cpu_busy)
+        elif ticks:
+            self.replay(held, ticks)
+
+    def _fill(self, layout: _Layout, dt_s: float, busy: np.ndarray,
+              cpu_busy: np.ndarray) -> tuple:
+        """The values of one tick per row of *busy* (ticks x
+        assignments) and *cpu_busy* (ticks x CPUs), as numpy columns.
+
+        The column twin of :meth:`_compile`: each value is the float the
+        scalar compile derives for that tick, in the same association
+        orders, sums from 0.0 left to right, ``np.maximum`` and
+        ``np.minimum`` for ``max`` and ``min``, ``np.where`` for each
+        branch.  Returns ``(counts, events, residency_cells,
+        current_states, power)``: each row's 14 counts (in
+        :data:`ROW_EVENTS` order), the counts per (pid, cpu) summed in
+        row order, the C-state cells (an idle cell adds +0.0 on the
+        ticks its state was not chosen), the last tick's states and the
+        ``[cores, uncore, dram, wakeup]`` watts.
+        """
+        machine = self._machine
+        pipeline = machine.pipeline
+        ticks = len(busy)
+        max_hz = machine.spec.max_frequency_hz
+        line_bytes = machine._line_bytes_cached
+        counts = []
+        events: Dict[Tuple[int, int], np.ndarray] = {}
+        llc_refs = dram_bytes = np.zeros(ticks)
+        for row in layout.rows:
+            columns = row.sibling_columns
+            sibling_busy = None
+            for column in columns:
+                sibling_busy = (cpu_busy[:, column] if sibling_busy is None
+                                else np.maximum(sibling_busy,
+                                                cpu_busy[:, column]))
+            ipc, backend, frontend = pipeline.rate_columns(
+                row.mix, row.behaviour, sibling_busy)
+            busy_s = busy[:, row.index] * dt_s
+            instructions = ipc * row.frequency_hz * busy_s
+            cycles = row.frequency_hz * busy_s
+            behaviour = row.behaviour
+            refs = instructions * behaviour.llc_references
+            misses = instructions * behaviour.llc_misses
+            delta = np.array([
+                instructions, cycles, max_hz * busy_s,
+                cycles * BUS_CYCLE_RATIO, instructions * row.branches,
+                instructions * row.misses, refs, misses, refs, misses,
+                instructions * behaviour.l1_references,
+                instructions * behaviour.l1_misses,
+                cycles * backend, cycles * frontend])
+            counts.append(delta)
+            existing = events.get(row.key)
+            events[row.key] = delta if existing is None else existing + delta
+            llc_refs = llc_refs + refs
+            dram_bytes = dram_bytes + misses * line_bytes
+
+        cstates = machine.cstates
+        states = cstates.states
+        cpu_column = self._cpu_column
+        cores = []
+        cells: list = []
+        current_states: Dict[int, str] = {}
+        for core_cpus, frequency_hz, core_rows in layout.cores:
+            thread_busy = cpu_busy[:, [cpu_column[cpu_id]
+                                       for cpu_id in core_cpus]]
+            weight = 1.0
+            if core_rows:
+                total_busy = weighted = 0.0
+                for row in core_rows:
+                    total_busy = total_busy + busy[:, row.index]
+                    weighted = weighted + busy[:, row.index] * row.weight
+                weight = np.divide(weighted, total_busy, out=np.ones(ticks),
+                                   where=total_busy > 0)
+            expected_idle_s = (1.0 - thread_busy.max(axis=1)) * dt_s
+            chosen = np.zeros(ticks, dtype=int)
+            for index, state in enumerate(states):
+                chosen = np.where(expected_idle_s >= state.target_residency_s,
+                                  index, chosen)
+            last = chosen[-1].item()
+            for cpu_id, thread in zip(core_cpus, thread_busy.T):
+                cells.append(((cpu_id, "C0"), thread * dt_s))
+                idle_s = (1.0 - thread) * dt_s
+                idles = idle_s > 0.0
+                for index in np.unique(chosen[idles]).tolist():
+                    cells.append(((cpu_id, states[index].name), np.where(
+                        idles & (chosen == index), idle_s, 0.0)))
+                current_states[cpu_id] = (states[last].name if idles[-1]
+                                          else "C0")
+            fractions = np.array([state.power_fraction for state in states])
+            cores.append((frequency_hz, thread_busy, weight,
+                          fractions[chosen]))
+        power = machine.power_model.power_columns(
+            cores, llc_refs / dt_s, dram_bytes / dt_s)
+        return counts, events, cells, current_states, power
+
+    def replay_run(self, first: TickProgram, busy: list,
+                   cpu_busy: list) -> "TickRecord":
+        """Advance one tick per row of *busy*: a run of quanta that share
+        *first*'s layout and dt, each with its own busy fractions (one
+        list per quantum, in assignment order) and per-CPU busy (in CPU
+        order).  Returns the last tick's record.
+
+        The values are filled as columns (:meth:`_fill`); the thermal
+        and energy recurrences run tick by tick on each tick's own
+        terms.  Each cell-stating subscriber then states the run's cells
+        in one call, given a :class:`~repro.simcpu.machine.RunRecord`
+        whose per-tick values are columns, and every cell is added with
+        one :func:`tick_fold` per shape.  A run never forms while a fold
+        is attached (:meth:`hold`), so no fold sees one.
+        """
+        from repro.simcpu.machine import RunRecord, TickRecord
+
+        machine = self._machine
+        layout = first.layout
+        dt = first.dt_s
+        ticks = len(busy)
+        last_busy = cpu_busy[-1]
+        cpu_busy = np.array(cpu_busy)
+        counts, events, residency_cells, current_states, power = self._fill(
+            layout, dt, np.array(busy), cpu_busy)
+        cores_w, uncore_w, dram_w, wakeup_w = power
+        idle_w = first.idle_w
+        dynamic_w = ((cores_w + uncore_w) + dram_w) + wakeup_w
+        base_w = ((idle_w + cores_w) + uncore_w) + dram_w
+
+        thermal = machine.thermal
+        _target, decay, leak_per_c, ambient_c = thermal.batch_constants(
+            0.0, dt)
+        targets = ambient_c + thermal.c_per_watt * dynamic_w
+        temp = thermal.temperature_c
+        energy = machine._energy_j
+        start_s = time_s = machine._time_s
+        leaks = []
+        leak = 0.0
+        for target_c, tick_base_w, tick_wakeup_w in zip(
+                targets.tolist(), base_w.tolist(), wakeup_w.tolist()):
+            temp += (target_c - temp) * decay
+            rise_c = temp - ambient_c
+            leak = leak_per_c * (rise_c if rise_c > 0.0 else 0.0)
+            leaks.append(leak)
+            energy += ((tick_base_w + leak) + tick_wakeup_w) * dt
+            time_s += dt
+        thermal.temperature_c = temp
+        machine._energy_j = energy
+        machine._time_s = time_s
+
+        cpus = list(first.cpu_busy)
+        run = RunRecord(
+            start_s=start_s,
+            dt_s=dt,
+            power=PowerBreakdown(
+                idle=idle_w, cores=cores_w, uncore=uncore_w, dram=dram_w,
+                leakage=np.array(leaks), wakeup=wakeup_w),
+            events={key: dict(zip(ROW_EVENTS, delta))
+                    for key, delta in events.items()},
+            cpu_busy=dict(zip(cpus, cpu_busy.T)),
+            core_frequencies_hz=layout.core_freqs,
+        )
+        residency = machine.cstates.residency_table()
+        entries = [(column, row.slot, addend, None)
+                   for row, delta in zip(layout.rows, counts)
+                   for column, addend in zip(row.columns, delta)]
+        entries += [(residency, key, addend, None)
+                    for key, addend in residency_cells]
+        for cells, stated_counts in [state(run, ticks)
+                                     for state in machine._cell_states]:
+            entries += [cell + (count,) for cell, count
+                        in zip(cells, stated_counts or repeat(None))]
+        for cells in self._shapes(entries).values():
+            targets = [cell[0] for cell in cells]
+            values = tick_fold([container[index]
+                                for container, index in targets],
+                               [cell[2:] for cell in cells], ticks)
+            for (container, index), value in zip(targets, values):
+                container[index] = value
+        if layout.rows:
+            machine.counters.mark_dirty()
+        machine.cstates.set_current_states(current_states)
+
+        record = machine.last_record = TickRecord(
+            time_s=time_s,
+            dt_s=dt,
+            power=PowerBreakdown(
+                idle=idle_w, cores=cores_w[-1].item(),
+                uncore=uncore_w[-1].item(), dram=dram_w[-1].item(),
+                leakage=leak, wakeup=wakeup_w[-1].item()),
+            events={key: EventDelta(zip(ROW_EVENTS, delta[:, -1].tolist()))
+                    for key, delta in events.items()},
+            cpu_busy=dict(zip(cpus, last_busy)),
+            core_frequencies_hz=layout.core_freqs,
+        )
+        return record
+
+    # -- grouping ------------------------------------------------------
+
     @staticmethod
-    def _group_cells(program: TickProgram, statements: list) -> tuple:
-        """The (container, index) targets a replay adds into, ordered
-        by shape (addends per tick, tick count), and per shape a (start,
-        end, count, table) slice of them; a count of 0 is left out.
+    def _shapes(entries) -> Dict[tuple, list]:
+        """*entries* ``(container, index, addend, count)`` grouped by
+        target into cells ``[(container, index), count, addends...]``,
+        then by shape (addends per tick, tick count); a count of 0 is
+        left out.
 
         Cells are independent memory locations, so replay order
         *across* cells is free; order of repeated addends *within* one
         cell (two assignments sharing a (pid, cpu) slot, busy and idle
         residency both landing in C0, a machine-wide counter covering
         several deltas) is exactly the order the tick loop adds them,
-        preserved here as the cell's table column.
+        preserved here as the cell's addends.
         """
-        residency = program.residency
-        entries = [(column, slot, addend, None)
-                   for columns, slot, delta in program.rows
-                   for column, addend in zip(columns, delta.values())]
-        entries += [(residency, key, addend, None)
-                    for key, addend in program.residency_cells]
-        for cells, counts in statements:
-            entries += [cell + (count,) for cell, count
-                        in zip(cells, counts or repeat(None))]
         grouped: Dict[Tuple[int, object], list] = {}
         for container, index, addend, count in entries:
             key = (id(container), index)
@@ -431,9 +748,25 @@ class BatchEngine:
                 shapes[shape].append(cell)
             elif cell[1] != 0:
                 shapes[shape] = [cell]
+        return shapes
+
+    @classmethod
+    def _group_cells(cls, program: TickProgram, statements: list) -> tuple:
+        """The (container, index) targets a program's replay adds into,
+        ordered by shape, and per shape a (start, end, count, table)
+        slice of them (:meth:`_shapes`)."""
+        residency = program.residency
+        entries = [(column, slot, addend, None)
+                   for columns, slot, delta in program.rows
+                   for column, addend in zip(columns, delta.values())]
+        entries += [(residency, key, addend, None)
+                    for key, addend in program.residency_cells]
+        for cells, counts in statements:
+            entries += [cell + (count,) for cell, count
+                        in zip(cells, counts or repeat(None))]
         targets: list = []
         groups = []
-        for (_size, count), cells in shapes.items():
+        for (_size, count), cells in cls._shapes(entries).items():
             start = len(targets)
             targets += [cell[0] for cell in cells]
             groups.append((start, len(targets), count,

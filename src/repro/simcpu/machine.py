@@ -14,14 +14,16 @@ instruction mix and memory profile — and the machine
 
 Every step produces a :class:`TickRecord`.  Subscribers take each
 engine replay at once: perf counters, procfs and the per-process power
-oracle state the cells they add into, and the engine adds them; power
+oracle state the cells they add into, and the engine adds them (over a
+ramp run's :class:`RunRecord`, whose moving values are columns); power
 meters are folds over the replay's per-tick leakage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.simcpu.caches import CacheModel, MemoryProfile
@@ -74,6 +76,52 @@ class TickRecord:
         return self.power.total
 
 
+@dataclass(frozen=True)
+class RunRecord:
+    """A ramp run's replay: ticks of one layout whose values move.
+
+    The fields of :class:`TickRecord`, but every value that moves from
+    tick to tick is a numpy column with one value per tick: each event
+    count in ``events`` ((pid, cpu_id) -> event -> column), each CPU's
+    ``cpu_busy`` and the ``power`` terms (``idle`` is a float).
+    ``dt_s`` and ``core_frequencies_hz`` hold for every tick, and
+    *start_s* is the machine time before the first.
+    """
+
+    start_s: float
+    dt_s: float
+    power: PowerBreakdown
+    events: Mapping[Tuple[int, int], Mapping[str, Any]]
+    cpu_busy: Mapping[int, Any]
+    core_frequencies_hz: Mapping[Tuple[int, int], int]
+
+    def ticks(self) -> Iterator[TickRecord]:
+        """Each tick's own record, in order, with Python floats."""
+        power = self.power
+        terms = zip(*[column.tolist() for column in (
+            power.cores, power.uncore, power.dram, power.leakage,
+            power.wakeup)])
+        cpus = list(self.cpu_busy)
+        busy = zip(*[column.tolist() for column in self.cpu_busy.values()])
+        events = [(key, list(delta),
+                   zip(*[column.tolist() for column in delta.values()]))
+                  for key, delta in self.events.items()]
+        time_s = self.start_s
+        for cores, uncore, dram, leakage, wakeup in terms:
+            time_s += self.dt_s
+            yield TickRecord(
+                time_s=time_s,
+                dt_s=self.dt_s,
+                power=PowerBreakdown(idle=power.idle, cores=cores,
+                                     uncore=uncore, dram=dram,
+                                     leakage=leakage, wakeup=wakeup),
+                events={key: EventDelta(zip(names, next(counts)))
+                        for key, names, counts in events},
+                cpu_busy=dict(zip(cpus, next(busy))),
+                core_frequencies_hz=self.core_frequencies_hz,
+            )
+
+
 TickObserver = Callable[[TickRecord], None]
 #: ``fold(record, n_ticks, leaks, start_s)``: take *n_ticks* ticks of one
 #: program, of which *record* is the last, after the engine has added
@@ -86,8 +134,12 @@ TickFold = Callable[[TickRecord, int, Sequence[float], float], None]
 #: cell's tick count (None: every tick; a multiplexed counter's running
 #: ticks, shared by every entry of one cell).  The engine keeps its
 #: grouping while both lists are the same objects: state a new list to
-#: change one.
-CellState = Callable[[TickRecord, int], Tuple[list, Optional[list]]]
+#: change one.  A ramp run's replay passes a :class:`RunRecord` instead,
+#: once for all its ticks: an addend that moves is then a column with one
+#: value per tick (the same arithmetic on the record's columns gives it),
+#: and a count is None or 0; a cell that adds on some ticks only adds
+#: +0.0 on the others.
+CellState = Callable[[Any, int], Tuple[list, Optional[list]]]
 
 
 class Machine:
@@ -135,7 +187,9 @@ class Machine:
     def add_cells(self, state: CellState) -> None:
         """Have every replay add *state*'s cells (see :data:`CellState`):
         the engine calls it once per replay, before any fold, and adds
-        *n_ticks* rounds of each cell's addends itself."""
+        *n_ticks* rounds of each cell's addends itself.  A ramp run's
+        replay calls it once for the whole run, with a
+        :class:`RunRecord`."""
         self._cell_states.append(state)
 
     def remove_cells(self, state: CellState) -> None:

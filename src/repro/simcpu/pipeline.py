@@ -16,6 +16,9 @@ instructions-per-cycle figure from it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.simcpu.caches import CacheBehaviour
@@ -127,6 +130,28 @@ class PipelineModel:
             backend_stall_fraction=min(1.0, cache.stall_cycles * ipc),
             frontend_stall_fraction=min(1.0, branch_flush * ipc),
         )
+
+    def rate_columns(self, mix: InstructionMix, cache: CacheBehaviour,
+                     sibling_busy: Optional[np.ndarray]) -> Tuple:
+        """:meth:`rates`' ``ipc`` and stall fractions over a column of
+        sibling busy fractions (None: the thread has no SMT sibling).
+
+        Elementwise, each value is the float :meth:`rates` computes for
+        that sibling busy, in the same association order; ``np.where``
+        takes the contention branch.  Returns ``(ipc,
+        backend_stall_fraction, frontend_stall_fraction)``, each a
+        column, or a scalar where no sibling can move it.
+        """
+        issue_ipc = self.spec.base_ipc * mix.issue_ipc_factor()
+        if self.spec.smt_enabled and sibling_busy is not None:
+            contention = 1.0 - sibling_busy * (1.0 - SMT_THROUGHPUT_FACTOR)
+            issue_ipc = np.where(sibling_busy > 0.0, issue_ipc * contention,
+                                 issue_ipc)
+        branch_flush = (mix.branch_fraction * mix.branch_miss_rate
+                        * BRANCH_MISS_PENALTY_CYCLES)
+        ipc = 1.0 / (1.0 / issue_ipc + cache.stall_cycles + branch_flush)
+        return (ipc, np.minimum(1.0, cache.stall_cycles * ipc),
+                np.minimum(1.0, branch_flush * ipc))
 
     def instructions_in(self, rates: ExecutionRates, frequency_hz: int,
                         busy_seconds: float) -> float:

@@ -21,7 +21,9 @@ SPECjbb2013):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.simcpu.frequency import FrequencyDomain
@@ -218,3 +220,42 @@ class GroundTruthPower:
             leakage=leakage_w,
             wakeup=wakeup_w,
         )
+
+    def power_columns(self, cores: Sequence[tuple],
+                      llc_references_per_s: np.ndarray,
+                      dram_bytes_per_s: np.ndarray) -> List[np.ndarray]:
+        """:meth:`wall_power`'s terms over columns of ticks.
+
+        *cores* holds, per core, ``(frequency_hz, thread_busy,
+        power_weight, idle_power_fraction)``: ``thread_busy`` a (ticks x
+        threads) array, the last two columns (or floats).  Returns the
+        ``[cores, uncore, dram, wakeup]`` watts columns.  Elementwise,
+        each value is the float :meth:`wall_power` computes for that
+        tick: the same association orders, sums from 0.0 left to right,
+        ``np.maximum`` for ``max``, and ``gtps ** 0.85`` as one Python
+        float power per tick (``np.power`` rounds differently).
+        """
+        power = self.spec.power
+        idle_scale = self._freq.dynamic_scale(self.spec.min_frequency_hz)
+        cores_w = wakeup_w = any_busy = 0.0
+        for frequency_hz, thread_busy, weight, idle_power_fraction in cores:
+            busy = np.sort(thread_busy, axis=1)[:, ::-1]
+            primary = busy[:, 0]
+            secondary = 0.0
+            for column in busy.T[1:]:
+                secondary = secondary + column
+            effective_busy = primary + SMT_SECOND_THREAD_FACTOR * secondary
+            scale = self._freq.dynamic_scale(frequency_hz)
+            active_w = (power.core_active_w * scale * effective_busy * weight)
+            idle_w = (power.core_active_w * idle_scale
+                      * np.maximum(0.0, 1.0 - primary) * idle_power_fraction)
+            cores_w = cores_w + (active_w + idle_w)
+            wakeup_w = (wakeup_w
+                        + WAKEUP_PEAK_W * 4.0 * primary * (1.0 - primary))
+            any_busy = np.maximum(any_busy, primary)
+        uncore_w = (power.uncore_active_w * any_busy
+                    + UNCORE_W_PER_GREF * llc_references_per_s / 1e9)
+        gtps = dram_bytes_per_s / 64.0 / 1e9
+        dram_w = np.array([power.dram_w_per_gtps * value ** 0.85
+                           for value in gtps.tolist()])
+        return [cores_w, uncore_w, dram_w, wakeup_w]

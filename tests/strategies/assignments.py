@@ -77,20 +77,21 @@ def schedules(draw, spec, max_segments=4, max_ticks=12):
 
 
 @st.composite
-def ramps(draw, spec):
+def ramps(draw, spec, max_quanta=12):
     """One occupancy shape whose busy fractions move on every quantum.
 
-    Returns ``(quanta, move_at, frequency_hz)``: ``quanta`` holds 2–12
-    assignment lists that share one :func:`assignment_lists` draw's
-    (pid, cpu, mix, memory) in order, each with fresh busy fractions
-    within its CPU's headroom (0 included, so a row may stop and
-    restart), and the P-state target moves to ``frequency_hz`` just
-    before quantum ``move_at``.  Pids come from a small range, so two
-    assignments on one CPU sometimes share a (pid, cpu) counter slot.
+    Returns ``(quanta, move_at, frequency_hz)``: ``quanta`` holds 2 to
+    *max_quanta* assignment lists that share one
+    :func:`assignment_lists` draw's (pid, cpu, mix, memory) in order,
+    each with fresh busy fractions within its CPU's headroom (0
+    included, so a row may stop and restart), and the P-state target
+    moves to ``frequency_hz`` just before quantum ``move_at``.  Pids
+    come from a small range, so two assignments on one CPU sometimes
+    share a (pid, cpu) counter slot.
     """
     shape = draw(assignment_lists(spec, pids=st.integers(1, 4)))
     quanta = []
-    for _ in range(draw(st.integers(2, 12))):
+    for _ in range(draw(st.integers(2, max_quanta))):
         headroom = [1.0] * spec.num_threads
         quantum = []
         for assignment in shape:

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.actors.actor import Actor
-from repro.actors.supervision import RestartStrategy
+from repro.actors.supervision import RestartStrategy, StopStrategy
 from repro.actors.system import ActorSystem
 from repro.core.messages import GapMarker, PowerReport
 from repro.core.model import (FrequencyFormula, PowerModel,
@@ -446,10 +446,10 @@ class TestSensorRestart:
         assert after.total_w == pytest.approx(39.605, abs=1e-3)
         api.shutdown()
 
-    def test_backoff_past_the_end_leaves_the_last_periods_unreported(self):
+    def test_backoff_past_the_end_marks_the_last_periods_missing(self):
         """A skipped period is marked once a later period's message
-        reaches the aggregator.  A backoff that outlasts the run leaves
-        none: its periods get no report, not even a gap."""
+        reaches the aggregator; the periods of a backoff that outlasts
+        the run are marked when the run is flushed, up to its end."""
         kernel = SimKernel(intel_i3_2120(), quantum_s=0.01)
         pid = kernel.spawn(CpuStress(duration_s=20.0))
         api = PowerAPI(kernel, published_i3_2120_model())
@@ -461,8 +461,33 @@ class TestSensorRestart:
         api.shutdown()
         reports = handle.reporter.aggregated
         assert [round(r.time_s, 6) for r in reports] == [
-            0.5 * k for k in range(1, 10)]
-        assert not any(r.gap for r in reports)
+            0.5 * k for k in range(1, 13)]
+        assert not any(r.gap for r in reports[:9])
+        assert [(r.gap, r.formula) for r in reports[9:]] == [
+            (True, "gap:missing")] * 3
+        # A second flush marks nothing twice.
+        api.flush()
+        assert len(handle.reporter.aggregated) == 12
+
+    def test_a_stopped_formula_leaves_every_later_period_missing(self):
+        """Under StopStrategy a crashed formula stays down, so no power
+        report reaches the aggregator again: each period from the crash
+        to the end of the run is a ``gap:missing`` report."""
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.01)
+        pid = kernel.spawn(CpuStress(duration_s=20.0))
+        api = PowerAPI(kernel, published_i3_2120_model())
+        api.system.strategy = StopStrategy()
+        handle = (api.monitor(pid).every(0.5)
+                  .with_faults("crash@2.25:formula-0")
+                  .to(InMemoryReporter()))
+        api.run(5.0)
+        api.shutdown()
+        reports = handle.reporter.aggregated
+        assert [round(r.time_s, 6) for r in reports] == [
+            0.5 * k for k in range(1, 11)]
+        assert not any(r.gap for r in reports[:4])
+        assert [(r.gap, r.formula) for r in reports[4:]] == [
+            (True, "gap:missing")] * 6
 
     def test_immediately_restarted_sensor_keeps_its_period(self):
         """A sensor restarted without a backoff keeps the counters and

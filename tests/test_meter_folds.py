@@ -1,8 +1,9 @@
 """Differential tests of the meter folds against per-tick observers.
 
-``PowerMeter`` (so PowerSpy and ACPI), ``RaplInterface`` and
-``TrueProcessPower`` take each engine replay in one fold call.  The
-reference here is the per-tick observer each one used to be: its
+``PowerMeter`` (so PowerSpy and ACPI) and ``RaplInterface`` take each
+engine replay in one fold call; ``TrueProcessPower`` states its cells
+and the engine adds them.  The reference here is the per-tick observer
+each one used to be: its
 ``_on_tick`` body, applied to an unconnected twin and fed one record per
 tick by :class:`ReferenceTickLoop`, which derives leakage through
 ``thermal.step``.  Sample lists, RAPL registers and oracle energies must

@@ -13,6 +13,9 @@ references with exact ``==``:
   PMU-starvation window, and for :class:`ProcFs`;
 * placement against a copy of the original ``Scheduler.assign`` over
   random demands with affinities, nice levels and saturation.
+
+The kernel holds such quanta as one ramp run instead;
+``tests/test_ramp_runs.py`` holds that path to the same references.
 """
 
 import pytest

@@ -6,17 +6,20 @@ rows.  :func:`fold_add` is the per-cell Python loop the engine, perf,
 procfs, RAPL and the oracle folds used before it: the executable
 specification of "the additions *n_ticks* one-tick folds would make".
 Results must agree bit for bit (``float.hex``), across chunk boundaries
-and for cells padded with +0.0 up to the table's width.
+and for cells padded with +0.0 up to the table's width.  So must
+:func:`~repro.simcpu.engine.tick_fold`, whose addends move from tick to
+tick (a ramp run), against the same additions made tick by tick.
 """
 
 from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcpu.engine import FOLD_CHUNK_ROWS, addend_table, vector_fold
+from repro.simcpu.engine import (FOLD_CHUNK_ROWS, addend_table, tick_fold,
+                                 vector_fold)
 from tests.strategies import default_settings
 
 
@@ -96,3 +99,38 @@ class TestVectorFold:
                                                                       2.0]
         assert vector_fold([], addend_table([]), 50) == []
         assert vector_fold([4.0], addend_table([(1.0,)]), 0) == [4.0]
+
+
+@st.composite
+def tick_fold_inputs(draw):
+    """(start, per-cell addends, n_ticks): 1-24 cells of one width (1-3
+    addends a tick), each addend a column of one value per tick or a
+    float every tick adds, over 1-120 ticks."""
+    width = draw(st.integers(1, 3))
+    n_cells = draw(st.integers(1, 24))
+    n_ticks = draw(st.integers(1, 120))
+    column = st.lists(values, min_size=n_ticks, max_size=n_ticks).map(
+        np.array)
+    cells = draw(st.lists(st.lists(values | column, min_size=width,
+                                   max_size=width),
+                          min_size=n_cells, max_size=n_cells))
+    start = draw(st.lists(values, min_size=n_cells, max_size=n_cells))
+    return start, cells, n_ticks
+
+
+class TestTickFold:
+    @given(inputs=tick_fold_inputs())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_tick_by_tick_addition(self, inputs):
+        start, cells, n_ticks = inputs
+        expected = []
+        for value, addends in zip(start, cells):
+            per_tick = [[addend] * n_ticks if isinstance(addend, float)
+                        else addend.tolist() for addend in addends]
+            for tick_addends in zip(*per_tick):
+                for addend in tick_addends:
+                    value += addend
+            expected.append(value)
+        folded = tick_fold(start, cells, n_ticks)
+        assert all(type(value) is float for value in folded)
+        assert _hex(folded) == _hex(expected)
