@@ -13,11 +13,12 @@ like the PID or the timestamp" (paper, Section 3):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from repro.core.messages import (AggregatedPowerReport, FlushAggregates,
-                                 GapMarker, PowerReport)
+                                 GapMarker, PowerReport, SeriesEnd)
 from repro.core.stage import PipelineStage
 from repro.errors import ConfigurationError
 from repro.units import left_sum
@@ -60,10 +61,12 @@ class TimestampAggregator(PipelineStage):
     ``gap:missing`` report.  The periods after the last message of a run
     (a backoff that outlasts it, a stopped formula) get theirs on a
     :class:`FlushAggregates` that carries the kernel time: each later
-    period that ended by then.
+    period that ended by then, and before the series did.  A sensor that
+    lost every pid ends the series (:class:`SeriesEnd`); the periods
+    after that are not missing, and get no report.
     """
 
-    subscribes_to = (PowerReport, GapMarker)
+    subscribes_to = (PowerReport, GapMarker, SeriesEnd)
 
     def __init__(self, idle_w: float) -> None:
         super().__init__(component="timestamp-aggregator")
@@ -75,6 +78,7 @@ class TimestampAggregator(PipelineStage):
         self._pending_formula = ""
         self._pending: Dict[int, float] = {}
         self._pending_gaps: set = set()
+        self._end_s = math.inf
 
     def flush(self) -> None:
         if self._pending:
@@ -122,17 +126,22 @@ class TimestampAggregator(PipelineStage):
 
     def _mark_missing_until(self, time_s: float) -> None:
         """A ``gap:missing`` report for each period after the last one
-        whose end (``last + k * period``) is at or before *time_s*."""
+        whose end (``last + k * period``) is at or before *time_s*, and
+        before the end of the series."""
         last_s, period_s = self._pending_time, self._pending_period
         if last_s < 0.0:
             return
+        until_s = min(time_s + 1e-12, self._end_s - 1e-12)
         index = 1
-        while last_s + index * period_s <= time_s + 1e-12:
+        while last_s + index * period_s <= until_s:
             self._publish_gap(last_s + index * period_s, period_s, "missing")
             index += 1
         self._pending_time = last_s + (index - 1) * period_s
 
     def handle(self, message) -> None:
+        if isinstance(message, SeriesEnd):
+            self._end_s = message.time_s
+            return
         if isinstance(message, GapMarker):
             self._advance_to(message.time_s, message.period_s)
             self._pending_gaps.add(message.source or "sensor")

@@ -101,6 +101,19 @@ class FlushAggregates:
 
 
 @dataclass(frozen=True)
+class SeriesEnd:
+    """A sensor's series ended at *time_s*: every pid it samples is lost
+    (its counters went invalid and cannot be reopened) and nothing
+    estimates them instead, so it publishes nothing from then on.
+
+    The periods from *time_s* on are past the end of the series, not
+    missing: a :class:`FlushAggregates` marks none of them.
+    """
+
+    time_s: float
+
+
+@dataclass(frozen=True)
 class HealthEvent:
     """A pipeline health transition (degradation, recovery, fault, ...).
 

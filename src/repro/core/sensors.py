@@ -21,7 +21,7 @@ from typing import (TYPE_CHECKING, Dict, Iterator, Optional, Sequence, Set,
 from repro.actors.clock import ClockTick
 from repro.core.formula import cpu_load_w
 from repro.core.messages import (GapMarker, HpcReport, PowerMeterReport,
-                                 PowerReport, ProcFsReport)
+                                 PowerReport, ProcFsReport, SeriesEnd)
 from repro.core.stage import PipelineStage
 from repro.errors import (ConfigurationError, CounterInvalidError,
                           CounterStateError, MeterConnectionError,
@@ -84,7 +84,9 @@ class HpcSensor(PipelineStage):
     its :class:`PipelineMode` to cpu-load, and until HPC data has been
     back for ``recover_after`` periods it publishes every pid's
     ``cpu-load-fallback`` estimate from procfs in one
-    :class:`PowerReport`.
+    :class:`PowerReport`.  Once every pid is lost, and no fallback
+    estimates them, it publishes one :class:`SeriesEnd` and nothing
+    more.
     """
 
     def __init__(self, machine: Machine, perf: PerfSession,
@@ -116,6 +118,7 @@ class HpcSensor(PipelineStage):
         self._cpu_s: Dict[int, float] = {}
         self._cpu_read_s = 0.0
         self._lost_pids: Set[int] = set()
+        self._ended = False
         self._miss_streak = 0
         self._good_streak = 0
 
@@ -261,12 +264,17 @@ class HpcSensor(PipelineStage):
                 if deltas is not None:
                     sampled[pid] = deltas
 
+        mode = self.mode
         if self._counters:
             self._update_health(period_missing=not sampled, time_s=time_s)
             if not sampled:
                 self.publish(GapMarker(time_s=time_s, period_s=period_s,
                                        pid=-1, source="hpc"))
-        mode = self.mode
+        elif not self._ended and (mode is None or not mode.degraded):
+            # Every pid is lost, and the health streaks no longer move:
+            # the sensor publishes nothing from this period on.
+            self._ended = True
+            self.publish(SeriesEnd(time_s=time_s))
         if mode is not None and (
                 mode.degraded
                 or self._miss_streak + 1 >= self.policy.degrade_after):

@@ -15,8 +15,7 @@ The built-ins encode the guarantees earlier PRs claimed:
   exactly: one frame per period, no holes, no extras; a truncated
   series is only legal when the monitored pid demonstrably died.
 * ``gap-accounting`` — every ``gap=True`` frame is explained by an
-  injected fault close enough in time to have caused it (a pid exit
-  explains every later one).
+  injected fault close enough in time to have caused it.
 * ``monotonic-seq`` — telemetry frames arrive in strictly increasing
   per-epoch sequence order (duplicates or reordering fail).
 * ``exactly-once`` — every sequence number the server published was
@@ -38,12 +37,11 @@ The built-ins encode the guarantees earlier PRs claimed:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.network import NetworkFaultPlan
-from repro.faults.plan import FaultPlan, PidExit
+from repro.faults.plan import FaultPlan
 
 #: Absolute slack for virtual-time comparisons (the clock accumulates
 #: one float addition per quantum; 800 ticks drift ~1e-13).
@@ -185,16 +183,11 @@ def frame_conservation(obs: CellObservations, config) -> List[Violation]:
 
 def _fault_windows(spec: str) -> List[Tuple[float, float]]:
     """``(start, end)`` spans during which a plan event can explain
-    degradations; one-shots get a zero-length span at their time, except
-    a pid exit, whose span never ends: the pid does not come back, so
-    every later period a flush marks missing is its doing."""
+    degradations; one-shots get a zero-length span at their time."""
     if not spec:
         return []
     windows = []
     for event in FaultPlan.parse(spec):
-        if isinstance(event, PidExit):
-            windows.append((event.at_s, math.inf))
-            continue
         duration = max(getattr(event, "down_s", 0.0),
                        getattr(event, "duration_s", 0.0))
         windows.append((event.at_s, event.at_s + duration))

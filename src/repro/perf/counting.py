@@ -12,23 +12,20 @@ per-tick scheduling decisions to it.  The session adds nothing itself:
 per engine replay (a batch of identical ticks, or a ramp run whose
 counts are columns) it states each enabled counter's cells — its
 enabled time, its running time and one raw cell per event-map delta its
-target covers — and the engine adds them, the running time and raw
-count only on the ticks the counter held a PMU slot: a tick count over
-a batch, a column with +0.0 on the other ticks over a run.
+target covers — and the ticks the counter held a PMU slot, on which
+alone the engine adds its running time and raw counts.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import (CounterInvalidError, CounterStateError,
                           SampleLossError)
 from repro.perf import pfm
 from repro.perf.multiplex import MultiplexScheduler
-from repro.simcpu.machine import Machine, RunRecord
+from repro.simcpu.machine import Machine
 
 
 class CounterValue(NamedTuple):
@@ -210,13 +207,11 @@ class PerfSession:
         self._counters.pop(counter.counter_id, None)
 
     def _state(self, record, n_ticks: int
-               ) -> Tuple[list, Optional[List[Optional[int]]]]:
+               ) -> Tuple[list, Optional[List[Optional[Sequence[int]]]]]:
         """The enabled counters' cells and, unless every counter held a
-        PMU slot on all *n_ticks* ticks, each cell's tick count (None
-        for all of them: every enabled time, and a counter that ran
-        throughout).  Over a :class:`RunRecord` the raw addends are
-        columns, so a counter that ran on some ticks only adds its raw
-        count and running time on those and +0.0 on the others."""
+        PMU slot on all *n_ticks* ticks, each cell's ticks (None for all
+        of them: every enabled time, and a counter that ran
+        throughout)."""
         active = [counter for counter in self._counters.values()
                   if counter.enabled]
         running = self._mux.running_ticks(active, n_ticks)
@@ -244,30 +239,8 @@ class PerfSession:
             ticks = running.get(counter.counter_id, ())
             ran[id(counter._values)] = (None if len(ticks) == n_ticks
                                         else ticks)
-        if not isinstance(record, RunRecord):
-            return self._cells, [
-                None if index == 1 or ran[id(values)] is None
-                else len(ran[id(values)])
-                for values, index, _addend in self._cells]
-        masks = {}
-        for values_id, ticks in ran.items():
-            if ticks:
-                masks[values_id] = mask = np.zeros(n_ticks, dtype=bool)
-                mask[list(ticks)] = True
-        cells, counts = [], []
-        for cell in self._cells:
-            values, index, addend = cell
-            ticks = ran[id(values)]
-            if index != 1 and ticks is not None:
-                if not ticks:
-                    cells.append(cell)
-                    counts.append(0)
-                    continue
-                cell = (values, index,
-                        np.where(masks[id(values)], addend, 0.0))
-            cells.append(cell)
-            counts.append(None)
-        return cells, counts
+        return self._cells, [None if index == 1 else ran[id(values)]
+                             for values, index, _addend in self._cells]
 
     def _raw_cells(self, events: Mapping) -> list:
         """One pass over a new event map: each counter's raw cells, one

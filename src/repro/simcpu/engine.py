@@ -63,8 +63,8 @@ does, each expression keeps Python's association, every branch is an
 The replay is the one adder.  Besides its own counter and residency
 cells it adds every cell a subscriber *states* (``Machine.add_cells``):
 perf's counters, procfs's times and the power oracle's energies, each a
-``(container, key, addend)`` in the order one tick adds them, plus a
-per-cell tick count while a counter group rotates or is starved.  A
+``(container, key, addend)`` in the order one tick adds them, plus the
+ticks each cell adds on while a counter group rotates or is starved.  A
 one-tick replay adds them in one flat loop; a longer one groups them by
 target once per program and stated lists, and advances each group of
 one width and tick count in one ``numpy.add.accumulate``
@@ -72,14 +72,15 @@ one width and tick count in one ``numpy.add.accumulate``
 cells are independent memory locations, so the order across cells is
 free).  A run's subscribers state its cells once, over a
 :class:`~repro.simcpu.machine.RunRecord` whose moving values are
-columns, and each shape's table holds one block per tick
-(:func:`tick_fold`).  Then every *fold* (``Machine.add_fold``: the
-meters, RAPL's package energy, the per-tick observer adapter) is called
-once as ``fold(record, n_ticks, leaks, start_s)``: the final record, the
-tick count, each tick's leakage power (the one per-tick value a program
-does not fix — it follows the temperature recurrence) and the machine
-time the replay started from, after every cell is committed.  Folds see
-only programs: while one is attached no run forms.
+columns; a cell that adds on some ticks only adds +0.0 on the others,
+and each shape's table holds one block per tick (:func:`tick_fold`).
+Then every *fold* (``Machine.add_fold``: the meters, RAPL's package
+energy, the per-tick observer adapter) is called once as
+``fold(record, n_ticks, leaks, start_s)``: the final record, the tick
+count, each tick's leakage power (the one per-tick value a program does
+not fix — it follows the temperature recurrence) and the machine time
+the replay started from, after every cell is committed.  Folds see only
+programs: while one is attached no run forms.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ class _Row:
 
     __slots__ = (
         "index", "key", "others", "sibling_columns", "frequency_hz", "mix",
-        "behaviour", "weight", "columns", "slot", "branches", "misses",
+        "behaviour", "weight", "columns", "slot",
     )
 
 
@@ -347,9 +348,6 @@ class BatchEngine:
             row.mix = assignment.mix
             row.behaviour = machine.caches.behaviour(assignment.memory,
                                                      coresident_sets)
-            rates = machine.pipeline.rates(row.mix, row.behaviour)
-            row.branches = rates.branches_per_instruction
-            row.misses = rates.branch_misses_per_instruction
             row.weight = assignment.mix.power_weight()
             row.columns = tuple(column for column, _slot, _zero in cells)
             row.slot = cells[0][1]
@@ -559,8 +557,8 @@ class BatchEngine:
                 sibling_busy = (cpu_busy[:, column] if sibling_busy is None
                                 else np.maximum(sibling_busy,
                                                 cpu_busy[:, column]))
-            ipc, backend, frontend = pipeline.rate_columns(
-                row.mix, row.behaviour, sibling_busy)
+            ipc, branches, branch_misses, backend, frontend = (
+                pipeline.rate_columns(row.mix, row.behaviour, sibling_busy))
             busy_s = busy[:, row.index] * dt_s
             instructions = ipc * row.frequency_hz * busy_s
             cycles = row.frequency_hz * busy_s
@@ -569,8 +567,8 @@ class BatchEngine:
             misses = instructions * behaviour.llc_misses
             delta = np.array([
                 instructions, cycles, max_hz * busy_s,
-                cycles * BUS_CYCLE_RATIO, instructions * row.branches,
-                instructions * row.misses, refs, misses, refs, misses,
+                cycles * BUS_CYCLE_RATIO, instructions * branches,
+                instructions * branch_misses, refs, misses, refs, misses,
                 instructions * behaviour.l1_references,
                 instructions * behaviour.l1_misses,
                 cycles * backend, cycles * frontend])
@@ -630,8 +628,9 @@ class BatchEngine:
         and energy recurrences run tick by tick on each tick's own
         terms.  Each cell-stating subscriber then states the run's cells
         in one call, given a :class:`~repro.simcpu.machine.RunRecord`
-        whose per-tick values are columns, and every cell is added with
-        one :func:`tick_fold` per shape.  A run never forms while a fold
+        whose per-tick values are columns; a cell stated with some ticks
+        only adds +0.0 on the others, and every cell is added with one
+        :func:`tick_fold` per shape.  A run never forms while a fold
         is attached (:meth:`hold`), so no fold sees one.
         """
         from repro.simcpu.machine import RunRecord, TickRecord
@@ -688,10 +687,23 @@ class BatchEngine:
                    for column, addend in zip(row.columns, delta)]
         entries += [(residency, key, addend, None)
                     for key, addend in residency_cells]
-        for cells, stated_counts in [state(run, ticks)
-                                     for state in machine._cell_states]:
-            entries += [cell + (count,) for cell, count
-                        in zip(cells, stated_counts or repeat(None))]
+        masks: Dict[int, np.ndarray] = {}
+        for cells, stated_ticks in [state(run, ticks)
+                                    for state in machine._cell_states]:
+            if stated_ticks is None:
+                entries += [cell + (None,) for cell in cells]
+                continue
+            for (container, index, addend), cell_ticks in zip(
+                    cells, stated_ticks):
+                if cell_ticks is not None:
+                    if not cell_ticks:
+                        continue
+                    mask = masks.get(id(cell_ticks))
+                    if mask is None:
+                        mask = masks[id(cell_ticks)] = np.zeros(ticks, bool)
+                        mask[list(cell_ticks)] = True
+                    addend = np.where(mask, addend, 0.0)
+                entries.append((container, index, addend, None))
         for cells in self._shapes(entries).values():
             targets = [cell[0] for cell in cells]
             values = tick_fold([container[index]
@@ -761,9 +773,11 @@ class BatchEngine:
                    for column, addend in zip(columns, delta.values())]
         entries += [(residency, key, addend, None)
                     for key, addend in program.residency_cells]
-        for cells, counts in statements:
-            entries += [cell + (count,) for cell, count
-                        in zip(cells, counts or repeat(None))]
+        for cells, ticks in statements:
+            entries += [cell + (None if cell_ticks is None
+                                else len(cell_ticks),)
+                        for cell, cell_ticks
+                        in zip(cells, ticks or repeat(None))]
         targets: list = []
         groups = []
         for (_size, count), cells in cls._shapes(entries).items():
@@ -830,13 +844,13 @@ class BatchEngine:
             residency = program.residency
             for key, addend in program.residency_cells:
                 residency[key] += addend
-            for cells, counts in statements:
-                if counts is None:
+            for cells, ticks in statements:
+                if ticks is None:
                     for container, key, addend in cells:
                         container[key] += addend
                     continue
-                for (container, key, addend), count in zip(cells, counts):
-                    if count != 0:
+                for (container, key, addend), cell_ticks in zip(cells, ticks):
+                    if cell_ticks is None or cell_ticks:
                         container[key] += addend
         else:
             # Grouped while the program and the stated lists hold; the

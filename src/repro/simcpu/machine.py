@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.simcpu.caches import CacheModel, MemoryProfile
@@ -128,18 +128,18 @@ TickObserver = Callable[[TickRecord], None]
 #: every stated cell; ``leaks[i]`` is tick *i*'s leakage power and
 #: *start_s* the machine time before the first tick.
 TickFold = Callable[[TickRecord, int, Sequence[float], float], None]
-#: ``state(record, n_ticks) -> (cells, counts)``: the ``(container, key,
+#: ``state(record, n_ticks) -> (cells, ticks)``: the ``(container, key,
 #: addend)`` cells a subscriber adds into on each tick of the replay
 #: ending in *record*, in the order one tick adds them, and None or each
-#: cell's tick count (None: every tick; a multiplexed counter's running
-#: ticks, shared by every entry of one cell).  The engine keeps its
-#: grouping while both lists are the same objects: state a new list to
-#: change one.  A ramp run's replay passes a :class:`RunRecord` instead,
-#: once for all its ticks: an addend that moves is then a column with one
-#: value per tick (the same arithmetic on the record's columns gives it),
-#: and a count is None or 0; a cell that adds on some ticks only adds
-#: +0.0 on the others.
-CellState = Callable[[Any, int], Tuple[list, Optional[list]]]
+#: cell's ticks, the indices 0 to *n_ticks* - 1 it adds on (None: every
+#: tick; a multiplexed counter's running ticks, shared by every entry of
+#: one cell).  The engine keeps its grouping while both lists are the
+#: same objects: state a new list to change one.  A ramp run's replay
+#: passes a :class:`RunRecord` instead, once for all its ticks: an addend
+#: that moves is then a column with one value per tick (the same
+#: arithmetic on the record's columns gives it).
+CellState = Callable[[Union[TickRecord, RunRecord], int],
+                     Tuple[list, Optional[list]]]
 
 
 class Machine:

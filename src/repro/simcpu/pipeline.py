@@ -139,6 +139,7 @@ class PipelineModel:
         Elementwise, each value is the float :meth:`rates` computes for
         that sibling busy, in the same association order; ``np.where``
         takes the contention branch.  Returns ``(ipc,
+        branches_per_instruction, branch_misses_per_instruction,
         backend_stall_fraction, frontend_stall_fraction)``, each a
         column, or a scalar where no sibling can move it.
         """
@@ -150,7 +151,9 @@ class PipelineModel:
         branch_flush = (mix.branch_fraction * mix.branch_miss_rate
                         * BRANCH_MISS_PENALTY_CYCLES)
         ipc = 1.0 / (1.0 / issue_ipc + cache.stall_cycles + branch_flush)
-        return (ipc, np.minimum(1.0, cache.stall_cycles * ipc),
+        return (ipc, mix.branch_fraction,
+                mix.branch_fraction * mix.branch_miss_rate,
+                np.minimum(1.0, cache.stall_cycles * ipc),
                 np.minimum(1.0, branch_flush * ipc))
 
     def instructions_in(self, rates: ExecutionRates, frequency_hz: int,

@@ -229,6 +229,42 @@ class TestPidExit:
         assert all(r.by_pid.get(steady, 0.0) > 0 for r in late)
         assert all(doomed not in r.by_pid for r in late)
 
+    def test_a_lost_last_pid_ends_the_series_with_no_missing_period(
+            self, kernel, model):
+        """Once its only pid is lost the sensor ends the series: the
+        flush at the end of the run marks none of the later periods
+        ``gap:missing``, so the series stops at the last period it
+        reported, a truncation the pid-lost event explains."""
+        pid = kernel.spawn(CpuStress(duration_s=20.0))
+        api = PowerAPI(kernel, model)
+        handle = api.monitor(pid).every(0.5).to(InMemoryReporter())
+        api.install_faults(FaultPlan([PidExit(at_s=3.0)]))
+        api.run(6.0)
+        api.shutdown()
+        reports = handle.reporter.aggregated
+        assert [round(r.time_s, 6) for r in reports] == [
+            0.5 * k for k in range(1, 6)]
+        assert not any(r.gap for r in reports)
+        assert [round(e.time_s, 6) for e in handle.health
+                if e.kind == "pid-lost"] == [3.0]
+
+    def test_a_finished_workload_leaves_no_missing_period(self, model):
+        """A workload that ends before the run keeps its counters open
+        (they read no new counts), so its series runs to the end of the
+        run with no ``gap:missing`` report."""
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.01)
+        pid = kernel.spawn(CpuStress(duration_s=3.0))
+        api = PowerAPI(kernel, model)
+        handle = api.monitor(pid).every(0.5).to(InMemoryReporter())
+        api.run(6.0)
+        api.shutdown()
+        assert pid not in kernel.live_pids
+        reports = handle.reporter.aggregated
+        assert [round(r.time_s, 6) for r in reports] == [
+            0.5 * k for k in range(1, 13)]
+        assert not any(r.gap for r in reports)
+        assert reports[-1].by_pid[pid] < reports[0].by_pid[pid]
+
     def test_counter_does_not_accumulate_other_pids_after_exit(self, kernel):
         """Regression: a counter opened on pid A, after A exits, must not
         pick up pid B's events through the ``-1`` wildcard matching path."""
@@ -488,6 +524,28 @@ class TestSensorRestart:
         assert not any(r.gap for r in reports[:4])
         assert [(r.gap, r.formula) for r in reports[4:]] == [
             (True, "gap:missing")] * 6
+
+    def test_periods_are_missing_only_until_the_series_ends(self):
+        """A pid lost while the sensor sits out a backoff: the periods
+        of the backoff are ``gap:missing``, and the series ends on the
+        restarted sensor's first tick, where it finds the pid lost."""
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.01)
+        pid = kernel.spawn(CpuStress(duration_s=20.0))
+        api = PowerAPI(kernel, published_i3_2120_model())
+        api.system.strategy = RestartStrategy(backoff_base_s=3.0)
+        handle = (api.monitor(pid).every(0.5)
+                  .with_faults("crash@2.25:sensor-0;pid-exit@4")
+                  .to(InMemoryReporter()))
+        api.run(7.0)
+        api.shutdown()
+        reports = handle.reporter.aggregated
+        assert [round(r.time_s, 6) for r in reports] == [
+            0.5 * k for k in range(1, 11)]
+        assert not any(r.gap for r in reports[:4])
+        assert [(r.gap, r.formula) for r in reports[4:]] == [
+            (True, "gap:missing")] * 6
+        assert [round(e.time_s, 6) for e in handle.health
+                if e.kind == "pid-lost"] == [5.5]
 
     def test_immediately_restarted_sensor_keeps_its_period(self):
         """A sensor restarted without a backoff keeps the counters and

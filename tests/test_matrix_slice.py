@@ -26,25 +26,25 @@ DIGESTS = {
     "cpu=i3-2120/gov=performance/wl=cpu/faults=f1/net=none/pipe=sim/cap=45":
         "732bdd97ebb1babb9ef21b86857fa49295f0dcd4ac479c707521e91c8bdf3aba",
     "cpu=i3-2120/gov=performance/wl=cpu/faults=f2/net=none/pipe=sim/cap=45":
-        "c57be5f4ea6801985a0efe050ce38d8bb8eb6d86c74218a86540be1bf20fa8cc",
+        "b18c0df1f005ce50f65556d0603463064e0ab815b7f791910f6668b0bc60d1d8",
     "cpu=i3-2120/gov=performance/wl=mixed/faults=none/net=none/pipe=sim/cap=45":
         "eb1131f682cde998881acfa28035e5655302e4dd7c02d9510622bfb2f53ef8af",
     "cpu=i3-2120/gov=performance/wl=mixed/faults=f1/net=none/pipe=sim/cap=45":
         "a05c542dd4580c69128c88684c4a08730a90ab6852258f7bc95e074f2b96fc95",
     "cpu=i3-2120/gov=performance/wl=mixed/faults=f2/net=none/pipe=sim/cap=45":
-        "ece981a4cd7b1fa8dd0afdfd4fb5b144ad0e4e0539a22a1dd4974e5fb89af0e2",
+        "2d5fd449450833e87a8fd043a235627115677d981bfb1e25f9f51a554af0331a",
     "cpu=i3-2120/gov=ondemand/wl=cpu/faults=none/net=none/pipe=sim/cap=45":
         "54d29b4ecb89931ccea66e7f11fe4874b5211c1dde140b5374d3dd5e748d8e04",
     "cpu=i3-2120/gov=ondemand/wl=cpu/faults=f1/net=none/pipe=sim/cap=45":
         "bed141012d7ed47ec96fd4a6a0faea03f578bf288cd17e0c5f9e121854a61c23",
     "cpu=i3-2120/gov=ondemand/wl=cpu/faults=f2/net=none/pipe=sim/cap=45":
-        "885be4eaa33a390f10cd3bf06e88ff245e8b3c0d7dc6aca38206f3c2e8842a91",
+        "e35a68be6f25c00838e3e6629a6786c6010a7d0c72dce9db34503d8f17fc0545",
     "cpu=i3-2120/gov=ondemand/wl=mixed/faults=none/net=none/pipe=sim/cap=45":
         "a71b3cfbb3fa28eaf613c180123dfef39277f44f4fbca1726f58b5c4ceb934d4",
     "cpu=i3-2120/gov=ondemand/wl=mixed/faults=f1/net=none/pipe=sim/cap=45":
         "d65c10e1a822dc1f0fc8e81fbc5cff49ed93c395416eb1d9650c9ca73cd09eef",
     "cpu=i3-2120/gov=ondemand/wl=mixed/faults=f2/net=none/pipe=sim/cap=45":
-        "7f00c19b621b20dd33db4ef41b30dbd3ef7ea6c8471488200b817f4f27544ad3",
+        "1d468894c1e487fec0ee45a21b3e58c912d92b9561adf37c94341f30ffb4194c",
 }
 
 

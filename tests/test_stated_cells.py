@@ -189,14 +189,14 @@ def test_the_kept_grouping_holds_no_older_program():
 
 def _expected_shapes(program, statements, n_ticks):
     """The distinct (addends per tick, tick count) over a replay's
-    cells; a cell with count 0 adds nothing."""
+    cells; a cell stated with no ticks adds nothing."""
     cells = [(column, slot, n_ticks)
              for columns, slot, _delta in program.rows for column in columns]
     cells += [(program.residency, key, n_ticks)
               for key, _addend in program.residency_cells]
-    for stated, counts in statements:
-        cells += [(container, key, n_ticks if counts is None
-                   or counts[i] is None else counts[i])
+    for stated, ticks in statements:
+        cells += [(container, key, n_ticks if ticks is None
+                   or ticks[i] is None else len(ticks[i]))
                   for i, (container, key, _addend) in enumerate(stated)]
     widths = Counter((id(container), key) for container, key, _c in cells)
     count_of = {(id(container), key): count
