@@ -230,9 +230,7 @@ class PerfSession:
         if key[0] is not events:
             self._cells = self._times + self._raw_cells(events)
             self._key = (events, dt, active)
-        if (len(running) == len(active)
-                and min(map(len, running.values()), default=n_ticks)
-                == n_ticks):
+        if running is None:
             return self._cells, None
         ran = {}
         for counter in active:

@@ -32,8 +32,9 @@ class MultiplexScheduler:
         #: model complete PMU starvation); None means use ``slots``.
         self.slot_override: Optional[int] = None
         self._rotation: Dict[Tuple[int, int], int] = defaultdict(int)
-        # (usable slots, counters, scheduled ids) of the last schedule
-        # in which no target rotates: repeating it changes nothing.
+        # (usable slots, counters, whether every counter runs) of the
+        # last schedule in which no target rotates: repeating it changes
+        # nothing.
         self._held: Optional[tuple] = None
 
     @property
@@ -76,32 +77,33 @@ class MultiplexScheduler:
             self._rotation[target] = (start + slots) % len(members)
         return scheduled
 
-    def running_ticks(self, counters: Sequence,
-                      n_ticks: int) -> Dict[int, Sequence[int]]:
-        """The ticks (0 to *n_ticks* - 1) each of *counters* holds a slot.
+    def running_ticks(self, counters: Sequence, n_ticks: int
+                      ) -> Optional[Dict[int, List[int]]]:
+        """The ticks (0 to *n_ticks* - 1) each of *counters* holds a
+        slot, or None when every one holds a slot on every tick.
 
         Keyed by ``counter_id`` (counters never scheduled are absent);
         leaves the rotation state exactly as *n_ticks* :meth:`schedule`
-        calls would.  A schedule in which every group fits (or no slot
-        is usable) repeats unchanged, so it is kept and reused while the
-        counters and the usable slots hold, and each scheduled counter
-        runs on ``range(n_ticks)``; only a rotating group costs one
-        :meth:`schedule` call per tick, and lists its counters' ticks.
+        calls would.  A schedule in which no target rotates runs every
+        counter (or, with no usable slot, none) and repeats unchanged, so
+        it is kept and reused while the counters and the usable slots
+        hold; only a rotating group costs one :meth:`schedule` call per
+        tick, and lists its counters' ticks.
         """
         slots = self.effective_slots
         held = self._held
-        if held is not None and held[0] == slots and held[1] == counters:
-            return dict.fromkeys(held[2], range(n_ticks))
-        scheduled = self.schedule(counters)
-        if not self._rotates(counters):
-            self._held = (slots, list(counters), scheduled)
-            return dict.fromkeys(scheduled, range(n_ticks))
-        running: Dict[int, List[int]] = {
-            counter_id: [0] for counter_id in scheduled}
-        for tick in range(1, n_ticks):
-            for counter_id in self.schedule(counters):
-                running.setdefault(counter_id, []).append(tick)
-        return running
+        if held is None or held[0] != slots or held[1] != counters:
+            scheduled = self.schedule(counters)
+            if self._rotates(counters):
+                running: Dict[int, List[int]] = {
+                    counter_id: [0] for counter_id in scheduled}
+                for tick in range(1, n_ticks):
+                    for counter_id in self.schedule(counters):
+                        running.setdefault(counter_id, []).append(tick)
+                return running
+            held = self._held = (slots, list(counters),
+                                 len(scheduled) == len(counters))
+        return None if held[2] else {}
 
     def _rotates(self, counters: Sequence) -> bool:
         """Whether some target has more counters than usable slots."""
