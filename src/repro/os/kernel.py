@@ -25,18 +25,28 @@ quanta its actors must see.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, ProcessError
 from repro.os.governor import Governor, PerformanceGovernor
 from repro.os.process import Demand, Program, ProcessState, SimProcess
 from repro.os.procfs import ProcFs
 from repro.os.scheduler import Scheduler, SpreadScheduler
-from repro.simcpu.machine import Machine, TickRecord
+from repro.simcpu.machine import Machine, ThreadAssignment, TickRecord
 from repro.simcpu.spec import CpuSpec
 
 #: Default scheduling quantum, seconds (10 ms, a typical kernel tick).
 DEFAULT_QUANTUM_S = 0.01
+
+
+def _granted(demands: List[Tuple[SimProcess, Demand]],
+             assignments: Sequence[ThreadAssignment]) -> List[float]:
+    """Each demand's process's summed busy fraction over *assignments*."""
+    by_pid: Dict[int, float] = {}
+    for assignment in assignments:
+        by_pid[assignment.pid] = (by_pid.get(assignment.pid, 0.0)
+                                  + assignment.busy_fraction)
+    return [by_pid.get(process.pid, 0.0) for process, _demand in demands]
 
 
 class SimKernel:
@@ -112,8 +122,6 @@ class SimKernel:
         governor = self.governor
         quantum = self.quantum_s
         processes = self._processes.values()
-        held = None
-        granted: Dict[int, float] = {}
         ran = 0
         try:
             while ran < n_quanta:
@@ -126,16 +134,11 @@ class SimKernel:
 
                 governor.update(self._last_busy)
                 assignments = self.scheduler.assign(demands)
-                # The engine owns this busy map and nothing mutates it; it
-                # is the same object while the quantum repeats.
+                # The engine owns this busy map and nothing mutates it.
                 cpu_busy = engine.hold(assignments, quantum)
-                if cpu_busy is not held:
-                    held = cpu_busy
-                    granted = {}
-                    for assignment in assignments:
-                        granted[assignment.pid] = (
-                            granted.get(assignment.pid, 0.0)
-                            + assignment.busy_fraction)
+                granted = getattr(assignments, "granted", None)
+                if granted is None:  # not a placement, or changed in place
+                    granted = _granted(demands, assignments)
                 self._last_busy = cpu_busy
 
                 idle = until_idle and not demands
@@ -147,9 +150,8 @@ class SimKernel:
                 if quanta > 1 and not governor.is_fixed_point(cpu_busy):
                     quanta = 1
                 engine.extend(quanta)
-                for process, _demand in demands:
-                    process.account(granted.get(process.pid, 0.0) * quantum,
-                                    quantum, quanta)
+                for (process, _demand), share in zip(demands, granted):
+                    process.account(share * quantum, quantum, quanta)
                 ran += quanta
                 if idle:
                     break

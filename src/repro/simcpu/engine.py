@@ -93,6 +93,7 @@ import numpy as np
 
 from repro.simcpu import counters as ev
 from repro.simcpu.counters import EventDelta
+from repro.simcpu.occupancy import Placement
 from repro.simcpu.power import CoreActivity, PowerBreakdown
 from repro.units import left_sum
 
@@ -223,8 +224,9 @@ class BatchEngine:
         self._cpu_column = {
             cpu_id: column for column, cpu_id in enumerate(machine._zero_busy)}
         # The held run: its first quantum's program, the busy fractions
-        # of each later quantum (one tick each) and their CPUs' busy,
-        # and the key, busy map and ticks of the quantum held last.
+        # of each later quantum (one tick each) and their CPUs' busy;
+        # the key (None for a placement of the last one's rows), busy map
+        # and placement of the quantum held last, and its ticks.
         self._held: Optional[TickProgram] = None
         self._busy: list = []
         self._cpu_busy: list = []
@@ -451,46 +453,69 @@ class BatchEngine:
         shares the held run's layout key and dt joins the run as one
         row of floats, validated now but not compiled, while the run's
         quanta each last one tick, it is shorter than
-        :data:`FOLD_CHUNK_ROWS` and no fold is attached.  Any other
-        quantum ends the held run (:meth:`flush`) and starts the next
-        from its compiled :meth:`program`.  :meth:`extend` gives the
-        quantum held last its ticks.
+        :data:`FOLD_CHUNK_ROWS` and no fold is attached.  A
+        :class:`~repro.simcpu.occupancy.Placement` that shares the last
+        quantum's ``rows`` object shares its layout by the scheduler's
+        word, so its row is neither keyed nor validated (nor its
+        assignments built).  Any
+        other quantum ends the held run (:meth:`flush`) and starts the
+        next from its compiled :meth:`program`.  :meth:`extend` gives
+        the quantum held last its ticks.
         """
         held = self._held
         if held is None:
             return self._hold_program(assignments, dt_s)
         machine = self._machine
         generation = machine.frequency.generation
-        key = (tuple(assignments), dt_s, generation)
-        last = self._last
-        if key == last[0]:
-            return last[1]
-        if (self._ticks == 1 and dt_s == held.dt_s and not machine._folds
-                and len(self._busy) < FOLD_CHUNK_ROWS - 1
-                and self._layout_key(key[0], generation) == held.layout.key):
-            cpu_busy = machine._validate_occupancy(key[0])
-            self._busy.append([a.busy_fraction for a in key[0]])
-            self._cpu_busy.append(list(cpu_busy.values()))
-            self._last = (key, cpu_busy)
-            self._ticks = 0
-            return cpu_busy
+        last_key, last_busy, last_placement = self._last
+        joins = (self._ticks == 1 and dt_s == held.dt_s and not machine._folds
+                 and len(self._busy) < FOLD_CHUNK_ROWS - 1)
+        placement = assignments if type(assignments) is Placement else None
+        rows = None if placement is None else placement.rows
+        if (rows is not None and last_placement is not None
+                and rows is last_placement.rows and dt_s == held.dt_s
+                and generation == held.layout.key[1]):
+            # The last quantum's rows, so the held run's layout.
+            if placement.busy == last_placement.busy:
+                return last_busy
+            if joins:
+                return self._join(None, placement.cpu_busy, placement.busy,
+                                  placement)
+        else:
+            key = (tuple(assignments), dt_s, generation)
+            if key == last_key:
+                return last_busy
+            if joins and self._layout_key(key[0], generation) == held.layout.key:
+                cpu_busy = machine._validate_occupancy(key[0])
+                return self._join(key, cpu_busy,
+                                  [a.busy_fraction for a in key[0]], placement)
         self.flush()
-        return self._hold_program(key[0], dt_s)
+        return self._hold_program(assignments, dt_s)
+
+    def _join(self, key: Optional[tuple], cpu_busy: Dict[int, float],
+              busy: list, placement: Optional[Placement]) -> Dict[int, float]:
+        """Add one quantum to the held run as a row of floats."""
+        self._busy.append(busy)
+        self._cpu_busy.append(list(cpu_busy.values()))
+        self._last = (key, cpu_busy, placement)
+        self._ticks = 0
+        return cpu_busy
 
     def _hold_program(self, assignments, dt_s: float) -> Dict[int, float]:
         """Hold the compiled program of (*assignments*, *dt_s*), with
         nothing held; returns its busy map."""
         program = self._held = self.program(assignments, dt_s)
-        self._last = (self._key, program.cpu_busy)
+        self._last = (self._key, program.cpu_busy,
+                      assignments if type(assignments) is Placement else None)
         return program.cpu_busy
 
     def extend(self, n_ticks: int) -> None:
         """Give the quantum held last *n_ticks* more ticks.
 
         A later quantum of a run lasts one tick: one that repeats ends
-        the run before it and is held as a compiled program instead (its
-        key holds the generation it was held at, so the program freezes
-        the same frequencies).
+        the run before it and is held as a compiled program instead (no
+        P-state moves between a quantum's hold and its extend, so the
+        program freezes the same frequencies).
         """
         self._ticks += n_ticks
         if self._busy and self._ticks > 1:
@@ -498,9 +523,11 @@ class BatchEngine:
             self._busy.pop()
             self._cpu_busy.pop()
             self._ticks = 1
-            key = self._last[0]
+            key, _cpu_busy, placement = self._last
+            dt_s = self._held.dt_s
             self.flush()
-            self._hold_program(key[0], key[1])
+            self._hold_program(key[0] if placement is None else placement,
+                               dt_s)
             self._ticks = ticks
 
     def flush(self) -> None:

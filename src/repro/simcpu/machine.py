@@ -26,33 +26,16 @@ from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from repro.errors import ConfigurationError, TopologyError
-from repro.simcpu.caches import CacheModel, MemoryProfile
+from repro.simcpu.caches import CacheModel
 from repro.simcpu.counters import CounterBank, EventDelta
 from repro.simcpu.cstates import CStateController
 from repro.simcpu.engine import BatchEngine
 from repro.simcpu.frequency import FrequencyDomain
-from repro.simcpu.pipeline import InstructionMix, PipelineModel
+from repro.simcpu.occupancy import ThreadAssignment
+from repro.simcpu.pipeline import PipelineModel
 from repro.simcpu.power import GroundTruthPower, PowerBreakdown, ThermalModel
 from repro.simcpu.spec import CpuSpec
 from repro.simcpu.topology import Topology
-
-
-@dataclass(frozen=True)
-class ThreadAssignment:
-    """One process occupying (part of) one logical CPU for one step."""
-
-    pid: int
-    cpu_id: int
-    busy_fraction: float
-    mix: InstructionMix
-    memory: MemoryProfile
-
-    def __post_init__(self) -> None:
-        if self.pid < 0:
-            raise ConfigurationError("pid must be >= 0")
-        if not 0.0 <= self.busy_fraction <= 1.0:
-            raise ConfigurationError(
-                f"busy_fraction must be within [0, 1], got {self.busy_fraction}")
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,16 @@ references with exact ``==``:
   for a :class:`PerfSession` with a rotating counter group and a
   PMU-starvation window, and for :class:`ProcFs`;
 * placement against a copy of the original ``Scheduler.assign`` over
-  random demands with affinities, nice levels and saturation.
+  random demands with affinities, nice levels and saturation, in rounds
+  that may keep the last round's shape while the utilisations move
+  (the scheduler then re-checks its held decisions).
 
 The kernel holds such quanta as one ramp run instead;
 ``tests/test_ramp_runs.py`` holds that path to the same references.
 """
+
+import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -246,22 +251,70 @@ MIXES = (InstructionMix(), InstructionMix(fp_fraction=0.3))
 MEMORIES = (MemoryProfile(), MemoryProfile(working_set_bytes=8 * 1024 ** 2))
 
 
+def _affinities(spec):
+    return st.one_of(st.none(), st.sets(st.integers(0, spec.num_threads),
+                                        min_size=1, max_size=3))
+
+
+def _held_utilizations(previous):
+    """Fresh utilisations for demands that keep their shape: the last
+    ones; the last ones swapped between demands (the work order's keys
+    cross); one value for all (demands with equal threads tie); or each
+    drawn alone, at a CPU's headroom edge next to another demand's value
+    or up to saturation."""
+    count = len(previous)
+    edges = sorted({edge for value in previous for edge in (
+        1.0 - value, 1.0 - value + 1e-12,
+        math.nextafter(1.0 - value + 1e-12, 2.0)) if 0.0 <= edge <= 1.0})
+    values = (st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.0])
+              | st.sampled_from(previous) | st.sampled_from(edges)
+              | st.floats(0.0, 1.0, allow_nan=False))
+    return st.one_of(
+        st.just(list(previous)),
+        st.permutations(previous),
+        values.map(lambda value: [value] * count),
+        st.lists(values, min_size=count, max_size=count))
+
+
 @st.composite
 def demand_rounds(draw, spec):
-    """Processes with affinities and nice levels, and 1–6 rounds of
-    demands for them; a round may repeat the one before it."""
+    """Processes with affinities and nice levels, and 1–8 rounds of
+    demands for them, each with the processes' states, nice levels and
+    affinities.  A round may repeat the one before it, or keep its shape
+    (threads, mix, memory, states) with fresh utilisations
+    (:func:`_held_utilizations`) and renice one process or replace one
+    affinity."""
     processes = []
     for index in range(draw(st.integers(1, 8))):
-        affinity = draw(st.one_of(
-            st.none(), st.sets(st.integers(0, spec.num_threads), min_size=1,
-                               max_size=3)))
         processes.append(SimProcess(
             pid=1000 + index, name=f"p{index}", program=None,
-            affinity=affinity, nice=draw(st.integers(-5, 5))))
+            affinity=draw(_affinities(spec)),
+            nice=draw(st.integers(-5, 5))))
+    nices = [process.nice for process in processes]
+    affinities = [process.affinity for process in processes]
     rounds = []
-    for _ in range(draw(st.integers(1, 6))):
-        if rounds and draw(st.booleans()):
+    for _ in range(draw(st.integers(1, 8))):
+        kind = (draw(st.sampled_from(["repeat", "fresh", "held", "held"]))
+                if rounds else "fresh")
+        if kind == "repeat":
             rounds.append(rounds[-1])
+            continue
+        if kind == "held":
+            previous, states, nices, affinities = rounds[-1]
+            utilizations = draw(_held_utilizations(
+                [demand.utilization for _process, demand in previous]))
+            demands = [(process, replace(demand, utilization=utilization))
+                       for (process, demand), utilization
+                       in zip(previous, utilizations)]
+            index = draw(st.integers(0, len(processes) - 1))
+            change = draw(st.sampled_from(["none", "renice", "affinity"]))
+            if change == "renice":
+                nices = list(nices)
+                nices[index] = draw(st.integers(-5, 5))
+            elif change == "affinity":
+                affinities = list(affinities)
+                affinities[index] = draw(_affinities(spec))
+            rounds.append((demands, states, nices, affinities))
             continue
         demands = []
         for process in processes:
@@ -275,7 +328,7 @@ def demand_rounds(draw, spec):
                                         ProcessState.RUNNABLE,
                                         ProcessState.SLEEPING]))
                   for _process in processes]
-        rounds.append((demands, states))
+        rounds.append((demands, states, nices, affinities))
     return rounds
 
 
@@ -291,9 +344,12 @@ class TestPlacementMatchesReference:
         topology = Topology(spec)
         scheduler = scheduler_class(topology)
         reference = reference_class(topology)
-        for demands, states in rounds:
-            for (process, _demand), state in zip(demands, states):
+        for demands, states, nices, affinities in rounds:
+            for (process, _demand), state, nice, affinity in zip(
+                    demands, states, nices, affinities):
                 process.state = state
+                process.nice = nice
+                process.affinity = affinity
             try:
                 expected = reference.assign(demands)
             except SchedulerError:

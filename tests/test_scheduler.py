@@ -1,5 +1,7 @@
 """Unit tests for repro.os.scheduler (placement policies)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import SchedulerError
@@ -133,3 +135,72 @@ class TestMultithreadDemand:
         assert len(assignments) == 4
         assert len({a.cpu_id for a in assignments}) == 4
         assert all(a.pid == 1 for a in assignments)
+
+
+class TestHeldShape:
+    """A scheduler holds its last placement's shape and re-checks each
+    decision of it while only the utilisations move; every round must
+    place as a fresh scheduler places it."""
+
+    @staticmethod
+    def _process(pid, affinity=None, nice=0):
+        return SimProcess(pid, f"p{pid}", None, affinity=affinity, nice=nice)
+
+    @staticmethod
+    def _place(topology, rounds):
+        held = SpreadScheduler(topology)
+        placements = []
+        for demands in rounds:
+            placements.append(held.assign(demands))
+            assert placements[-1] == SpreadScheduler(topology).assign(demands)
+        return placements
+
+    def test_a_ramp_keeps_the_shape(self, topology):
+        ramp = self._process(1)
+        first, second = self._place(topology, [
+            [(ramp, Demand(utilization=0.3, threads=2))],
+            [(ramp, Demand(utilization=0.4, threads=2))]])
+        assert second.rows is first.rows
+        assert second.busy == [0.4, 0.4]
+        assert second.cpu_busy == {0: 0.4, 1: 0.4, 2: 0.0, 3: 0.0}
+
+    def test_a_tie_in_the_work_order_follows_demand_order(self, topology):
+        light, heavy = self._process(1), self._process(2)
+        _first, second = self._place(topology, [
+            [(light, Demand(utilization=0.3)), (heavy, Demand(0.5))],
+            [(light, Demand(utilization=0.5)), (heavy, Demand(0.5))]])
+        assert [a.pid for a in second] == [1, 2]
+
+    def test_a_renice_is_no_repeat(self, topology):
+        process = self._process(1)
+        demands = [(process, Demand(utilization=1.0))]
+        held = SpreadScheduler(topology)
+        first = held.assign(demands)
+        process.nice = 5
+        second = held.assign(demands)
+        assert second == SpreadScheduler(topology).assign(demands)
+        assert second[0].busy_fraction < first[0].busy_fraction
+
+    def test_a_held_cpu_without_headroom_is_placed_afresh(self, topology):
+        first = self._process(1, affinity={0})
+        second = self._process(2, affinity={0}, nice=2)
+        placements = self._place(topology, [
+            [(first, Demand(utilization=0.5)), (second, Demand(0.4))],
+            [(first, Demand(utilization=0.6)), (second, Demand(0.5))]])
+        assert placements[1].busy == [0.6, 0.4 * 1.25 ** -2]
+
+    def test_a_held_fallback_is_placed_afresh_once_a_cpu_fits(self, topology):
+        first = self._process(1, affinity={0})
+        second = self._process(2, affinity={0})
+        placements = self._place(topology, [
+            [(first, Demand(utilization=0.8)), (second, Demand(0.5))],
+            [(first, Demand(utilization=0.5)), (second, Demand(0.45))]])
+        assert placements[1].busy == [0.5, 0.45]
+
+    def test_a_changed_placement_is_a_plain_list(self, topology):
+        placement = SpreadScheduler(topology).assign(
+            [(self._process(1), Demand(utilization=0.5))])
+        extra = replace(placement[0], pid=2)
+        placement.append(extra)
+        assert placement.rows is None and placement.granted is None
+        assert list(placement) == [placement[0], extra]
