@@ -9,11 +9,11 @@ assignments, advances the machine and updates process accounting.
 scheduler once per steady run of quanta: when every polled program's
 demand holds for several quanta (its demand horizon) and the governor's
 update is a fixed point, the run is accounted after that one poll.  It
-compiles nothing itself: each poll's assignments go to the engine
+compiles nothing itself: each poll's placement goes to the engine
 (``BatchEngine.hold``), which repeats the quantum it holds while the
-assignments and the frequency domain's generation repeat, and holds a
-SPECjbb-like ramp (a new busy fraction every quantum, one layout) as
-rows of floats, replaying each run once when it ends.  The span's last
+placement and the frequency domain's generation repeat, and holds a
+SPECjbb-like ramp (a new busy fraction every quantum, equal rows) as
+one run, valuing and replaying each run once when it ends.  The span's last
 run is replayed in a ``finally``, so a quantum that raises leaves
 machine state as the quanta before it did.  :meth:`tick` is a span of
 one quantum, :meth:`run` a span for a duration; :meth:`run_until_idle`
@@ -25,28 +25,19 @@ quanta its actors must see.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, ProcessError
 from repro.os.governor import Governor, PerformanceGovernor
 from repro.os.process import Demand, Program, ProcessState, SimProcess
 from repro.os.procfs import ProcFs
 from repro.os.scheduler import Scheduler, SpreadScheduler
-from repro.simcpu.machine import Machine, ThreadAssignment, TickRecord
+from repro.simcpu.machine import Machine, TickRecord
+from repro.simcpu.occupancy import Placement
 from repro.simcpu.spec import CpuSpec
 
 #: Default scheduling quantum, seconds (10 ms, a typical kernel tick).
 DEFAULT_QUANTUM_S = 0.01
-
-
-def _granted(demands: List[Tuple[SimProcess, Demand]],
-             assignments: Sequence[ThreadAssignment]) -> List[float]:
-    """Each demand's process's summed busy fraction over *assignments*."""
-    by_pid: Dict[int, float] = {}
-    for assignment in assignments:
-        by_pid[assignment.pid] = (by_pid.get(assignment.pid, 0.0)
-                                  + assignment.busy_fraction)
-    return [by_pid.get(process.pid, 0.0) for process, _demand in demands]
 
 
 class SimKernel:
@@ -118,7 +109,8 @@ class SimKernel:
         run).  With *until_idle* the span ends after the quantum in
         which the last live process exited.
         """
-        engine = self.machine.engine
+        machine = self.machine
+        engine = machine.engine
         governor = self.governor
         quantum = self.quantum_s
         processes = self._processes.values()
@@ -133,12 +125,12 @@ class SimKernel:
                             demands.append((process, demand))
 
                 governor.update(self._last_busy)
-                assignments = self.scheduler.assign(demands)
+                placement = self.scheduler.assign(demands)
+                if type(placement) is not Placement:  # a list of assignments
+                    placement = machine.placement(placement, [
+                        process.pid for process, _demand in demands])
                 # The engine owns this busy map and nothing mutates it.
-                cpu_busy = engine.hold(assignments, quantum)
-                granted = getattr(assignments, "granted", None)
-                if granted is None:  # not a placement, or changed in place
-                    granted = _granted(demands, assignments)
+                cpu_busy = engine.hold(placement, quantum)
                 self._last_busy = cpu_busy
 
                 idle = until_idle and not demands
@@ -150,7 +142,8 @@ class SimKernel:
                 if quanta > 1 and not governor.is_fixed_point(cpu_busy):
                     quanta = 1
                 engine.extend(quanta)
-                for (process, _demand), share in zip(demands, granted):
+                for (process, _demand), share in zip(demands,
+                                                     placement.granted):
                     process.account(share * quantum, quantum, quanta)
                 ran += quanta
                 if idle:

@@ -21,7 +21,9 @@ CPU is never oversubscribed.
 A scheduler keeps the shape of its last full placement and re-checks
 every decision of it when only the utilisations move (a SPECjbb ramp),
 so such a quantum costs a few comparisons per thread and reaches the
-engine as a row of floats (:class:`~repro.simcpu.occupancy.Placement`).
+engine with the last quantum's ``rows`` tuple
+(:class:`~repro.simcpu.occupancy.Placement`), which the engine compares
+by identity first.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class Scheduler:
         Placement is a pure function of the demands and their processes'
         states, nice levels and affinities.  The last full placement's
         shape is held: a quantum equal to the last one placed gets that
-        placement again, and one whose demands move only their
+        placement object again, and one whose demands move only their
         utilisations re-checks each of its decisions; the first that
         fails runs the full placement, whose shape is held from then on.
         """
@@ -113,7 +115,6 @@ class Scheduler:
         held = self._held
         if held is not None:
             if signature == held.signature:
-                held.placement = held.placement.copy()
                 return held.placement
             if [entry[1:] for entry in signature] == held.shapes:
                 placement = self._recheck(held, signature)

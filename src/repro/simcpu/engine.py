@@ -24,29 +24,33 @@ This module splits the step into the two halves the tick loop conflates:
   relaxation, the energy and time integrals, and one float addition per
   accumulation cell per tick.
 
-A compile itself comes in two parts.  The *layout* (:class:`_Layout`)
-is what the occupancy's shape fixes: which assignments run where, the
-counter slot and columns each one adds into, its SMT siblings, its
-cache behaviour next to the other working sets on its package, the
-granted core frequencies and the instruction power weights.  The
-*values* are what the busy fractions and dt fix: each assignment's 14
+The engine takes a quantum as a :class:`~repro.simcpu.occupancy.Placement`
+of running threads (``Machine.placement`` converts a list of
+assignments).  A compile itself comes in two parts.  The *layout*
+(:class:`_Layout`) is what the placement's rows fix: which threads run
+where, the counter slot and columns each one adds into, its SMT
+siblings, its cache behaviour next to the other working sets on its
+package, the granted core frequencies and the instruction power weights.
+The *values* are what the busy fractions and dt fix: each thread's 14
 event counts, the C-state cells and the power breakdown.  The engine
-keeps one layout, keyed on each assignment's (pid, cpu, mix, memory,
-busy > 0) and the frequency generation, so a quantum whose demand moved
-without moving its shape fills in values only.
+keeps one layout, keyed on the placement's rows and the frequency
+generation, so a quantum whose demand moved without moving its shape
+fills in values only.
 
 A SPECjbb ramp moves its demand on every quantum without moving its
 shape, so the kernel holds its quanta here (:meth:`BatchEngine.hold`)
-rather than compiling each.  A *ramp run* is consecutive one-tick
-quanta with one dt whose assignments share the layout key: its first
-quantum compiles as usual, each later one joins as a row of busy
-fractions, and at its end (the layout key or dt changes, a quantum
-repeats, :data:`FOLD_CHUNK_ROWS` quanta, or the end of the span) one
-:meth:`BatchEngine.replay_run` fills the values of every quantum at
-once as numpy columns (:meth:`BatchEngine._fill`, the column twin of
-the scalar compile) and replays them.  A quantum that forms no run of
-two or more keeps the scalar compile, which is cheaper for one quantum
-(a fresh machine in the learning campaign, a one-quantum span).
+rather than compiling each.  A held quantum is laid out at its hold,
+which freezes its frequencies, and valued only when the held run ends
+(:meth:`BatchEngine.flush`).  A *ramp run* is consecutive one-tick
+quanta with one dt whose placements have equal rows: each later quantum
+joins as a placement, and at the run's end (the rows, dt or generation
+change, a quantum repeats, :data:`FOLD_CHUNK_ROWS` quanta, or the end of
+the span) one :meth:`BatchEngine.replay_run` fills the values of every
+quantum at once as numpy columns (:meth:`BatchEngine._fill`, the column
+twin of the scalar compile) and replays them.  A run of one quantum is
+compiled by :meth:`BatchEngine.program`, which is cheaper for one
+quantum (a fresh machine in the learning campaign, a one-quantum span)
+and keeps its last program for a quantum that repeats.
 
 Bit-identity is the hard contract (the golden dataset tests pin it):
 replaying a program performs exactly the float operations, in exactly
@@ -85,7 +89,7 @@ programs: while one is attached no run forms.
 
 from __future__ import annotations
 
-from itertools import repeat, zip_longest
+from itertools import repeat
 from operator import is_
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -98,7 +102,7 @@ from repro.simcpu.power import CoreActivity, PowerBreakdown
 from repro.units import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (machine -> engine)
-    from repro.simcpu.machine import Machine, ThreadAssignment, TickRecord
+    from repro.simcpu.machine import Machine, TickRecord
 
 #: Bus cycles tick at roughly one tenth of the core clock.
 BUS_CYCLE_RATIO = 0.1
@@ -124,11 +128,11 @@ def addend_table(cells: Sequence[Sequence[float]]) -> np.ndarray:
     """The (width x cells) table of each cell's per-tick addends.
 
     Column *j* holds cell *j*'s addends in the order one tick adds them;
-    a cell with fewer than the widest cell's addends is padded with
-    +0.0.  The replay groups cells by width, so it never pads.
+    every cell has the same number of addends (the replay groups cells
+    by width).
     """
-    rows = list(zip_longest(*cells, fillvalue=0.0))
-    return np.array(rows, dtype=float).reshape(len(rows), len(cells))
+    width = len(cells[0]) if cells else 0
+    return np.array(cells, dtype=float).reshape(len(cells), width).T
 
 
 def vector_fold(start: Sequence[float], table: np.ndarray,
@@ -181,19 +185,19 @@ def tick_fold(start: Sequence[float], addends: Sequence[Sequence],
 
 
 class TickProgram:
-    """Everything about one steady (occupancy, dt, P-states) combination
+    """Everything about one steady (placement, dt, P-states) combination
     that does not change from tick to tick."""
 
     __slots__ = (
         "dt_s", "cpu_busy", "core_freqs", "events", "rows", "residency",
-        "residency_cells", "current_states", "layout", "busy",
-        "has_counters", "idle_w", "cores_w", "uncore_w", "dram_w",
-        "wakeup_w", "base_w", "dynamic_w",
+        "residency_cells", "current_states", "layout", "has_counters",
+        "idle_w", "cores_w", "uncore_w", "dram_w", "wakeup_w", "base_w",
+        "dynamic_w",
     )
 
 
 class _Row:
-    """One running assignment's place in a layout."""
+    """One running thread's place in a layout."""
 
     __slots__ = (
         "index", "key", "others", "sibling_columns", "frequency_hz", "mix",
@@ -202,14 +206,15 @@ class _Row:
 
 
 class _Layout:
-    """What an occupancy's shape and the frequency targets fix."""
+    """What a placement's rows and the frequency targets fix; ``key`` is
+    ``(placement.rows, generation)``."""
 
     __slots__ = ("key", "rows", "cores", "core_freqs")
 
 
 class BatchEngine:
-    """Compiles steady occupancies into tick programs and replays them;
-    holds ramp runs and replays each once."""
+    """Compiles placements into tick programs and replays them; holds
+    ramp runs and replays each once."""
 
     def __init__(self, machine: "Machine") -> None:
         self._machine = machine
@@ -223,59 +228,60 @@ class BatchEngine:
         #: Column of each CPU's busy fraction, in the occupancy's order.
         self._cpu_column = {
             cpu_id: column for column, cpu_id in enumerate(machine._zero_busy)}
-        # The held run: its first quantum's program, the busy fractions
-        # of each later quantum (one tick each) and their CPUs' busy;
-        # the key (None for a placement of the last one's rows), busy map
-        # and placement of the quantum held last, and its ticks.
-        self._held: Optional[TickProgram] = None
-        self._busy: list = []
-        self._cpu_busy: list = []
-        self._last: Optional[tuple] = None
+        # The held run: its placements (every one but the last one tick
+        # long), the layout laid out at its first hold (None: nothing
+        # held), its dt and the ticks of the quantum held last.
+        self._run: List[Placement] = []
+        self._held: Optional[_Layout] = None
+        self._dt = 0.0
         self._ticks = 0
 
     # -- compilation ---------------------------------------------------
 
-    def program(self, assignments: Sequence["ThreadAssignment"],
-                dt_s: float) -> TickProgram:
-        """The compiled program for (*assignments*, *dt_s*).
+    def program(self, placement: Placement, dt_s: float,
+                layout: Optional[_Layout] = None) -> TickProgram:
+        """The compiled program for (*placement*, *dt_s*) on *layout*.
 
-        The engine keeps the last program only: asked again with equal
-        assignments, the same dt and the same frequency-domain change
-        generation, it returns that very object, so a caller can tell a
+        By default the layout is the one of the placement's rows at the
+        current P-state targets; :meth:`flush` passes a held quantum's,
+        frozen at its hold.  The engine keeps the last program only:
+        asked again for equal busy fractions and the same dt on the same
+        layout, it returns that very object, so a caller can tell a
         changed quantum by identity.  A governor request that moves a
-        P-state target bumps the generation; re-requests of the current
-        target (what every governor does each quantum in steady state) do
-        not.  An occupancy that recurs after another is compiled afresh.
+        P-state target bumps the frequency generation, and so the
+        layout; re-requests of the current target (what every governor
+        does each quantum in steady state) do not.  A placement that
+        recurs after another is compiled afresh.
         """
-        key = (tuple(assignments), dt_s, self._machine.frequency.generation)
+        if layout is None:
+            layout = self._layout_of(placement)
+        key = (layout, placement.busy, dt_s)
         if key != self._key:
-            self._program = self._compile(key[0], dt_s, key[2])
+            self._program = self._compile(layout, placement, dt_s)
             self._key = key
         return self._program
 
-    def _layout_key(self, assignments, generation: int) -> tuple:
-        return (tuple([(a.pid, a.cpu_id, a.mix, a.memory,
-                        a.busy_fraction > 0.0) for a in assignments]),
-                generation)
-
-    def _compile(self, assignments: Tuple["ThreadAssignment", ...],
-                 dt_s: float, generation: int) -> TickProgram:
-        """Fill this occupancy's values into its (cached) layout."""
-        machine = self._machine
-        cpu_busy = machine._validate_occupancy(assignments)
-        key = self._layout_key(assignments, generation)
+    def _layout_of(self, placement: Placement) -> _Layout:
+        """The kept layout if its rows equal *placement*'s at the current
+        generation, else a new one, kept from now on."""
+        key = (placement.rows, self._machine.frequency.generation)
         layout = self._layout
         if layout is None or layout.key != key:
-            layout = self._layout = self._lay_out(assignments, cpu_busy, key)
+            layout = self._layout = self._lay_out(placement, key)
+        return layout
 
+    def _compile(self, layout: _Layout, placement: Placement,
+                 dt_s: float) -> TickProgram:
+        """Fill *placement*'s values into *layout*."""
+        machine = self._machine
+        busy, cpu_busy = placement.busy, placement.cpu_busy
         events: Dict[Tuple[int, int], EventDelta] = {}
         llc_refs = 0.0
         dram_bytes = 0.0
         line_bytes = machine._line_bytes_cached
         rows = []
         for row in layout.rows:
-            delta = self._row_values(row, assignments[row.index].busy_fraction,
-                                     cpu_busy, dt_s)
+            delta = self._row_values(row, busy[row.index], cpu_busy, dt_s)
             existing = events.get(row.key)
             events[row.key] = (delta if existing is None
                                else existing.merged_with(delta))
@@ -284,8 +290,7 @@ class BatchEngine:
             dram_bytes += delta[ev.CACHE_MISSES] * line_bytes
 
         program = TickProgram()
-        activities = self._activities(program, layout, assignments, cpu_busy,
-                                      dt_s)
+        activities = self._activities(program, layout, busy, cpu_busy, dt_s)
         breakdown = machine.power_model.wall_power(
             activities,
             llc_references_per_s=llc_refs / dt_s,
@@ -299,7 +304,6 @@ class BatchEngine:
         program.events = events
         program.rows = rows
         program.layout = layout
-        program.busy = [a.busy_fraction for a in assignments]
         program.has_counters = bool(rows)
         program.idle_w = breakdown.idle
         program.cores_w = breakdown.cores
@@ -314,43 +318,39 @@ class BatchEngine:
                            + breakdown.uncore) + breakdown.dram)
         return program
 
-    def _lay_out(self, assignments, cpu_busy, key) -> _Layout:
+    def _lay_out(self, placement: Placement, key: tuple) -> _Layout:
         """Derive what *key* fixes: rows, per-core groups, frequencies.
 
-        An assignment's co-residents are the other running assignments
-        on its package, in list order; its counter slot is created here,
-        in the order the assignments run.
+        A thread's co-residents are the other threads on its package, in
+        placement order; its counter slot is created here, in the order
+        the threads run.
         """
         machine = self._machine
-        core_freqs = machine._effective_frequencies(cpu_busy)
+        core_freqs = machine._effective_frequencies(placement.cpu_busy)
         cpu_core_key = machine._cpu_core_key
         cpu_column = self._cpu_column
         zero_row = dict.fromkeys(ROW_EVENTS, 0.0)
-        running = [(index, assignment)
-                   for index, assignment in enumerate(assignments)
-                   if assignment.busy_fraction > 0.0]
+        threads = placement.rows
         rows: List[_Row] = []
         core_rows: Dict[Tuple[int, int], List[_Row]] = {}
-        for index, assignment in running:
-            cpu_id = assignment.cpu_id
+        for index, (pid, cpu_id, mix, memory) in enumerate(threads):
             core_key = cpu_core_key[cpu_id]
             coresident_sets = [
-                other.memory.working_set_bytes
-                for other_index, other in running
+                other_memory.working_set_bytes
+                for other_index, (_pid, other_cpu, _mix, other_memory)
+                in enumerate(threads)
                 if other_index != index
-                and cpu_core_key[other.cpu_id][0] == core_key[0]]
-            cells = machine.counters.accumulation_cells(
-                assignment.pid, cpu_id, zero_row)
+                and cpu_core_key[other_cpu][0] == core_key[0]]
+            cells = machine.counters.accumulation_cells(pid, cpu_id, zero_row)
             row = _Row()
             row.index = index
-            row.key = (assignment.pid, cpu_id)
+            row.key = (pid, cpu_id)
             row.others = machine._other_siblings[cpu_id]
             row.sibling_columns = [cpu_column[other] for other in row.others]
             row.frequency_hz = core_freqs[core_key]
-            row.mix = assignment.mix
-            row.behaviour = machine.caches.behaviour(assignment.memory,
-                                                     coresident_sets)
-            row.weight = assignment.mix.power_weight()
+            row.mix = mix
+            row.behaviour = machine.caches.behaviour(memory, coresident_sets)
+            row.weight = mix.power_weight()
             row.columns = tuple(column for column, _slot, _zero in cells)
             row.slot = cells[0][1]
             rows.append(row)
@@ -400,7 +400,8 @@ class BatchEngine:
         })
 
     def _activities(self, program: TickProgram, layout: _Layout,
-                    assignments, cpu_busy, dt_s) -> List[CoreActivity]:
+                    fractions: List[float], cpu_busy,
+                    dt_s) -> List[CoreActivity]:
         """Per-core activity records; fills the program's C-state cells.
 
         The governor's idle-state choice is a pure function of the
@@ -413,7 +414,7 @@ class BatchEngine:
         current_states: Dict[int, str] = {}
         for core_cpus, frequency_hz, core_rows in layout.cores:
             thread_busy = tuple([cpu_busy[cpu_id] for cpu_id in core_cpus])
-            weights = [(assignments[row.index].busy_fraction, row.weight)
+            weights = [(fractions[row.index], row.weight)
                        for row in core_rows]
             total_busy = left_sum(busy for busy, _weight in weights)
             if total_busy > 0:
@@ -444,119 +445,84 @@ class BatchEngine:
 
     # -- ramp runs -----------------------------------------------------
 
-    def hold(self, assignments: Sequence["ThreadAssignment"],
-             dt_s: float) -> Dict[int, float]:
-        """Hold one more quantum of *assignments*; returns its per-CPU
-        busy map (the same object while the quantum repeats).
+    def hold(self, placement: Placement, dt_s: float) -> Dict[int, float]:
+        """Hold one more quantum of *placement*; returns its per-CPU busy
+        map (the same object while the quantum repeats).
 
-        A quantum equal to the one held last repeats it.  One that
-        shares the held run's layout key and dt joins the run as one
-        row of floats, validated now but not compiled, while the run's
-        quanta each last one tick, it is shorter than
-        :data:`FOLD_CHUNK_ROWS` and no fold is attached.  A
-        :class:`~repro.simcpu.occupancy.Placement` that shares the last
-        quantum's ``rows`` object shares its layout by the scheduler's
-        word, so its row is neither keyed nor validated (nor its
-        assignments built).  Any
-        other quantum ends the held run (:meth:`flush`) and starts the
-        next from its compiled :meth:`program`.  :meth:`extend` gives
-        the quantum held last its ticks.
+        A quantum whose rows equal the last one's (compared by identity
+        first), with the same dt and frequency generation, repeats it if
+        its busy fractions are equal too; otherwise it joins the held run
+        while the run's quanta each last one tick, the run is shorter
+        than :data:`FOLD_CHUNK_ROWS` and no fold is attached.  Any other
+        quantum ends the held run (:meth:`flush`) and is held alone, laid
+        out now, so its frequencies are the current targets'.  Nothing is
+        valued before :meth:`flush`; :meth:`extend` gives the quantum
+        held last its ticks.
         """
-        held = self._held
-        if held is None:
-            return self._hold_program(assignments, dt_s)
-        machine = self._machine
-        generation = machine.frequency.generation
-        last_key, last_busy, last_placement = self._last
-        joins = (self._ticks == 1 and dt_s == held.dt_s and not machine._folds
-                 and len(self._busy) < FOLD_CHUNK_ROWS - 1)
-        placement = assignments if type(assignments) is Placement else None
-        rows = None if placement is None else placement.rows
-        if (rows is not None and last_placement is not None
-                and rows is last_placement.rows and dt_s == held.dt_s
-                and generation == held.layout.key[1]):
-            # The last quantum's rows, so the held run's layout.
-            if placement.busy == last_placement.busy:
-                return last_busy
-            if joins:
-                return self._join(None, placement.cpu_busy, placement.busy,
-                                  placement)
-        else:
-            key = (tuple(assignments), dt_s, generation)
-            if key == last_key:
-                return last_busy
-            if joins and self._layout_key(key[0], generation) == held.layout.key:
-                cpu_busy = machine._validate_occupancy(key[0])
-                return self._join(key, cpu_busy,
-                                  [a.busy_fraction for a in key[0]], placement)
-        self.flush()
-        return self._hold_program(assignments, dt_s)
-
-    def _join(self, key: Optional[tuple], cpu_busy: Dict[int, float],
-              busy: list, placement: Optional[Placement]) -> Dict[int, float]:
-        """Add one quantum to the held run as a row of floats."""
-        self._busy.append(busy)
-        self._cpu_busy.append(list(cpu_busy.values()))
-        self._last = (key, cpu_busy, placement)
-        self._ticks = 0
-        return cpu_busy
-
-    def _hold_program(self, assignments, dt_s: float) -> Dict[int, float]:
-        """Hold the compiled program of (*assignments*, *dt_s*), with
-        nothing held; returns its busy map."""
-        program = self._held = self.program(assignments, dt_s)
-        self._last = (self._key, program.cpu_busy,
-                      assignments if type(assignments) is Placement else None)
-        return program.cpu_busy
+        run = self._run
+        if run:
+            last = run[-1]
+            rows = placement.rows
+            if ((rows is last.rows or rows == last.rows)
+                    and dt_s == self._dt
+                    and self._machine.frequency.generation
+                    == self._held.key[1]):
+                if placement.busy == last.busy:
+                    return last.cpu_busy
+                if (self._ticks == 1 and len(run) < FOLD_CHUNK_ROWS
+                        and not self._machine._folds):
+                    run.append(placement)
+                    self._ticks = 0
+                    return placement.cpu_busy
+            self.flush()
+        self._held = self._layout_of(placement)
+        self._dt = dt_s
+        self._run.append(placement)
+        return placement.cpu_busy
 
     def extend(self, n_ticks: int) -> None:
         """Give the quantum held last *n_ticks* more ticks.
 
-        A later quantum of a run lasts one tick: one that repeats ends
-        the run before it and is held as a compiled program instead (no
-        P-state moves between a quantum's hold and its extend, so the
-        program freezes the same frequencies).
+        A later quantum of a run lasts one tick: one that gets more ends
+        the run before it and is held alone, on the run's layout (no
+        P-state moves between a quantum's hold and its extend).
         """
         self._ticks += n_ticks
-        if self._busy and self._ticks > 1:
-            ticks = self._ticks
-            self._busy.pop()
-            self._cpu_busy.pop()
+        run = self._run
+        if self._ticks > 1 and len(run) > 1:
+            ticks, layout = self._ticks, self._held
+            last = run.pop()
             self._ticks = 1
-            key, _cpu_busy, placement = self._last
-            dt_s = self._held.dt_s
             self.flush()
-            self._hold_program(key[0] if placement is None else placement,
-                               dt_s)
-            self._ticks = ticks
+            self._run.append(last)
+            self._held, self._ticks = layout, ticks
 
     def flush(self) -> None:
-        """Replay the held run and hold nothing: its first quantum's
-        program alone for its ticks, or every quantum, one tick each, in
-        one :meth:`replay_run`."""
-        held, busy, cpu_busy = self._held, self._busy, self._cpu_busy
-        if held is None:
+        """Value and replay the held run, and hold nothing.
+
+        Both paths value on the layout laid out at the run's first hold.
+        A run of one quantum goes through :meth:`program` (whose kept
+        program spares a quantum repeated over one-quantum spans its
+        compile) and is replayed for its ticks; a longer one, one tick a
+        quantum, is valued as columns in one :meth:`replay_run`.
+        """
+        run, layout, ticks = self._run, self._held, self._ticks
+        if not run:
             return
-        ticks = self._ticks
-        if busy:  # the first quantum had one tick
+        self._run, self._held, self._ticks = [], None, 0
+        if len(run) > 1:
             if not ticks:  # the last quantum got none
-                busy.pop()
-                cpu_busy.pop()
+                run.pop()
             ticks = 1
-        self._held = self._last = None
-        self._busy, self._cpu_busy = [], []
-        self._ticks = 0
-        if busy:
-            busy.insert(0, held.busy)
-            cpu_busy.insert(0, list(held.cpu_busy.values()))
-            self.replay_run(held, busy, cpu_busy)
+        if len(run) > 1:
+            self.replay_run(run, self._dt, layout)
         elif ticks:
-            self.replay(held, ticks)
+            self.replay(self.program(run[0], self._dt, layout), ticks)
 
     def _fill(self, layout: _Layout, dt_s: float, busy: np.ndarray,
               cpu_busy: np.ndarray) -> tuple:
-        """The values of one tick per row of *busy* (ticks x
-        assignments) and *cpu_busy* (ticks x CPUs), as numpy columns.
+        """The values of one tick per row of *busy* (ticks x the
+        layout's rows) and *cpu_busy* (ticks x CPUs), as numpy columns.
 
         The column twin of :meth:`_compile`: each value is the float the
         scalar compile derives for that tick, in the same association
@@ -644,12 +610,11 @@ class BatchEngine:
             cores, llc_refs / dt_s, dram_bytes / dt_s)
         return counts, events, cells, current_states, power
 
-    def replay_run(self, first: TickProgram, busy: list,
-                   cpu_busy: list) -> "TickRecord":
-        """Advance one tick per row of *busy*: a run of quanta that share
-        *first*'s layout and dt, each with its own busy fractions (one
-        list per quantum, in assignment order) and per-CPU busy (in CPU
-        order).  Returns the last tick's record.
+    def replay_run(self, placements: List[Placement], dt_s: float,
+                   layout: _Layout) -> "TickRecord":
+        """Advance one tick per placement: a run of quanta with equal rows
+        laid out as *layout*, one dt and each its own busy fractions.
+        Returns the last tick's record.
 
         The values are filled as columns (:meth:`_fill`); the thermal
         and energy recurrences run tick by tick on each tick's own
@@ -663,21 +628,21 @@ class BatchEngine:
         from repro.simcpu.machine import RunRecord, TickRecord
 
         machine = self._machine
-        layout = first.layout
-        dt = first.dt_s
-        ticks = len(busy)
-        last_busy = cpu_busy[-1]
-        cpu_busy = np.array(cpu_busy)
+        ticks = len(placements)
+        last_busy = placements[-1].cpu_busy
+        cpu_busy = np.array([list(placement.cpu_busy.values())
+                             for placement in placements])
+        busy = np.array([placement.busy for placement in placements])
         counts, events, residency_cells, current_states, power = self._fill(
-            layout, dt, np.array(busy), cpu_busy)
+            layout, dt_s, busy, cpu_busy)
         cores_w, uncore_w, dram_w, wakeup_w = power
-        idle_w = first.idle_w
+        idle_w = machine.spec.power.idle_w
         dynamic_w = ((cores_w + uncore_w) + dram_w) + wakeup_w
         base_w = ((idle_w + cores_w) + uncore_w) + dram_w
 
         thermal = machine.thermal
         _target, decay, leak_per_c, ambient_c = thermal.batch_constants(
-            0.0, dt)
+            0.0, dt_s)
         targets = ambient_c + thermal.c_per_watt * dynamic_w
         temp = thermal.temperature_c
         energy = machine._energy_j
@@ -690,16 +655,16 @@ class BatchEngine:
             rise_c = temp - ambient_c
             leak = leak_per_c * (rise_c if rise_c > 0.0 else 0.0)
             leaks.append(leak)
-            energy += ((tick_base_w + leak) + tick_wakeup_w) * dt
-            time_s += dt
+            energy += ((tick_base_w + leak) + tick_wakeup_w) * dt_s
+            time_s += dt_s
         thermal.temperature_c = temp
         machine._energy_j = energy
         machine._time_s = time_s
 
-        cpus = list(first.cpu_busy)
+        cpus = list(last_busy)
         run = RunRecord(
             start_s=start_s,
-            dt_s=dt,
+            dt_s=dt_s,
             power=PowerBreakdown(
                 idle=idle_w, cores=cores_w, uncore=uncore_w, dram=dram_w,
                 leakage=np.array(leaks), wakeup=wakeup_w),
@@ -744,14 +709,14 @@ class BatchEngine:
 
         record = machine.last_record = TickRecord(
             time_s=time_s,
-            dt_s=dt,
+            dt_s=dt_s,
             power=PowerBreakdown(
                 idle=idle_w, cores=cores_w[-1].item(),
                 uncore=uncore_w[-1].item(), dram=dram_w[-1].item(),
                 leakage=leak, wakeup=wakeup_w[-1].item()),
             events={key: EventDelta(zip(ROW_EVENTS, delta[:, -1].tolist()))
                     for key, delta in events.items()},
-            cpu_busy=dict(zip(cpus, last_busy)),
+            cpu_busy=last_busy,
             core_frequencies_hz=layout.core_freqs,
         )
         return record

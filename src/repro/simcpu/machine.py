@@ -2,8 +2,10 @@
 
 :class:`Machine` is the integration point of the ``simcpu`` package.  A
 driver (normally the OS layer, :mod:`repro.os`) advances simulated time in
-discrete steps: it hands the machine a list of :class:`ThreadAssignment`
-records — which process runs on which logical CPU, how busy, with what
+discrete steps: it hands the machine a
+:class:`~repro.simcpu.occupancy.Placement` of running threads (or a list
+of :class:`ThreadAssignment` records, which :meth:`Machine.placement`
+converts) — which process runs on which logical CPU, how busy, with what
 instruction mix and memory profile — and the machine
 
 1. arbitrates effective core frequencies (DVFS/turbo),
@@ -31,7 +33,7 @@ from repro.simcpu.counters import CounterBank, EventDelta
 from repro.simcpu.cstates import CStateController
 from repro.simcpu.engine import BatchEngine
 from repro.simcpu.frequency import FrequencyDomain
-from repro.simcpu.occupancy import ThreadAssignment
+from repro.simcpu.occupancy import Placement, ThreadAssignment
 from repro.simcpu.pipeline import PipelineModel
 from repro.simcpu.power import GroundTruthPower, PowerBreakdown, ThermalModel
 from repro.simcpu.spec import CpuSpec
@@ -161,8 +163,9 @@ class Machine:
             cpu_id: 0.0 for cpu_id in topology.cpu_ids}
         self._line_bytes_cached = (spec.caches[-1].line_bytes
                                    if spec.caches else 64)
-        #: Compiles occupancies into programs and replays them; the
-        #: kernel replays a program once per run of identical quanta.
+        #: Compiles placements into programs and replays them; the
+        #: kernel holds its quanta there, and a run of quanta that share
+        #: one layout is replayed at once.
         self.engine = BatchEngine(self)
 
     # -- subscribers ---------------------------------------------------
@@ -248,13 +251,14 @@ class Machine:
         """Advance simulated time by *dt_s* with the given CPU occupancy.
 
         A thin façade over the batched engine: the occupancy is compiled
-        once (the engine keeps it while assignments, dt and P-state
+        once (the engine keeps it while the placement, dt and P-state
         targets hold) and replayed for a single tick.
         """
         if dt_s <= 0:
             raise ConfigurationError(f"dt_s must be positive, got {dt_s}")
-        program = self.engine.program(assignments, dt_s)
-        return self.engine.replay(program, 1)
+        engine = self.engine
+        return engine.replay(engine.program(self.placement(assignments, ()),
+                                            dt_s), 1)
 
     def run_batch(self, assignments: Sequence[ThreadAssignment],
                   n_ticks: int, dt_s: float = 0.01) -> TickRecord:
@@ -268,8 +272,31 @@ class Machine:
             raise ConfigurationError(f"dt_s must be positive, got {dt_s}")
         if n_ticks < 1:
             raise ConfigurationError(f"n_ticks must be >= 1, got {n_ticks}")
-        program = self.engine.program(assignments, dt_s)
-        return self.engine.replay(program, n_ticks)
+        engine = self.engine
+        return engine.replay(engine.program(self.placement(assignments, ()),
+                                            dt_s), n_ticks)
+
+    def placement(self, assignments: Sequence[ThreadAssignment],
+                  pids: Sequence[int]) -> Placement:
+        """*assignments* as the engine takes them: a placement of the
+        running threads.
+
+        Validated as a whole (:meth:`_validate_occupancy`: an unknown CPU
+        raises :class:`TopologyError`, an oversubscribed one
+        :class:`ConfigurationError`), then every assignment with a busy
+        fraction of 0 is dropped: it runs nothing, so no layout, event
+        map or counter slot holds it.  ``granted`` gives each of *pids*
+        its summed busy fraction.
+        """
+        cpu_busy = self._validate_occupancy(assignments)
+        running = [a for a in assignments if a.busy_fraction > 0.0]
+        by_pid: Dict[int, float] = {}
+        for a in running:
+            by_pid[a.pid] = by_pid.get(a.pid, 0.0) + a.busy_fraction
+        return Placement(
+            tuple([(a.pid, a.cpu_id, a.mix, a.memory) for a in running]),
+            [a.busy_fraction for a in running],
+            [by_pid.get(pid, 0.0) for pid in pids], cpu_busy)
 
     def dominant_frequency_hz(self) -> int:
         """Busy-weighted dominant core frequency of the last step.

@@ -52,9 +52,9 @@ def _run(span):
                                   scheduler.assign)
     rows = [None]
 
-    def counted_run(first, busy, cpu_busy):
+    def counted_run(placements, dt_s, layout):
         seen["runs"] += 1
-        return replay_run(first, busy, cpu_busy)
+        return replay_run(placements, dt_s, layout)
 
     def counted_replay(program, n_ticks):
         seen["batches"] += n_ticks > 1

@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, ProcessError
+from repro.errors import ConfigurationError, ProcessError, TopologyError
 from repro.os.governor import OndemandGovernor, PowersaveGovernor
 from repro.os.kernel import SimKernel
 from repro.os.process import ProcessState
-from repro.os.scheduler import PackScheduler
+from repro.os.scheduler import PackScheduler, SpreadScheduler
+from repro.simcpu.caches import MemoryProfile
+from repro.simcpu.machine import ThreadAssignment
+from repro.simcpu.pipeline import InstructionMix
 from repro.simcpu.spec import intel_i3_2120
 from repro.workloads.base import ConstantWorkload, cpu_demand
 from repro.workloads.idle import IdleWorkload
@@ -16,6 +19,68 @@ from repro.workloads.stress import CpuStress
 @pytest.fixture
 def kernel(i3_spec):
     return SimKernel(i3_spec, quantum_s=0.01)
+
+
+class _Listing(SpreadScheduler):
+    """Hands the kernel its placement as a plain list, *extra* appended."""
+
+    def __init__(self, topology, extra=()):
+        super().__init__(topology)
+        self.extra = list(extra)
+
+    def assign(self, demands):
+        return [*super().assign(demands), *self.extra]
+
+
+def _thread(cpu_id, busy, pid=5):
+    return ThreadAssignment(pid=pid, cpu_id=cpu_id, busy_fraction=busy,
+                            mix=InstructionMix(), memory=MemoryProfile())
+
+
+class TestSchedulerReturningAList:
+    """A scheduler's own list is converted once (``Machine.placement``):
+    validated as the machine validates it, zero-busy threads dropped and
+    each demand's share summed by pid."""
+
+    @staticmethod
+    def _kernel(spec, *extra):
+        """A kernel with two tenants whose scheduler lists its placement
+        with *extra* appended, or places them itself without *extra*."""
+        factory = SpreadScheduler
+        if extra:
+            def factory(topology):
+                return _Listing(topology, extra)
+        kernel = SimKernel(spec, scheduler_factory=factory, quantum_s=0.001)
+        pids = [kernel.spawn(CpuStress(duration_s=1.0, threads=2)),
+                kernel.spawn(ConstantWorkload(cpu_demand(0.4)))]
+        return kernel, pids
+
+    def test_an_unknown_cpu_raises(self, i3_spec):
+        kernel, _pids = self._kernel(i3_spec, _thread(17, 0.0))
+        with pytest.raises(TopologyError, match="cpu17 does not exist"):
+            kernel.run(0.01)
+
+    def test_oversubscription_raises(self, i3_spec):
+        kernel, _pids = self._kernel(i3_spec, _thread(0, 0.5))
+        with pytest.raises(ConfigurationError,
+                           match=r"^cpu0 oversubscribed: 1\.500 > 1$"):
+            kernel.run(0.01)
+
+    def test_runs_as_the_placement_would(self, i3_spec):
+        listed, pids = self._kernel(i3_spec, _thread(3, 0.0, pid=9))
+        placed, _pids = self._kernel(i3_spec)
+        for kernel in (listed, placed):
+            kernel.run(0.05)
+        for pid in pids:
+            assert (listed.process(pid).cpu_time_s
+                    == placed.process(pid).cpu_time_s > 0.0)
+        machines = listed.machine, placed.machine
+        assert machines[0].energy_j == machines[1].energy_j
+        assert machines[0].counters._columns == machines[1].counters._columns
+        assert (machines[0].cstates.residency_table()
+                == machines[1].cstates.residency_table())
+        assert (machines[0].last_record.events
+                == machines[1].last_record.events)
 
 
 class TestSpawning:

@@ -228,9 +228,13 @@ class TestBatchedStepping:
         """A program lives as long as its occupancy: once a second one
         compiles, nothing the engine owns still references the first."""
         engine = machine.engine
-        first = engine.program([assignment(busy=1.0)], 0.01)
-        assert engine.program([assignment(busy=1.0)], 0.01) is first
-        second = engine.program([assignment(busy=0.5)], 0.01)
+
+        def placed(busy):
+            return machine.placement([assignment(busy=busy)], ())
+
+        first = engine.program(placed(1.0), 0.01)
+        assert engine.program(placed(1.0), 0.01) is first
+        second = engine.program(placed(0.5), 0.01)
         owned = reachable_ids(engine)
         assert id(second) in owned
         assert id(first) not in owned
@@ -248,3 +252,37 @@ class TestBatchedStepping:
         # The idle sentinel must not freeze the fallback frequency.
         machine.set_frequency(ghz(3.3))
         assert machine.dominant_frequency_hz() == ghz(3.3)
+
+
+class TestPlacement:
+    """``Machine.placement``, the one conversion of a list of
+    assignments into what the engine takes."""
+
+    def test_step_rejects_an_unknown_cpu_and_oversubscription(self, machine):
+        with pytest.raises(TopologyError, match="cpu17 does not exist"):
+            machine.step([assignment(cpu=17, busy=0.0)], 0.01)
+        with pytest.raises(ConfigurationError,
+                           match=r"^cpu0 oversubscribed: 1\.300 > 1$"):
+            machine.step([assignment(pid=1, busy=0.7),
+                          assignment(pid=2, busy=0.6)], 0.01)
+        assert machine.time_s == 0.0
+
+    def test_a_zero_busy_assignment_changes_nothing(self):
+        spec = intel_i3_2120()
+        padded, plain = Machine(spec), Machine(spec)
+        idle = [assignment(pid=7, cpu=2, busy=0.0),
+                assignment(pid=100, cpu=3, busy=0.0)]
+        for busy, n_ticks in ((1.0, 1), (0.4, 3), (0.7, 1), (0.2, 5)):
+            running = [assignment(busy=busy),
+                       assignment(pid=101, cpu=1, busy=0.5)]
+            records = [padded.run_batch(running[:1] + idle + running[1:],
+                                        n_ticks),
+                       plain.run_batch(running, n_ticks)]
+            assert [(record.time_s, record.power, record.events,
+                     record.cpu_busy) for record in records] == [
+                (records[1].time_s, records[1].power, records[1].events,
+                 records[1].cpu_busy)] * 2
+        assert padded.counters._columns == plain.counters._columns
+        assert (padded.cstates.residency_table()
+                == plain.cstates.residency_table())
+        assert padded.energy_j == plain.energy_j

@@ -2,9 +2,9 @@
 
 A SPECjbb ramp keeps its placement's shape while every quantum's busy
 fractions move.  The kernel hands each quantum to the engine
-(``BatchEngine.hold``); a quantum that shares the held run's layout key
-and dt joins it as a row of floats, and the run is filled as numpy
-columns and replayed once (``BatchEngine.replay_run``).  These tests
+(``BatchEngine.hold``); a quantum whose rows equal the held run's, with
+its dt and frequency generation, joins it, and the run is filled as
+numpy columns and replayed once (``BatchEngine.replay_run``).  These tests
 hold that path, bit for bit (``float.hex``), to the per-quantum ones:
 
 * the engine against :class:`ReferenceTickLoop` stepped per quantum,
@@ -54,9 +54,9 @@ def _record_runs(machine):
     runs = []
     replay_run = engine.replay_run
 
-    def recorded(first, busy, cpu_busy):
-        runs.append(len(busy))
-        return replay_run(first, busy, cpu_busy)
+    def recorded(placements, dt_s, layout):
+        runs.append(len(placements))
+        return replay_run(placements, dt_s, layout)
 
     engine.replay_run = recorded
     return runs
@@ -124,7 +124,7 @@ class TestEngineRunsMatchReferenceLoop:
             if index == move_at:
                 machine.set_frequency(frequency_hz)
                 reference.machine.set_frequency(frequency_hz)
-            engine.hold(assignments, dt)
+            engine.hold(machine.placement(assignments, ()), dt)
             engine.extend(n_ticks)
             for _ in range(n_ticks):
                 breakdown, events = reference.step(assignments, dt)
@@ -240,6 +240,27 @@ class TestEngineRunsMatchReferenceLoop:
         # repeated quantum 40, which is replayed as a program.
         assert runs == [25, 15, 19]
 
+    def test_a_dt_change_ends_a_run(self):
+        """Quanta of one shape whose dt changes form one run per dt."""
+        quanta = self._ramp(SPEC, 40)
+        machine = Machine(SPEC)
+        runs = _record_runs(machine)
+        reference = ReferenceTickLoop(SPEC)
+        engine = machine.engine
+        for index, assignments in enumerate(quanta):
+            dt = 0.001 if index < 20 else 0.002
+            engine.hold(machine.placement(assignments, ()), dt)
+            engine.extend(1)
+            reference.step(assignments, dt)
+        engine.flush()
+        assert runs == [20, 20]
+        assert _hex(machine.time_s) == reference.time_s.hex()
+        assert _hex(machine.energy_j) == reference.energy_j.hex()
+        for cpu_id in range(SPEC.num_threads):
+            assert (machine.counters.read(ALL_EVENTS[0], cpu_id=cpu_id).hex()
+                    == reference.counters.read(ALL_EVENTS[0],
+                                               cpu_id=cpu_id).hex())
+
 
 # -- the kernel ---------------------------------------------------------------
 
@@ -289,8 +310,8 @@ class Rig:
                 assignments = assign(demands)
                 if ramp.wall_time_s > oversubscribe_at_s:
                     first = assignments[0]
-                    assignments.append(replace(first, pid=first.pid + 1,
-                                               busy_fraction=1.0))
+                    assignments = [*assignments, replace(
+                        first, pid=first.pid + 1, busy_fraction=1.0)]
                 return assignments
 
             kernel.scheduler.assign = oversubscribing
@@ -363,6 +384,29 @@ class TestKernelRunsMatchOneQuantumSpans:
         assert all(0.0 < c.time_running_s < c.time_enabled_s
                    for c in rotating)
 
+    def test_no_run_compiles_its_first_quantum(self):
+        """Ground truth is evaluated only to compile a single-quantum
+        replay's program (a replay of the program replayed just before
+        reuses it): every quantum of a run, its first included, is
+        valued as columns."""
+        rig, twin = Rig(False), Rig(True)
+        machine, engine = rig.machine, rig.machine.engine
+        compiles, programs = [], []
+        wall_power, replay = machine.power_model.wall_power, engine.replay
+        machine.power_model.wall_power = lambda *args, **kwargs: (
+            compiles.append(None) or wall_power(*args, **kwargs))
+        engine.replay = lambda program, n_ticks: (
+            programs.append(program) or replay(program, n_ticks))
+        for n_quanta in SPANS:
+            rig.kernel.run_span(n_quanta)
+            for _ in range(n_quanta):
+                twin.kernel.run_span(1)
+        assert sum(rig.runs) > sum(SPANS) // 2
+        reused = sum(program is previous
+                     for previous, program in zip(programs, programs[1:]))
+        assert len(compiles) == len(programs) - reused
+        assert rig.bits() == twin.bits()
+
     def test_a_meter_forms_no_run(self):
         rig, twin = _drive((2, 100, 1000), meter=True)
         assert rig.runs == []
@@ -382,17 +426,17 @@ class TestKernelRunsMatchOneQuantumSpans:
 
 
 def test_one_quantum_spans_repeat_without_layout_work():
-    """A steady quantum repeated over one-quantum spans is found by the
-    key check alone: no compile and no layout key after the first."""
+    """A steady quantum repeated over one-quantum spans is the held
+    placement again: no layout and no compile after the first."""
     kernel = SimKernel(SPEC, quantum_s=0.001)
     kernel.spawn(PhasedWorkload([Phase(1.0, Demand(utilization=0.7,
                                                    threads=2))]))
     engine = kernel.machine.engine
     calls = []
-    for name in ("_compile", "_layout_key"):
+    for name in ("_lay_out", "_compile"):
         method = getattr(engine, name)
         setattr(engine, name, lambda *args, _method=method, _name=name:
                 calls.append(_name) or _method(*args))
     for _ in range(50):
         kernel.run_span(1)
-    assert calls == ["_compile", "_layout_key"]
+    assert calls == ["_lay_out", "_compile"]

@@ -1,14 +1,14 @@
 """Unit tests for repro.os.scheduler (placement policies)."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.errors import SchedulerError
+from repro.os.kernel import SimKernel
 from repro.os.process import Demand, SimProcess
 from repro.os.scheduler import PackScheduler, PinnedScheduler, SpreadScheduler
 from repro.simcpu.spec import intel_i3_2120, intel_xeon_smt
 from repro.simcpu.topology import Topology
+from repro.workloads import Phase, PhasedWorkload
 
 
 class _Busy:
@@ -197,10 +197,26 @@ class TestHeldShape:
             [(first, Demand(utilization=0.5)), (second, Demand(0.45))]])
         assert placements[1].busy == [0.5, 0.45]
 
-    def test_a_changed_placement_is_a_plain_list(self, topology):
-        placement = SpreadScheduler(topology).assign(
-            [(self._process(1), Demand(utilization=0.5))])
-        extra = replace(placement[0], pid=2)
-        placement.append(extra)
-        assert placement.rows is None and placement.granted is None
-        assert list(placement) == [placement[0], extra]
+    def test_an_exact_repeat_is_the_held_placement(self):
+        """A repeated quantum gets the very placement placed last, so
+        over one-quantum spans the engine lays it out and compiles it
+        once."""
+        kernel = SimKernel(intel_i3_2120(), quantum_s=0.001)
+        kernel.spawn(PhasedWorkload([Phase(1.0, Demand(utilization=0.7,
+                                                       threads=2))]))
+        machine, scheduler = kernel.machine, kernel.scheduler
+        placements, calls = [], []
+        assign = scheduler.assign
+        lay_out = machine.engine._lay_out
+        wall_power = machine.power_model.wall_power
+        scheduler.assign = lambda demands: (
+            placements.append(assign(demands)) or placements[-1])
+        machine.engine._lay_out = lambda *args: (
+            calls.append("layout") or lay_out(*args))
+        machine.power_model.wall_power = lambda *args, **kwargs: (
+            calls.append("compile") or wall_power(*args, **kwargs))
+        for _ in range(50):
+            kernel.run_span(1)
+        assert len(placements) == 50
+        assert all(placement is placements[0] for placement in placements)
+        assert calls == ["layout", "compile"]

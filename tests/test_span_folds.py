@@ -43,7 +43,8 @@ def _fold(owner, record, n_ticks):
     machine = owner.machine if isinstance(owner, PerfSession) else (
         owner._machine)
     engine = machine.engine
-    engine.replay(engine.program(record, 0.001), n_ticks)
+    engine.replay(engine.program(machine.placement(record, ()), 0.001),
+                  n_ticks)
 
 
 def _session(setup):

@@ -178,9 +178,9 @@ def test_the_kept_grouping_holds_no_older_program():
     engine owns references the first."""
     rig = Rig()
     engine = rig.machine.engine
-    first = engine.program(SPREAD, DT)
+    first = engine.program(rig.machine.placement(SPREAD, ()), DT)
     engine.replay(first, 40)
-    second = engine.program(MOVED, DT)
+    second = engine.program(rig.machine.placement(MOVED, ()), DT)
     engine.replay(second, 1)
     owned = reachable_ids(engine)
     assert id(second) in owned
@@ -228,7 +228,8 @@ def test_one_vector_fold_per_distinct_shape(monkeypatch):
         machine = rig.machine
         states = list(machine._cell_states)
         machine._cell_states[:] = [recorded(state) for state in states]
-        program = machine.engine.program(assignments, DT)
+        program = machine.engine.program(machine.placement(assignments, ()),
+                                         DT)
         del folds[:], statements[:]
         machine.engine.replay(program, n_ticks)
         machine._cell_states[:] = states

@@ -6,7 +6,7 @@ rows.  :func:`fold_add` is the per-cell Python loop the engine, perf,
 procfs, RAPL and the oracle folds used before it: the executable
 specification of "the additions *n_ticks* one-tick folds would make".
 Results must agree bit for bit (``float.hex``), across chunk boundaries
-and for cells padded with +0.0 up to the table's width.  So must
+and table widths.  So must
 :func:`~repro.simcpu.engine.tick_fold`, whose addends move from tick to
 tick (a ramp run), against the same additions made tick by tick.
 """
@@ -53,11 +53,11 @@ values = st.one_of(st.just(0.0), st.floats(0.0, 1e-300),
 
 @st.composite
 def fold_inputs(draw):
-    """(start, per-cell addends, n_ticks): 1-128 cells of 1 to a table
-    width of 1-3 addends, over 2-2 000 ticks (every chunk boundary)."""
+    """(start, per-cell addends, n_ticks): 1-128 cells of one width of
+    1-3 addends, over 2-2 000 ticks (every chunk boundary)."""
     width = draw(st.integers(1, 3))
     n_cells = draw(st.integers(1, 128))
-    cells = draw(st.lists(st.lists(values, min_size=1, max_size=width),
+    cells = draw(st.lists(st.lists(values, min_size=width, max_size=width),
                           min_size=n_cells, max_size=n_cells))
     start = draw(st.lists(values, min_size=n_cells, max_size=n_cells))
     return start, cells, draw(st.integers(2, 2000))
@@ -80,19 +80,14 @@ class TestVectorFold:
     def test_chunk_edges(self, width, extra):
         """Tick counts that fill a chunk exactly, or miss by one."""
         per_chunk = FOLD_CHUNK_ROWS // width
-        cells = [[0.1, 1e-3, 7.0][:width], [3.3e9], [1e-300, 0.0][:width]]
+        cells = [[0.1, 1e-3, 7.0][:width], [3.3e9, 2.5, 1e-5][:width],
+                 [1e-300, 0.0, 5e-324][:width]]
         start = [0.0, 12.5, 1e-310]
         for n_ticks in (per_chunk + extra, 2 * per_chunk + extra):
             expected = [fold_add(value, addends, n_ticks)
                         for value, addends in zip(start, cells)]
             assert _hex(vector_fold(start, addend_table(cells),
                                     n_ticks)) == _hex(expected)
-
-    def test_table_pads_short_cells_with_positive_zero(self):
-        table = addend_table([(1.5,), (2.0, 3.0), ()])
-        assert table.shape == (2, 3)
-        assert table.tolist() == [[1.5, 2.0, 0.0], [0.0, 3.0, 0.0]]
-        assert not np.signbit(table).any()
 
     def test_nothing_to_add_returns_the_start(self):
         assert vector_fold([1.0, 2.0], addend_table([(), ()]), 50) == [1.0,
