@@ -15,17 +15,20 @@ records the monitor's cost in its own terms, as the RAPL-overhead study
 seconds ``monitored - bare`` per simulated second (the share of one
 core it would take on a host running in real time), and
 ``monitor_us_per_period``, those seconds per report (one pid here).
-One more row monitors 8 one-thread ``CpuStress`` pids at 1 ms against
-a bare run of the same 8, because the monitor's per-period cost grows
-with the pids it covers (``core_share_8pids_at_1ms``).
+Two more rows monitor 8 and 64 one-thread ``CpuStress`` pids at 1 ms,
+each against a bare run of the same pids, because the monitor's
+per-period cost grows with the pids it covers
+(``core_share_8pids_at_1ms``, ``core_share_64pids_at_1ms``; the 64-pid
+row runs a shorter span).  Each also records
+``monitor_us_per_pid_period``, its cost per report divided by its pids.
 Every timed run is bracketed by host-speed probes
 (``perf/hostspeed.py``), and every time is at the reference host speed:
 measured seconds are divided by the recorded ``host_factor``, as the
 repo benchmark does (the overhead ratio is unaffected).  The headlines
 ``overhead_at_1s_pct`` / ``overhead_at_1ms_pct`` and
 ``core_share_at_1s`` / ``core_share_at_1ms`` /
-``core_share_8pids_at_1ms`` are diffed by CI against
-the committed ``BENCH_overhead.json`` baseline.  Marked ``perf``: run
+``core_share_8pids_at_1ms`` / ``core_share_64pids_at_1ms`` are diffed by
+CI against the committed ``BENCH_overhead.json`` baseline.  Marked ``perf``: run
 explicitly with
 ``PYTHONPATH=src python -m pytest benchmarks/test_bench_overhead.py -q``.
 """
@@ -58,8 +61,9 @@ DURATION_S = 20.0
 QUANTUM_S = 0.001
 #: Repetitions per period (median taken) to tame scheduler noise.
 REPEATS = 3
-#: One-thread pids of the multi-pid row, monitored at 1 ms.
-MANY_PIDS = 8
+#: The multi-pid rows, monitored at 1 ms: one-thread pids, and the
+#: simulated seconds each row runs.
+MANY_PIDS_ROWS = ((8, DURATION_S), (64, 2.5))
 MANY_PIDS_PERIOD_S = 0.001
 
 
@@ -93,19 +97,19 @@ def spawn_workload(kernel, pids=1):
             for index in range(pids)]
 
 
-def run_bare(host, pids=1):
+def run_bare(host, pids=1, duration_s=DURATION_S):
     kernel = SimKernel(intel_i3_2120(), quantum_s=QUANTUM_S)
     spawn_workload(kernel, pids)
-    return probed_seconds(host, lambda: kernel.run(DURATION_S))
+    return probed_seconds(host, lambda: kernel.run(duration_s))
 
 
-def run_monitored(model, period_s, host, pids=1):
+def run_monitored(model, period_s, host, pids=1, duration_s=DURATION_S):
     kernel = SimKernel(intel_i3_2120(), quantum_s=QUANTUM_S)
     monitored = spawn_workload(kernel, pids)
     api = PowerAPI(kernel, model, period_s=period_s)
     memory = InMemoryReporter()
     api.monitor(*monitored).every(period_s).to(memory)
-    elapsed = probed_seconds(host, lambda: api.run(DURATION_S))
+    elapsed = probed_seconds(host, lambda: api.run(duration_s))
     reports = len(memory.total_series())
     api.shutdown()
     return elapsed, reports
@@ -121,10 +125,13 @@ def test_monitoring_overhead_curve(save_result):
                    for _ in range(REPEATS)]
         monitored[period_s] = (_median([wall for wall, _ in samples]),
                                samples[0][1])
-    many_bare_raw_s = _median([run_bare(host, MANY_PIDS)
-                               for _ in range(REPEATS)])
-    many_samples = [run_monitored(model, MANY_PIDS_PERIOD_S, host,
-                                  MANY_PIDS) for _ in range(REPEATS)]
+    many_raw = []
+    for pids, duration_s in MANY_PIDS_ROWS:
+        many_bare_raw_s = _median([run_bare(host, pids, duration_s)
+                                   for _ in range(REPEATS)])
+        samples = [run_monitored(model, MANY_PIDS_PERIOD_S, host, pids,
+                                 duration_s) for _ in range(REPEATS)]
+        many_raw.append((pids, duration_s, many_bare_raw_s, samples))
     factor = host.factor
     bare_wall_s = bare_raw_s / factor
 
@@ -156,26 +163,33 @@ def test_monitoring_overhead_curve(save_result):
                      f"{overhead_pct:>11.2f} {reports:>8} "
                      f"{core_share:>11.6f} {monitor_us:>10.2f}")
 
-    many_bare_s = many_bare_raw_s / factor
-    many_monitored_s = _median([wall for wall, _ in many_samples]) / factor
-    many_reports = many_samples[0][1]
-    assert many_reports >= int(DURATION_S / MANY_PIDS_PERIOD_S) - 2
-    many_share = (many_monitored_s - many_bare_s) / DURATION_S
-    many_us = (many_monitored_s - many_bare_s) / many_reports * 1e6
-    many_pids = {
-        "pids": MANY_PIDS,
-        "period_s": MANY_PIDS_PERIOD_S,
-        "bare_wall_s": round(many_bare_s, 4),
-        "monitored_wall_s": round(many_monitored_s, 4),
-        "reports": many_reports,
-        "core_share": round(many_share, 6),
-        "monitor_us_per_period": round(many_us, 2),
-    }
     lines.append("")
-    lines.append(f"{MANY_PIDS} one-thread pids at "
-                 f"{MANY_PIDS_PERIOD_S * 1000:.0f} ms: bare "
-                 f"{many_bare_s:.3f}s, monitored {many_monitored_s:.3f}s, "
-                 f"core share {many_share:.6f}, {many_us:.2f} us/period")
+    many_pids = []
+    for pids, duration_s, many_bare_raw_s, samples in many_raw:
+        many_bare_s = many_bare_raw_s / factor
+        many_monitored_s = _median([wall for wall, _ in samples]) / factor
+        many_reports = samples[0][1]
+        assert many_reports >= int(duration_s / MANY_PIDS_PERIOD_S) - 2
+        many_share = (many_monitored_s - many_bare_s) / duration_s
+        many_us = (many_monitored_s - many_bare_s) / many_reports * 1e6
+        many_pids.append({
+            "pids": pids,
+            "period_s": MANY_PIDS_PERIOD_S,
+            "duration_s": duration_s,
+            "bare_wall_s": round(many_bare_s, 4),
+            "monitored_wall_s": round(many_monitored_s, 4),
+            "reports": many_reports,
+            "core_share": round(many_share, 6),
+            "monitor_us_per_period": round(many_us, 2),
+            "monitor_us_per_pid_period": round(many_us / pids, 3),
+        })
+        lines.append(f"{pids} one-thread pids at "
+                     f"{MANY_PIDS_PERIOD_S * 1000:.0f} ms over "
+                     f"{duration_s:g} s: bare {many_bare_s:.3f}s, monitored "
+                     f"{many_monitored_s:.3f}s, core share "
+                     f"{many_share:.6f}, {many_us:.2f} us/period, "
+                     f"{many_us / pids:.3f} us/pid/period")
+    share_of = {row["pids"]: row["core_share"] for row in many_pids}
 
     # The paper's proportionality claim: cost rises monotonically-ish as
     # the period shrinks; enforce only the endpoints (timing noise).
@@ -192,7 +206,8 @@ def test_monitoring_overhead_curve(save_result):
         "overhead_at_1ms_pct": at[0.001],
         "core_share_at_1s": share[1.0],
         "core_share_at_1ms": share[0.001],
-        "core_share_8pids_at_1ms": many_pids["core_share"],
+        "core_share_8pids_at_1ms": share_of[8],
+        "core_share_64pids_at_1ms": share_of[64],
         "curve": curve,
         "many_pids": many_pids,
     }
@@ -201,6 +216,7 @@ def test_monitoring_overhead_curve(save_result):
     lines.append("")
     lines.append(f"overhead 1 s: {at[1.0]:.2f}%, 1 ms: {at[0.001]:.2f}%; "
                  f"core share 1 s: {share[1.0]:.6f}, "
-                 f"1 ms: {share[0.001]:.6f}, {MANY_PIDS} pids at 1 ms: "
-                 f"{many_pids['core_share']:.6f} -> {BENCH_PATH.name}")
+                 f"1 ms: {share[0.001]:.6f}, 8 and 64 pids at 1 ms: "
+                 f"{share_of[8]:.6f}, {share_of[64]:.6f} -> "
+                 f"{BENCH_PATH.name}")
     save_result("bench_overhead", "\n".join(lines))

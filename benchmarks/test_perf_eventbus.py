@@ -68,7 +68,7 @@ def _drain(system: ActorSystem) -> None:
 
 def test_perf_eventbus_microbench():
     message = HpcReport(time_s=1.0, period_s=1.0, pid=-1,
-                        counters={42: {"cycles": 1e9}},
+                        events=("cycles",), counters={42: (1e9,)},
                         frequency_hz=3_300_000_000)
 
     # -- steady state: same message type, stable subscriptions --------

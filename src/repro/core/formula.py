@@ -16,33 +16,47 @@ the whole period.
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 from repro.core.messages import HpcReport, PowerReport, ProcFsReport
-from repro.core.model import PowerModel
+from repro.core.model import PowerModel, Terms, linear_power
 from repro.core.stage import PipelineStage
 from repro.errors import ConfigurationError
 
 
 class HpcFormula(PipelineStage):
-    """Per-process power from HPC rates via a frequency-aware model."""
+    """Per-process power from HPC rates via a frequency-aware model.
+
+    Each pid's power is :func:`~repro.core.model.linear_power` of its
+    count tuple over the period, with the float operations
+    ``FrequencyFormula.predict({event: count / period_s})`` makes.
+    """
 
     subscribes_to = (HpcReport,)
 
     def __init__(self, model: PowerModel) -> None:
         super().__init__(component="hpc-formula")
         self.model = model
+        #: (formula frequency, report events) -> the formula's terms
+        #: over those events.
+        self._terms: Dict[Tuple[int, Tuple[str, ...]], Terms] = {}
 
     def handle(self, message) -> None:
         if not isinstance(message, HpcReport):
             return
         # One frequency per report: resolve its formula once.
-        predict = self.model.nearest_formula(message.frequency_hz).predict
+        formula = self.model.nearest_formula(message.frequency_hz)
+        key = (formula.frequency_hz, message.events)
+        terms = self._terms.get(key)
+        if terms is None:
+            terms = self._terms[key] = formula.terms(message.events)
+        intercept_w = formula.intercept_w
         period_s = message.period_s
         self.publish(PowerReport(
             time_s=message.time_s,
             period_s=period_s,
-            by_pid={pid: predict({event: count / period_s
-                                  for event, count in counters.items()})
-                    for pid, counters in message.counters.items()},
+            by_pid={pid: linear_power(intercept_w, terms, counts, period_s)
+                    for pid, counts in message.counters.items()},
             formula=self.model.name,
         ))
 

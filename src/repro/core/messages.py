@@ -38,8 +38,12 @@ class HpcReport(SensorReport):
     """Hardware-counter deltas of every sampled process over one period
     (``pid`` is -1)."""
 
-    #: pid -> event name -> counts during the period (not cumulative).
-    counters: Mapping[int, Mapping[str, float]] = field(default_factory=dict)
+    #: The counters' canonical event names, in counter order (an event
+    #: opened under two spellings appears twice).
+    events: Tuple[str, ...] = ()
+    #: pid -> counts during the period (not cumulative), aligned with
+    #: ``events``.
+    counters: Mapping[int, Tuple[float, ...]] = field(default_factory=dict)
     #: Dominant core frequency during the period, hertz.
     frequency_hz: int = 0
 

@@ -22,10 +22,33 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ModelError
-from repro.units import GHZ, ghz, left_sum
+from repro.units import GHZ, ghz
+
+#: A formula's coefficients over one event list: each (weight, index of
+#: its event in the list, or None when the list lacks the event), in
+#: coefficient order.
+Terms = Tuple[Tuple[float, Optional[int]], ...]
+
+
+def linear_power(intercept_w: float, terms: Terms,
+                 counts: Sequence[float], per_s: float) -> float:
+    """Active power of *counts* over *per_s* seconds, watts:
+    ``intercept_w + (((0.0 + w1 * (c1 / per_s)) + w2 * (c2 / per_s)) +
+    ...)`` over *terms* in order (a term without an index adds
+    ``w * 0.0``), clamped at zero.
+
+    The one sum behind :meth:`FrequencyFormula.predict` and the live
+    formula stage; it adds left to right like
+    :func:`~repro.units.left_sum`.
+    """
+    total = 0.0
+    for weight, index in terms:
+        total += weight * (0.0 if index is None else counts[index] / per_s)
+    power = intercept_w + total
+    return power if power > 0.0 else 0.0  # max(0.0, power), NaN too
 
 
 @dataclass(frozen=True)
@@ -54,16 +77,25 @@ class FrequencyFormula:
         """The events this formula consumes."""
         return tuple(self.coefficients)
 
+    def terms(self, events: Sequence[str]) -> Terms:
+        """The coefficients mapped onto *events* for :func:`linear_power`.
+
+        An event listed twice maps to its last index, as a dict built
+        from the list keeps the last value.
+        """
+        index = {event: position for position, event in enumerate(events)}
+        return tuple((weight, index.get(event))
+                     for event, weight in self.coefficients.items())
+
     def predict(self, rates: Mapping[str, float]) -> float:
         """Active power for counter *rates* (events/second), watts.
 
         Negative predictions are clamped to zero — a formula extrapolated
-        to near-idle rates can dip slightly below zero.
+        to near-idle rates can dip slightly below zero.  Rates are counts
+        over one second (``rate / 1.0`` is the rate exactly).
         """
-        power = self.intercept_w + left_sum(
-            weight * rates.get(event, 0.0)
-            for event, weight in self.coefficients.items())
-        return max(0.0, power)
+        return linear_power(self.intercept_w, self.terms(tuple(rates)),
+                            tuple(rates.values()), 1.0)
 
 
 class PowerModel:
@@ -83,6 +115,8 @@ class PowerModel:
         self._formulas: Dict[int, FrequencyFormula] = {
             formula.frequency_hz: formula
             for formula in sorted(formulas, key=lambda f: f.frequency_hz)}
+        #: frequency -> :meth:`nearest_formula`'s answer.
+        self._nearest: Dict[int, FrequencyFormula] = {}
 
     # -- lookup ----------------------------------------------------------
 
@@ -111,10 +145,14 @@ class PowerModel:
                 f"known: {list(self._formulas)}") from None
 
     def nearest_formula(self, frequency_hz: int) -> FrequencyFormula:
-        """The formula whose frequency is closest to *frequency_hz*."""
-        best = min(self._formulas,
-                   key=lambda known: abs(known - frequency_hz))
-        return self._formulas[best]
+        """The formula whose frequency is closest to *frequency_hz*
+        (remembered per frequency: a run asks about a few P-states)."""
+        formula = self._nearest.get(frequency_hz)
+        if formula is None:
+            best = min(self._formulas,
+                       key=lambda known: abs(known - frequency_hz))
+            formula = self._nearest[frequency_hz] = self._formulas[best]
+        return formula
 
     # -- prediction ------------------------------------------------------
 

@@ -28,7 +28,7 @@ from repro.errors import (ConfigurationError, CounterInvalidError,
                           ProcessError, SampleLossError)
 from repro.faults.backoff import ExponentialBackoff
 from repro.os.procfs import ProcFs
-from repro.perf.counting import CounterValue, PerfCounter, PerfSession
+from repro.perf.counting import PerfCounter, PerfSession
 from repro.powermeter.base import PowerMeter
 from repro.simcpu.counters import GENERIC_TRIO
 from repro.simcpu.machine import Machine
@@ -111,8 +111,12 @@ class HpcSensor(PipelineStage):
         #: The ladder's rung; None without a policy (no fallback).
         self.mode = PipelineMode() if policy is not None else None
         self._counters: Dict[int, Tuple[PerfCounter, ...]] = {}
-        #: pid -> the last read of each of its counters, in order.
-        self._previous: Dict[int, Sequence[CounterValue]] = {}
+        #: pid -> the last group read of its counters: each counter's
+        #: (raw, enabled, running), in order, flat.
+        self._previous: Dict[int, Tuple[float, ...]] = {}
+        #: The counters' canonical event names, in order: every report's
+        #: ``events`` (set when the first pid's counters open).
+        self._events: Tuple[str, ...] = ()
         #: pid -> procfs CPU seconds at the fallback's last read, and
         #: the tick time of that read.
         self._cpu_s: Dict[int, float] = {}
@@ -151,10 +155,12 @@ class HpcSensor(PipelineStage):
         except (CounterInvalidError, CounterStateError):
             return False
         self._counters[pid] = counters
+        if not self._events:
+            self._events = tuple(counter.event for counter in counters)
         # A freshly opened counter reads zero: taking that baseline
         # without a read keeps a reopen inside a sample-loss window
         # from failing.
-        self._previous[pid] = (CounterValue(0.0, 0.0, 0.0),) * len(counters)
+        self._previous[pid] = (0.0, 0.0, 0.0) * len(counters)
         return True
 
     def _mark_lost(self, pid: int, time_s: float) -> None:
@@ -169,8 +175,9 @@ class HpcSensor(PipelineStage):
 
     def _sample_pid(self, pid: int, counters: Tuple[PerfCounter, ...],
                     time_s: float, period_s: float
-                    ) -> Optional[Dict[str, float]]:
-        """One pid's deltas for the period, or None on a miss.
+                    ) -> Optional[Tuple[float, ...]]:
+        """One pid's deltas for the period, in counter order, or None on
+        a miss.
 
         Uses per-interval multiplex scaling: the counting rate while the
         event held a PMU slot (``delta_raw / delta_running``) is
@@ -182,7 +189,7 @@ class HpcSensor(PipelineStage):
         rate rather than dumping the accumulated backlog into one period.
         """
         try:
-            values = [counter.read() for counter in counters]
+            values = self.perf.read_group(counters)
         except SampleLossError:
             return None
         except (CounterInvalidError, CounterStateError):
@@ -196,17 +203,22 @@ class HpcSensor(PipelineStage):
                 self._mark_lost(pid, time_s)
             return None
 
-        deltas: Dict[str, float] = {}
+        deltas: Tuple[float, ...] = ()
         ran = False
-        for counter, (raw, _enabled, running), (prev_raw, _, prev_running) \
-                in zip(counters, values, self._previous[pid]):
+        # Each counter's (raw, enabled, running), now and at the last read.
+        now = iter(values)
+        then = iter(self._previous[pid])
+        for raw, _enabled, running, prev_raw, _prev_enabled, prev_running \
+                in zip(now, now, now, then, then, then):
             d_running = running - prev_running
             if d_running > 1e-12:
                 ran = True
-                deltas[counter.event] = max(0.0, raw - prev_raw) * (
-                    period_s / d_running)
+                d_raw = raw - prev_raw
+                # max(0.0, d_raw), without the call (NaN and -0.0 too).
+                deltas += ((d_raw if d_raw > 0.0 else 0.0)
+                           * (period_s / d_running),)
             else:
-                deltas[counter.event] = 0.0
+                deltas += (0.0,)
         self._previous[pid] = values
         if not ran:
             return None  # starved out: no PMU time at all this period
@@ -256,7 +268,7 @@ class HpcSensor(PipelineStage):
         if not isinstance(message, ClockTick):
             return
         time_s, period_s = message.time_s, message.period_s
-        sampled: Dict[int, Dict[str, float]] = {}
+        sampled: Dict[int, Tuple[float, ...]] = {}
         for pid in self.pids:
             counters = self._counters.get(pid)
             if counters is not None:
@@ -283,7 +295,8 @@ class HpcSensor(PipelineStage):
                 return  # the cpu-load rung owns this period
         if sampled:
             self.publish(HpcReport(
-                time_s=time_s, period_s=period_s, pid=-1, counters=sampled,
+                time_s=time_s, period_s=period_s, pid=-1,
+                events=self._events, counters=sampled,
                 frequency_hz=self.machine.dominant_frequency_hz()))
 
 

@@ -5,7 +5,8 @@ and exposes :meth:`~PerfSession.open` with the familiar (event, pid, cpu)
 triple, where ``pid=-1`` means every process and ``cpu=-1`` every CPU.
 Counters follow the kernel lifecycle — open → enable → read → disable —
 and report ``time_enabled`` / ``time_running`` so multiplexed values can be
-scaled exactly like perf does.
+scaled exactly like perf does.  :meth:`PerfSession.read_group` reads
+several counters at once, like a ``PERF_FORMAT_GROUP`` read.
 
 Multiplexing lives in :mod:`repro.perf.multiplex`; the session delegates
 per-tick scheduling decisions to it.  The session adds nothing itself:
@@ -79,6 +80,15 @@ class PerfCounter:
                 f"counter {self.counter_id}: target pid {self.pid} "
                 "no longer exists (ESRCH)")
 
+    def _check_read(self) -> None:
+        """Raise what a read of this counter raises now, if anything: a
+        closed or dead counter first, then a session in sample loss."""
+        if self.closed or self.dead:
+            self._check_open()
+        if self._session._sample_loss:
+            raise SampleLossError(
+                f"counter {self.counter_id}: sample lost")
+
     def enable(self) -> None:
         """Start counting (PERF_EVENT_IOC_ENABLE)."""
         self._check_open()
@@ -105,11 +115,8 @@ class PerfCounter:
 
     def read(self) -> CounterValue:
         """Current value with scaling metadata."""
-        if self.closed or self.dead:
-            self._check_open()
-        if self._session._sample_loss:
-            raise SampleLossError(
-                f"counter {self.counter_id}: sample lost")
+        if self.closed or self.dead or self._session._sample_loss:
+            self._check_read()
         # tuple.__new__ skips the argument parsing of the NamedTuple's
         # generated __new__: a read is on every sensor's hot path.
         return tuple.__new__(CounterValue, self._values)
@@ -166,6 +173,23 @@ class PerfSession:
                    ) -> List[PerfCounter]:
         """Open several events on the same target at once."""
         return [self.open(event, pid=pid, cpu=cpu) for event in events]
+
+    def read_group(self, counters: Sequence[PerfCounter]
+                   ) -> Tuple[float, ...]:
+        """Every member's (raw, enabled, running), in member order, as one
+        flat tuple: the simulated ``PERF_FORMAT_GROUP`` read.
+
+        Raises what the first failing :meth:`PerfCounter.read` of the
+        members, in order, would.  Multiplexing rotates members one by
+        one, so each keeps its own enabled and running times.
+        """
+        values: List[float] = []
+        loss = self._sample_loss
+        for counter in counters:
+            if counter.closed or counter.dead or loss:
+                counter._check_read()
+            values += counter._values
+        return tuple(values)
 
     def close(self) -> None:
         """Close every counter and detach from the machine (idempotent)."""

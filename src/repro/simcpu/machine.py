@@ -147,6 +147,9 @@ class Machine:
         self._observer_folds: Dict[TickObserver, TickFold] = {}
         #: The most recent tick record (None before the first step).
         self.last_record: Optional[TickRecord] = None
+        # (core frequencies, cpu busy, answer) of the last
+        # dominant_frequency_hz scan; 0 marks the all-idle case.
+        self._dominant: tuple = (None, None, 0)
         # Lookups resolved once: the topology is immutable, and the
         # engine consults these on every compile.
         topology = self.topology
@@ -304,28 +307,32 @@ class Machine:
         Before any step (or on a fully idle step) this is the frequency
         targeted on core 0, which is what a frequency-aware formula should
         assume for an idle machine.  Frequency-aware formulas ask once per
-        sample, so the scan result is cached on the record (0 marks the
+        sample, so the scan's answer is remembered while the records keep
+        the same ``core_frequencies_hz`` and ``cpu_busy`` objects, which
+        a kept program hands to every record it replays (0 marks the
         all-idle case, whose fallback must track the live target).
         """
         record = self.last_record
         if record is None:
             return self.frequency.target(0, 0)
-        cached = record.__dict__.get("_dominant_hz")
-        if cached is None:
+        frequencies, cpu_busy = record.core_frequencies_hz, record.cpu_busy
+        last_frequencies, last_busy, dominant = self._dominant
+        if last_frequencies is not frequencies or last_busy is not cpu_busy:
             weights: Dict[int, float] = {}
             for core_key in self._cores:
-                frequency = record.core_frequencies_hz[core_key]
-                busy = max(record.cpu_busy[cpu_id]
+                frequency = frequencies[core_key]
+                busy = max(cpu_busy[cpu_id]
                            for cpu_id in self._core_cpus[core_key])
                 weights[frequency] = weights.get(frequency, 0.0) + busy
             if not weights or max(weights.values()) == 0.0:
-                cached = 0
+                dominant = 0
             else:
-                cached = max(weights, key=lambda frequency: weights[frequency])
-            record.__dict__["_dominant_hz"] = cached
-        if cached == 0:
+                dominant = max(weights,
+                               key=lambda frequency: weights[frequency])
+            self._dominant = (frequencies, cpu_busy, dominant)
+        if dominant == 0:
             return self.frequency.target(0, 0)
-        return cached
+        return dominant
 
     # -- internals --------------------------------------------------------
 

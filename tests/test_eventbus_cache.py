@@ -18,7 +18,7 @@ class Recorder(Actor):
 
 def report(time_s=1.0):
     return HpcReport(time_s=time_s, period_s=1.0, pid=-1,
-                     counters={1: {"cycles": 1.0}},
+                     events=("cycles",), counters={1: (1.0,)},
                      frequency_hz=1_600_000_000)
 
 

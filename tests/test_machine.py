@@ -239,11 +239,41 @@ class TestBatchedStepping:
         assert id(second) in owned
         assert id(first) not in owned
 
-    def test_dominant_frequency_is_cached_on_record(self, machine):
-        machine.step([assignment(cpu=0)], 0.1)
-        first = machine.dominant_frequency_hz()
-        assert machine.last_record.__dict__["_dominant_hz"] == first
-        assert machine.dominant_frequency_hz() == first
+    def test_dominant_frequency_follows_repeats_moves_and_idle(self,
+                                                               machine):
+        """The answer is remembered while records share a program's
+        frequency and busy maps, and is scanned again when either moves:
+        a busy shift on one layout, a P-state move, an idle quantum."""
+        machine.frequency.set_target(0, 0, ghz(3.3))
+        machine.frequency.set_target(0, 1, ghz(1.6))
+
+        def on_both_cores(busy_core0, busy_core1):
+            machine.step([assignment(pid=1, cpu=0, busy=busy_core0),
+                          assignment(pid=2, cpu=1, busy=busy_core1)], 0.01)
+            return machine.dominant_frequency_hz()
+
+        assert on_both_cores(0.9, 0.1) == ghz(3.3)
+        first = machine.last_record
+        assert on_both_cores(0.9, 0.1) == ghz(3.3)
+        # A repeat replays the kept program: same maps, no new scan.
+        assert machine.last_record is not first
+        assert machine.last_record.cpu_busy is first.cpu_busy
+        assert (machine.last_record.core_frequencies_hz
+                is first.core_frequencies_hz)
+        # Same layout (same frequency map), the busy moves to core 1.
+        assert on_both_cores(0.1, 0.9) == ghz(1.6)
+        assert (machine.last_record.core_frequencies_hz
+                is first.core_frequencies_hz)
+        # A P-state move on core 1.
+        machine.frequency.set_target(0, 1, ghz(2.0))
+        assert on_both_cores(0.1, 0.9) == ghz(2.0)
+        # An idle quantum reads the live target, then the repeat again.
+        machine.step([], 0.01)
+        assert machine.dominant_frequency_hz() == ghz(3.3)
+        machine.frequency.set_target(0, 0, ghz(2.4))
+        assert machine.dominant_frequency_hz() == ghz(2.4)
+        assert on_both_cores(0.1, 0.9) == ghz(2.0)
+        assert on_both_cores(0.9, 0.1) == ghz(2.4)
 
     def test_dominant_frequency_idle_cache_tracks_live_target(self, machine):
         machine.set_frequency(ghz(2.0))

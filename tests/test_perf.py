@@ -1,8 +1,11 @@
 """Unit tests for the perf layer: events, pfm resolution, counting."""
 
+import itertools
+
 import pytest
 
-from repro.errors import (ConfigurationError, CounterStateError,
+from repro.errors import (ConfigurationError, CounterInvalidError,
+                          CounterStateError, ReproError, SampleLossError,
                           UnknownEventError)
 from repro.perf.counting import PerfSession
 from repro.perf.events import (EventType, all_events, available_on,
@@ -145,6 +148,96 @@ class TestPerfCounter:
             assert counter.read().raw > 0
         # Session closed: machine no longer notifies it.
         assert counter.closed
+
+
+def first_read_error(counters):
+    """What reading *counters* one at a time raises first, as (type,
+    message), or None."""
+    for counter in counters:
+        try:
+            counter.read()
+        except ReproError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def group_read_error(session, counters):
+    """What one group read of *counters* raises, as (type, message), or
+    None."""
+    try:
+        session.read_group(counters)
+    except ReproError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestGroupRead:
+    """``PerfSession.read_group``: every member's (raw, enabled, running)
+    in one flat tuple, failing as the members' reads in order fail."""
+
+    TRIO = ("instructions", "cache-references", "cache-misses")
+
+    @pytest.fixture
+    def machine(self):
+        return Machine(intel_i3_2120())
+
+    def test_flat_member_values(self, machine):
+        session = PerfSession(machine)
+        trio = session.open_group(self.TRIO, pid=100)
+        # Six counters on one target rotate through the four slots.
+        rotating = session.open_group(
+            ("cycles", "branches", "branch-misses", "instructions",
+             "cache-misses", "ref-cycles"), pid=100)
+        machine.run([busy_assignment(pid=100)], 0.05, dt_s=0.01)
+        for group in (trio, rotating, trio[1:2], ()):
+            assert session.read_group(group) == tuple(
+                value for counter in group for value in counter.read())
+        assert {counter.time_running_s for counter in rotating} != {
+            rotating[0].time_enabled_s}
+
+    def test_closed_member_raises_counter_state_error(self, machine):
+        session = PerfSession(machine)
+        trio = session.open_group(self.TRIO, pid=100)
+        trio[1].close()
+        with pytest.raises(CounterStateError):
+            session.read_group(trio)
+
+    def test_esrch_raises_counter_invalid_error(self, machine):
+        session = PerfSession(machine)
+        trio = session.open_group(self.TRIO, pid=100)
+        session.invalidate_pid(100)
+        with pytest.raises(CounterInvalidError):
+            session.read_group(trio)
+
+    def test_sample_loss_raises_sample_loss_error(self, machine):
+        session = PerfSession(machine)
+        trio = session.open_group(self.TRIO, pid=100)
+        session.set_sample_loss(True)
+        with pytest.raises(SampleLossError):
+            session.read_group(trio)
+        session.set_sample_loss(False)
+        assert session.read_group(trio) == (0.0,) * 9
+
+    @pytest.mark.parametrize("loss", [False, True])
+    def test_raises_what_the_first_failing_read_raises(self, machine, loss):
+        """Every mix of open, closed and dead members, with and without
+        sample loss: the same error type and message as reading the
+        members one by one."""
+        for states in itertools.product(("open", "closed", "dead"),
+                                        repeat=3):
+            session = PerfSession(machine)
+            trio = session.open_group(self.TRIO, pid=100)
+            for counter, state in zip(trio, states):
+                if state == "closed":
+                    counter.close()
+                elif state == "dead":
+                    counter.invalidate()
+            session.set_sample_loss(loss)
+            expected = first_read_error(trio)
+            assert (expected is None) == (states == ("open",) * 3
+                                          and not loss)
+            assert group_read_error(session, trio) == expected, states
+            session.close()
 
 
 class TestMultiplexing:

@@ -35,7 +35,8 @@ def model():
 def hpc_report(time_s=1.0, pid=100, instructions=2e9, frequency=ghz(3.3),
                period_s=1.0):
     return HpcReport(time_s=time_s, period_s=period_s, pid=-1,
-                     counters={pid: {"instructions": instructions}},
+                     events=("instructions",),
+                     counters={pid: (instructions,)},
                      frequency_hz=frequency)
 
 
